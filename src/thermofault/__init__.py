@@ -36,7 +36,6 @@ from .embedding import (
     train_embedder,
 )
 from .harness import (
-    EmbedderSpec,
     EvalReport,
     ExperimentConfig,
     RowAccuracy,
@@ -74,7 +73,6 @@ from .prototypes import (
     classify_many,
     compute_centers,
     distance,
-    distances_to_centers,
     model_from_dict,
     model_to_dict,
     posterior,

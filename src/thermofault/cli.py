@@ -14,23 +14,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
+from .density import DEFAULT_GRID, FeatureGrid, PdfFeature
 from .embedding import (
     TrainConfig,
     embed_many,
     embedder_from_dict,
     embedder_to_dict,
     identity_embedder,
-    train_embedder,
 )
 from .harness import (
     MODE_SUPERVISED,
     MODE_WEAK,
+    SPLITS,
     SWEEP_PARAMS,
-    EmbedderSpec,
     ExperimentConfig,
     compare,
     compare_table,
+    embed_rows,
+    extract_features,
+    fit_embedder,
+    fit_model,
     replicate,
     report_table,
     report_to_dict,
@@ -39,8 +42,8 @@ from .harness import (
     sweep,
     sweep_table,
 )
-from .images import InputFormatError, ManifestError, extract_region, load_manifest, load_thermal
-from .prototypes import build_model, model_from_dict, model_to_dict, posterior, refine_centers
+from .images import InputFormatError, ManifestError
+from .prototypes import model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
 from .taxonomy import SubcategoryId, parse_equipment_type, parse_status
 
@@ -115,31 +118,20 @@ def _region_record(region, split: str, feature: PdfFeature) -> dict:
 
 
 def cmd_extract(args) -> int:
-    grid = FeatureGrid(args.t_lo, args.t_hi, args.grid_points)
-    bandwidth = _parse_bandwidth(args.bandwidth)
-    manifest = load_manifest(Path(args.manifest))
-    images = {
-        image_id: load_thermal(path, source_id=image_id)
-        for image_id, path in manifest.image_paths.items()
-    }
-    records = []
-    for split in ("labeled", "unlabeled", "test"):
-        for region in getattr(manifest, split):
-            samples = extract_region(images[region.image_ref], region.bbox)
-            feature = feature_vector(samples, grid, bandwidth)
-            records.append(_region_record(region, split, feature))
+    cfg = ExperimentConfig(
+        manifest_path=args.manifest,
+        grid=FeatureGrid(args.t_lo, args.t_hi, args.grid_points),
+        bandwidth="auto" if args.bandwidth == "auto" else float(args.bandwidth),
+    )
+    manifest, features = extract_features(cfg)
+    records = [
+        _region_record(region, split, feature)
+        for split in SPLITS
+        for region, feature in zip(getattr(manifest, split), features[split])
+    ]
     _write_json(Path(args.out), {"records": records})
     print(f"wrote {len(records)} feature records to {args.out}")
     return EXIT_OK
-
-
-def _parse_bandwidth(text: str):
-    if text == "auto":
-        return "auto"
-    value = float(text)
-    if value <= 0:
-        raise ValueError("bandwidth must be positive")
-    return value
 
 
 def _load_records(path: Path) -> list[dict]:
@@ -156,49 +148,53 @@ def _record_subcategory(rec: dict) -> SubcategoryId | None:
     return SubcategoryId(parse_equipment_type(rec["equipment_type"]), status)
 
 
-def _record_vector(rec: dict) -> np.ndarray:
-    return PdfFeature.from_dict(rec["feature"]).values
+def _grid_text(grid: FeatureGrid) -> str:
+    return f"[{grid.t_lo}, {grid.t_hi}] x {grid.n_points} points"
 
 
 def cmd_train(args) -> int:
     records = _load_records(Path(args.features))
-    labeled_pairs = []
+    features = [PdfFeature.from_dict(rec["feature"]) for rec in records]
+    grids = list(dict.fromkeys(f.grid for f in features))
+    if len(grids) > 1:
+        raise ValueError(
+            f"feature records mix grids {_grid_text(grids[0])} and {_grid_text(grids[1])}"
+        )
+    labeled = []
     unlabeled = []
-    for rec in records:
+    for rec, feature in zip(records, features):
         if rec["split"] == "labeled":
             subcat = _record_subcategory(rec)
             if subcat is None:
                 raise ValueError("labeled record without a status")
-            labeled_pairs.append((subcat, _record_vector(rec)))
+            labeled.append((subcat, feature.values))
         elif rec["split"] == "unlabeled":
-            unlabeled.append(_record_vector(rec))
-    if not labeled_pairs:
+            unlabeled.append(feature.values)
+    if not labeled:
         raise ValueError("no labeled records in the feature file")
 
+    train_cfg = None
     if args.embedder == "mlp":
         train_cfg = TrainConfig(
-            hidden=args.hidden,
-            out_dim=args.out_dim,
-            episodes=args.episodes,
-            lr=args.lr,
-            seed=args.seed,
+            hidden=args.hidden, out_dim=args.out_dim, episodes=args.episodes, lr=args.lr
         )
-        emb = train_embedder(labeled_pairs, train_cfg).embedder
+    emb = fit_embedder(labeled, train_cfg, args.seed)
+    if train_cfg is not None:
         embedder_path = Path(str(args.out) + ".embedder.json")
         _write_json(embedder_path, embedder_to_dict(emb))
         print(f"wrote embedder to {embedder_path}")
-        embedded = embed_many(emb, np.stack([v for _, v in labeled_pairs]))
-        labeled_pairs = [(c, embedded[i]) for i, (c, _) in enumerate(labeled_pairs)]
-        if unlabeled:
-            unlabeled = list(embed_many(emb, np.stack(unlabeled)))
-
-    alpha = 1.0 if args.mode == MODE_SUPERVISED else args.alpha
-    model = build_model(labeled_pairs, alpha=alpha)
-    if args.mode == MODE_WEAK and unlabeled:
-        model = refine_centers(model, np.stack(unlabeled), iters=args.refine_iters)
+    dim = grids[0].n_points
+    lab = embed_rows(emb, [v for _, v in labeled], dim)
+    model = fit_model(
+        list(zip((c for c, _ in labeled), lab)),
+        embed_rows(emb, unlabeled, dim),
+        args.mode,
+        args.alpha,
+        args.refine_iters,
+    )
     _write_json(Path(args.out), model_to_dict(model))
     print(
-        f"wrote model to {args.out} (mode={args.mode}, alpha={alpha},"
+        f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
         f" classes={model.n_classes}, dim={model.feature_dim})"
     )
     return EXIT_OK
@@ -212,11 +208,10 @@ def cmd_classify(args) -> int:
         emb = embedder_from_dict(_read_json(Path(args.embedder_file)))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    vectors = [PdfFeature.from_dict(rec["feature"]).values for rec in records]
+    embedded = embed_many(emb, np.stack(vectors)) if vectors else []
     lines = []
-    for rec in records:
-        v = _record_vector(rec)
-        if emb.kind != "identity":
-            v = embed_many(emb, v.reshape(1, -1))[0]
+    for rec, v in zip(records, embedded):
         post = posterior(v, model, use_refined=True)
         lines.append(
             json.dumps(

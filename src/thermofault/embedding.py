@@ -9,7 +9,7 @@ they can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -191,11 +191,12 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Shape and schedule of an MLP embedder; the seed is given at training."""
+
     hidden: int = 32
     out_dim: int = 16
     episodes: int = 200
     lr: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.hidden < 1 or self.out_dim < 1:
@@ -205,6 +206,21 @@ class TrainConfig:
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
 
+    def to_dict(self) -> dict:
+        return {"kind": KIND_MLP, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        if d.get("kind") != KIND_MLP:
+            raise ValueError(f"not an mlp embedder config: kind {d.get('kind')!r}")
+        defaults = cls()
+        return cls(
+            hidden=int(d.get("hidden", defaults.hidden)),
+            out_dim=int(d.get("out_dim", defaults.out_dim)),
+            episodes=int(d.get("episodes", defaults.episodes)),
+            lr=float(d.get("lr", defaults.lr)),
+        )
+
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -213,7 +229,7 @@ class TrainResult:
 
 
 def train_embedder(
-    labeled: Iterable[tuple[SubcategoryId, np.ndarray]], cfg: TrainConfig
+    labeled: Iterable[tuple[SubcategoryId, np.ndarray]], cfg: TrainConfig, seed: int
 ) -> TrainResult:
     """Plain gradient descent over cfg.episodes episodes.
 
@@ -233,8 +249,8 @@ def train_embedder(
         raise ValueError(f"mixed feature sizes: {sorted(dims)}")
     in_dim = dims.pop()
 
-    e = init_mlp(in_dim, cfg.hidden, cfg.out_dim, cfg.seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
+    e = init_mlp(in_dim, cfg.hidden, cfg.out_dim, seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     classes = sorted(buckets)
     losses = []
     for _ in range(cfg.episodes):

@@ -19,9 +19,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, feature_vector
-from .embedding import Embedder, TrainConfig, embed_many, identity_embedder, train_embedder
-from .images import DatasetManifest, ThermalImage, extract_region, load_manifest, load_thermal
+from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
+from .embedding import (
+    KIND_IDENTITY,
+    Embedder,
+    TrainConfig,
+    embed_many,
+    identity_embedder,
+    train_embedder,
+)
+from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
 from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId
@@ -30,58 +37,8 @@ MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
 ENTIRETY_LABEL = "entirety"
 
-# Overall accuracies reported for the original full-scale field evaluation
-# (supervised vs weakly supervised). The synthetic benchmark here is a
-# directional stand-in, so these are carried as reference metadata only.
-REFERENCE_OVERALL_SUPERVISED = 0.844
-REFERENCE_OVERALL_WEAK = 0.913
-
+SPLITS = ("labeled", "unlabeled", "test")
 SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
-
-
-@dataclass(frozen=True)
-class EmbedderSpec:
-    """Embedding stage choice; mlp trains on the labeled split before use."""
-
-    kind: str = "identity"
-    hidden: int = 32
-    out_dim: int = 16
-    episodes: int = 200
-    lr: float = 0.05
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "mlp"):
-            raise ValueError(f"embedder kind must be identity or mlp, got {self.kind!r}")
-        if self.hidden < 1 or self.out_dim < 1:
-            raise ValueError("hidden and out_dim must be >= 1")
-        if self.episodes < 0:
-            raise ValueError("episodes must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-
-    def to_dict(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        return {
-            "kind": "mlp",
-            "hidden": self.hidden,
-            "out_dim": self.out_dim,
-            "episodes": self.episodes,
-            "lr": self.lr,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbedderSpec":
-        if d.get("kind", "identity") == "identity":
-            return cls(kind="identity")
-        defaults = cls(kind="mlp")
-        return cls(
-            kind="mlp",
-            hidden=int(d.get("hidden", defaults.hidden)),
-            out_dim=int(d.get("out_dim", defaults.out_dim)),
-            episodes=int(d.get("episodes", defaults.episodes)),
-            lr=float(d.get("lr", defaults.lr)),
-        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +49,7 @@ class ExperimentConfig:
     manifest_path: str | None = None
     grid: FeatureGrid = DEFAULT_GRID
     bandwidth: float | str = "auto"
-    embedder: EmbedderSpec = EmbedderSpec()
+    embedder: TrainConfig | None = None  # None: identity embedder
     alpha: float = 0.5
     refine_iters: int = 1
     seed: int = 0
@@ -116,6 +73,7 @@ class ExperimentConfig:
             data = {"synth": self.synth.to_dict()}
         else:
             data = {"manifest": self.manifest_path}
+        embedder = {"kind": KIND_IDENTITY} if self.embedder is None else self.embedder.to_dict()
         return {
             "data": data,
             "grid": {
@@ -124,7 +82,7 @@ class ExperimentConfig:
                 "n_points": self.grid.n_points,
             },
             "bandwidth": self.bandwidth,
-            "embedder": self.embedder.to_dict(),
+            "embedder": embedder,
             "alpha": self.alpha,
             "refine_iters": self.refine_iters,
             "seed": self.seed,
@@ -148,7 +106,9 @@ class ExperimentConfig:
         bandwidth = d.get("bandwidth", "auto")
         if bandwidth != "auto":
             bandwidth = float(bandwidth)
-        embedder = EmbedderSpec.from_dict(d["embedder"]) if "embedder" in d else EmbedderSpec()
+        embedder = None
+        if d.get("embedder", {}).get("kind", KIND_IDENTITY) != KIND_IDENTITY:
+            embedder = TrainConfig.from_dict(d["embedder"])
         return cls(
             synth=synth,
             manifest_path=manifest_path,
@@ -264,66 +224,31 @@ class _PreparedData:
     test: tuple[tuple[SubcategoryId, np.ndarray], ...]
 
 
-def _load_images(cfg: ExperimentConfig) -> tuple[DatasetManifest, dict[str, ThermalImage]]:
+def extract_features(
+    cfg: ExperimentConfig,
+) -> tuple[DatasetManifest, dict[str, list[PdfFeature]]]:
+    """The density feature of every region of cfg's dataset, per split.
+
+    A synthetic dataset is generated with cfg.seed; a manifest's images are
+    read from disk.
+    """
     if cfg.synth is not None:
-        synth_cfg = dataclasses.replace(cfg.synth, seed=cfg.seed)
-        images, manifest = synthesize(synth_cfg)
-        return manifest, {img.source_id: img for img in images}
-    manifest = load_manifest(Path(cfg.manifest_path))
-    by_id = {
-        image_id: load_thermal(path, source_id=image_id)
-        for image_id, path in manifest.image_paths.items()
-    }
-    return manifest, by_id
-
-
-def _region_samples(img_by_id, region) -> np.ndarray:
-    return extract_region(img_by_id[region.image_ref], region.bbox)
-
-
-def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
-    """Extract (and optionally embed) feature vectors for every region."""
-    manifest, img_by_id = _load_images(cfg)
-    feats = {}
-    for name in ("labeled", "unlabeled", "test"):
-        vecs = []
-        for region in getattr(manifest, name):
-            samples = _region_samples(img_by_id, region)
-            vecs.append(feature_vector(samples, cfg.grid, cfg.bandwidth).values)
-        feats[name] = vecs
-
-    if cfg.embedder.kind == "mlp":
-        train_cfg = TrainConfig(
-            hidden=cfg.embedder.hidden,
-            out_dim=cfg.embedder.out_dim,
-            episodes=cfg.embedder.episodes,
-            lr=cfg.embedder.lr,
-            seed=embedder_seed(cfg.seed),
-        )
-        pairs = [
-            (region.subcategory, vec)
-            for region, vec in zip(manifest.labeled, feats["labeled"])
-        ]
-        emb = train_embedder(pairs, train_cfg).embedder
+        images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
+        by_id = {img.source_id: img for img in images}
     else:
-        emb = identity_embedder()
-
-    def embedded(vecs) -> np.ndarray:
-        if not vecs:
-            dim = cfg.grid.n_points if emb.kind == "identity" else emb.dims[2]
-            return np.zeros((0, dim))
-        return embed_many(emb, np.stack(vecs))
-
-    lab = embedded(feats["labeled"])
-    unl = embedded(feats["unlabeled"])
-    tst = embedded(feats["test"])
-    return _PreparedData(
-        labeled=tuple(
-            (region.subcategory, lab[i]) for i, region in enumerate(manifest.labeled)
-        ),
-        unlabeled=unl,
-        test=tuple((region.subcategory, tst[i]) for i, region in enumerate(manifest.test)),
-    )
+        manifest = load_manifest(Path(cfg.manifest_path))
+        by_id = {
+            image_id: load_thermal(path, source_id=image_id)
+            for image_id, path in manifest.image_paths.items()
+        }
+    features = {
+        split: [
+            feature_vector(extract_region(by_id[r.image_ref], r.bbox), cfg.grid, cfg.bandwidth)
+            for r in getattr(manifest, split)
+        ]
+        for split in SPLITS
+    }
+    return manifest, features
 
 
 def embedder_seed(seed: int) -> int:
@@ -331,13 +256,59 @@ def embedder_seed(seed: int) -> int:
     return int(np.random.SeedSequence([seed, 7]).generate_state(1)[0])
 
 
-def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
+def fit_embedder(
+    labeled: Sequence[tuple[SubcategoryId, np.ndarray]], train_cfg: TrainConfig | None, seed: int
+) -> Embedder:
+    """Identity, or an MLP trained on the labeled vectors with embedder_seed(seed)."""
+    if train_cfg is None:
+        return identity_embedder()
+    return train_embedder(labeled, train_cfg, embedder_seed(seed)).embedder
+
+
+def embed_rows(emb: Embedder, vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The embedded (n, out_dim) matrix of n feature vectors of length dim; n may be 0."""
+    return embed_many(emb, np.reshape(vectors, (len(vectors), dim)))
+
+
+def fit_model(
+    labeled: Sequence[tuple[SubcategoryId, np.ndarray]],
+    unlabeled: np.ndarray,
+    mode: str,
+    alpha: float,
+    refine_iters: int,
+) -> PrototypeModel:
+    """Labeled centers, refined with the unlabeled vectors in weak mode.
+
+    Supervised mode is the alpha = 1 model: its refined centers are the
+    labeled centers.
+    """
     if mode not in (MODE_SUPERVISED, MODE_WEAK):
         raise ValueError(f"mode must be supervised or weak, got {mode!r}")
-    alpha = 1.0 if mode == MODE_SUPERVISED else cfg.alpha
-    model = build_model(data.labeled, alpha=alpha)
+    model = build_model(labeled, alpha=1.0 if mode == MODE_SUPERVISED else alpha)
     if mode == MODE_WEAK:
-        model = refine_centers(model, data.unlabeled, iters=cfg.refine_iters)
+        model = refine_centers(model, unlabeled, iters=refine_iters)
+    return model
+
+
+def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
+    """Extract and embed the feature vectors of every region."""
+    manifest, features = extract_features(cfg)
+    vectors = {split: [f.values for f in features[split]] for split in SPLITS}
+    emb = fit_embedder(
+        [(r.subcategory, v) for r, v in zip(manifest.labeled, vectors["labeled"])],
+        cfg.embedder,
+        cfg.seed,
+    )
+    lab, unl, tst = (embed_rows(emb, vectors[split], cfg.grid.n_points) for split in SPLITS)
+    return _PreparedData(
+        labeled=tuple(zip((r.subcategory for r in manifest.labeled), lab)),
+        unlabeled=unl,
+        test=tuple(zip((r.subcategory for r in manifest.test), tst)),
+    )
+
+
+def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
+    model = fit_model(data.labeled, data.unlabeled, mode, cfg.alpha, cfg.refine_iters)
     test_classes = {subcat for subcat, _ in data.test}
     missing = test_classes - set(model.classes)
     if missing:
@@ -372,7 +343,7 @@ def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
     )
     return EvalReport(
         mode=mode,
-        alpha=alpha,
+        alpha=model.alpha,
         seed=cfg.seed,
         rows=rows,
         overall=overall,

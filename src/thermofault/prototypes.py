@@ -115,11 +115,17 @@ def distance(v, c) -> float:
     return float(np.sqrt(np.square(v - c).sum()))
 
 
-def distances_to_centers(v: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size != centers.shape[1]:
-        raise ValueError(f"feature dim {v.size} does not match centers dim {centers.shape[1]}")
-    return np.sqrt(np.square(centers - v[None, :]).sum(axis=1))
+def sq_dists(x, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each row of x to each center.
+
+    The direct broadcast difference, unlike the |x|^2 - 2 x.c + |c|^2
+    expansion, has no cancellation, and a row gets the same bits alone as
+    in a batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != centers.shape[1]:
+        raise ValueError(f"vectors must be (n, {centers.shape[1]}), got shape {x.shape}")
+    return np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def posterior(v, model: PrototypeModel, use_refined: bool = True) -> Posterior:
     floating-point probabilities.
     """
     centers = model.centers_refined if use_refined else model.centers_labeled
-    d = distances_to_centers(v, centers)
+    d = np.sqrt(sq_dists(np.reshape(v, (1, -1)), centers)[0])
     z = -d
     z = z - z.max()
     e = np.exp(z)
@@ -154,19 +160,14 @@ def posterior(v, model: PrototypeModel, use_refined: bool = True) -> Posterior:
 
 
 def classify(v, model: PrototypeModel, use_refined: bool = True) -> SubcategoryId:
-    centers = model.centers_refined if use_refined else model.centers_labeled
-    return model.classes[int(np.argmin(distances_to_centers(v, centers)))]
+    return posterior(v, model, use_refined).predicted
 
 
 def classify_many(
     vectors, model: PrototypeModel, use_refined: bool = True
 ) -> list[SubcategoryId]:
     centers = model.centers_refined if use_refined else model.centers_labeled
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != centers.shape[1]:
-        raise ValueError("vectors must be (n, feature_dim)")
-    d2 = np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
-    return [model.classes[i] for i in np.argmin(d2, axis=1)]
+    return [model.classes[i] for i in np.argmin(sq_dists(vectors, centers), axis=1)]
 
 
 def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> PrototypeModel:
@@ -194,8 +195,7 @@ def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> Prototyp
     for _ in range(iters):
         updated = labeled.copy()
         if x.shape[0] > 0:
-            d2 = np.square(x[:, None, :] - current[None, :, :]).sum(axis=2)
-            assign = np.argmin(d2, axis=1)
+            assign = np.argmin(sq_dists(x, current), axis=1)
             for m in range(model.n_classes):
                 members = x[assign == m]
                 if members.shape[0] > 0:
@@ -249,9 +249,9 @@ __all__ = [
     "compute_centers",
     "classify",
     "classify_many",
-    "distances_to_centers",
     "model_from_dict",
     "model_to_dict",
     "posterior",
     "refine_centers",
+    "sq_dists",
 ]

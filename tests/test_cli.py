@@ -3,10 +3,13 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from thermofault.density import FeatureGrid, feature_vector
+from thermofault.embedding import TrainConfig, embedder_from_dict
+from thermofault.harness import ExperimentConfig, extract_features, fit_embedder
 from thermofault.images import extract_region, load_manifest, load_thermal
 from thermofault.synthetic import default_synth_config, separable_synth_config
 
@@ -188,6 +191,43 @@ def test_train_mlp_zero_episodes(dataset, tmp_path):
     assert emb["dims"] == [128, 8, 6]
     doc = json.loads(out.read_text())
     assert doc["feature_dim"] == 6
+
+
+def test_train_mlp_matches_harness_embedder(dataset, tmp_path):
+    out = tmp_path / "model.json"
+    code = run_cli(
+        "train",
+        "--features", dataset / "features.json",
+        "--out", out,
+        "--embedder", "mlp",
+        "--seed", 5,
+        "--episodes", 20,
+    )
+    assert code == EXIT_OK
+    cli_emb = embedder_from_dict(json.loads(Path(f"{out}.embedder.json").read_text()))
+    cfg = ExperimentConfig(
+        manifest_path=str(dataset / "data" / "manifest.json"),
+        seed=5,
+        embedder=TrainConfig(episodes=20),
+    )
+    manifest, features = extract_features(cfg)
+    labeled = [(r.subcategory, f.values) for r, f in zip(manifest.labeled, features["labeled"])]
+    harness_emb = fit_embedder(labeled, cfg.embedder, cfg.seed)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name
+
+
+def test_train_rejects_mixed_grids(dataset, tmp_path, capsys):
+    records = json.loads((dataset / "features.json").read_text())["records"]
+    records[-1]["feature"]["t_lo"] = 0.0  # same n_points, different grid
+    feats = tmp_path / "mixed.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    code = run_cli("train", "--features", feats, "--out", out)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "[-20.0, 120.0] x 128" in err and "[0.0, 120.0] x 128" in err
+    assert not out.exists()
 
 
 def test_train_no_labeled_records(tmp_path, capsys):

@@ -6,9 +6,6 @@ import pytest
 from thermofault.harness import (
     MODE_SUPERVISED,
     MODE_WEAK,
-    REFERENCE_OVERALL_SUPERVISED,
-    REFERENCE_OVERALL_WEAK,
-    EmbedderSpec,
     EvalReport,
     ExperimentConfig,
     RowAccuracy,
@@ -23,6 +20,7 @@ from thermofault.harness import (
     sweep,
     sweep_table,
 )
+from thermofault.embedding import TrainConfig
 from thermofault.synthetic import default_synth_config, separable_synth_config
 from thermofault.taxonomy import EquipmentType
 
@@ -74,18 +72,19 @@ def test_config_round_trip_and_hash():
     assert ExperimentConfig.from_dict(shuffled) == cfg
 
 
-def test_embedder_spec_round_trip():
-    spec = EmbedderSpec(kind="mlp", hidden=8, out_dim=4, episodes=10, lr=0.1)
-    assert EmbedderSpec.from_dict(spec.to_dict()) == spec
-    assert EmbedderSpec.from_dict({"kind": "identity"}) == EmbedderSpec()
+def test_train_config_round_trip():
+    train_cfg = TrainConfig(hidden=8, out_dim=4, episodes=10, lr=0.1)
+    assert train_cfg.to_dict() == {
+        "kind": "mlp", "hidden": 8, "out_dim": 4, "episodes": 10, "lr": 0.1
+    }
+    assert TrainConfig.from_dict(train_cfg.to_dict()) == train_cfg
+    assert TrainConfig.from_dict({"kind": "mlp"}) == TrainConfig()
+    for embedder in (None, train_cfg):
+        cfg = small_config(embedder=embedder)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert small_config().to_dict()["embedder"] == {"kind": "identity"}
     with pytest.raises(ValueError):
-        EmbedderSpec(kind="cnn")
-
-
-def test_reference_constants_recorded():
-    assert REFERENCE_OVERALL_SUPERVISED == 0.844
-    assert REFERENCE_OVERALL_WEAK == 0.913
-    assert REFERENCE_OVERALL_WEAK - REFERENCE_OVERALL_SUPERVISED == pytest.approx(0.069)
+        ExperimentConfig.from_dict({**small_config().to_dict(), "embedder": {"kind": "cnn"}})
 
 
 # ------------------------------------------------------------------- rows
@@ -180,7 +179,7 @@ def test_replicate_uses_consecutive_seeds():
 
 def test_run_with_mlp_embedder():
     cfg = small_config(
-        embedder=EmbedderSpec(kind="mlp", hidden=8, out_dim=6, episodes=20, lr=0.05)
+        embedder=TrainConfig(hidden=8, out_dim=6, episodes=20, lr=0.05)
     )
     sup, weak = run_both(cfg)
     assert sup.overall.n_normal + sup.overall.n_fault == 30

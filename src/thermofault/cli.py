@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, PdfFeature
+from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
 from .embedding import (
     TrainConfig,
     embed_many,
@@ -30,7 +30,6 @@ from .harness import (
     ExperimentConfig,
     compare,
     compare_table,
-    embed_rows,
     extract_features,
     fit_embedder,
     fit_model,
@@ -123,7 +122,7 @@ def cmd_extract(args) -> int:
         grid=FeatureGrid(args.t_lo, args.t_hi, args.grid_points),
         bandwidth="auto" if args.bandwidth == "auto" else float(args.bandwidth),
     )
-    manifest, features = extract_features(cfg)
+    manifest, features = extract_features(cfg, feature_vector)
     records = [
         _region_record(region, split, feature)
         for split in SPLITS
@@ -153,7 +152,11 @@ def _grid_text(grid: FeatureGrid) -> str:
 
 
 def cmd_train(args) -> int:
-    records = _load_records(Path(args.features))
+    records = [
+        rec
+        for rec in _load_records(Path(args.features))
+        if rec["split"] in ("labeled", "unlabeled")
+    ]
     features = [PdfFeature.from_dict(rec["feature"]) for rec in records]
     grids = list(dict.fromkeys(f.grid for f in features))
     if len(grids) > 1:
@@ -168,7 +171,7 @@ def cmd_train(args) -> int:
             if subcat is None:
                 raise ValueError("labeled record without a status")
             labeled.append((subcat, feature.values))
-        elif rec["split"] == "unlabeled":
+        else:
             unlabeled.append(feature.values)
     if not labeled:
         raise ValueError("no labeled records in the feature file")
@@ -183,11 +186,10 @@ def cmd_train(args) -> int:
         embedder_path = Path(str(args.out) + ".embedder.json")
         _write_json(embedder_path, embedder_to_dict(emb))
         print(f"wrote embedder to {embedder_path}")
-    dim = grids[0].n_points
-    lab = embed_rows(emb, [v for _, v in labeled], dim)
+    lab = embed_many(emb, [v for _, v in labeled])
     model = fit_model(
         list(zip((c for c, _ in labeled), lab)),
-        embed_rows(emb, unlabeled, dim),
+        embed_many(emb, unlabeled),
         args.mode,
         args.alpha,
         args.refine_iters,
@@ -209,9 +211,8 @@ def cmd_classify(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     vectors = [PdfFeature.from_dict(rec["feature"]).values for rec in records]
-    embedded = embed_many(emb, np.stack(vectors)) if vectors else []
     lines = []
-    for rec, v in zip(records, embedded):
+    for rec, v in zip(records, embed_many(emb, vectors)):
         post = posterior(v, model, use_refined=True)
         lines.append(
             json.dumps(

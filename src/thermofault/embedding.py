@@ -83,7 +83,11 @@ def init_mlp(in_dim: int, hidden: int, out_dim: int, seed: int) -> Embedder:
 
 
 def embed_many(e: Embedder, vectors) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    """Embed each row of vectors; one 1-D vector is one row, no vectors give 0 rows."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.size == 0 and x.ndim < 2:
+        x = x.reshape(0, 0 if e.dims is None else e.dims[0])
+    x = np.atleast_2d(x)
     if e.kind == KIND_IDENTITY:
         return x.copy()
     if x.shape[1] != e.W1.shape[1]:

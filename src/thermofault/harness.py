@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -225,12 +225,14 @@ class _PreparedData:
 
 
 def extract_features(
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig, featurize: Callable[..., PdfFeature]
 ) -> tuple[DatasetManifest, dict[str, list[PdfFeature]]]:
     """The density feature of every region of cfg's dataset, per split.
 
     A synthetic dataset is generated with cfg.seed; a manifest's images are
-    read from disk.
+    read from disk. featurize is density.feature_vector as the calling front
+    end binds it, so a wrapper or patch on that front end's name applies to
+    its own extraction only.
     """
     if cfg.synth is not None:
         images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
@@ -243,7 +245,7 @@ def extract_features(
         }
     features = {
         split: [
-            feature_vector(extract_region(by_id[r.image_ref], r.bbox), cfg.grid, cfg.bandwidth)
+            featurize(extract_region(by_id[r.image_ref], r.bbox), cfg.grid, cfg.bandwidth)
             for r in getattr(manifest, split)
         ]
         for split in SPLITS
@@ -263,11 +265,6 @@ def fit_embedder(
     if train_cfg is None:
         return identity_embedder()
     return train_embedder(labeled, train_cfg, embedder_seed(seed)).embedder
-
-
-def embed_rows(emb: Embedder, vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """The embedded (n, out_dim) matrix of n feature vectors of length dim; n may be 0."""
-    return embed_many(emb, np.reshape(vectors, (len(vectors), dim)))
 
 
 def fit_model(
@@ -292,14 +289,14 @@ def fit_model(
 
 def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
     """Extract and embed the feature vectors of every region."""
-    manifest, features = extract_features(cfg)
+    manifest, features = extract_features(cfg, feature_vector)
     vectors = {split: [f.values for f in features[split]] for split in SPLITS}
     emb = fit_embedder(
         [(r.subcategory, v) for r, v in zip(manifest.labeled, vectors["labeled"])],
         cfg.embedder,
         cfg.seed,
     )
-    lab, unl, tst = (embed_rows(emb, vectors[split], cfg.grid.n_points) for split in SPLITS)
+    lab, unl, tst = (embed_many(emb, vectors[split]) for split in SPLITS)
     return _PreparedData(
         labeled=tuple(zip((r.subcategory for r in manifest.labeled), lab)),
         unlabeled=unl,

@@ -210,16 +210,18 @@ def test_train_mlp_matches_harness_embedder(dataset, tmp_path):
         seed=5,
         embedder=TrainConfig(episodes=20),
     )
-    manifest, features = extract_features(cfg)
+    manifest, features = extract_features(cfg, feature_vector)
     labeled = [(r.subcategory, f.values) for r, f in zip(manifest.labeled, features["labeled"])]
     harness_emb = fit_embedder(labeled, cfg.embedder, cfg.seed)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name
 
 
-def test_train_rejects_mixed_grids(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("split", ["labeled", "unlabeled"])
+def test_train_rejects_mixed_grids(dataset, tmp_path, capsys, split):
     records = json.loads((dataset / "features.json").read_text())["records"]
-    records[-1]["feature"]["t_lo"] = 0.0  # same n_points, different grid
+    first = next(rec for rec in records if rec["split"] == split)
+    first["feature"]["t_lo"] = 0.0  # same n_points, different grid
     feats = tmp_path / "mixed.json"
     feats.write_text(json.dumps({"records": records}), encoding="utf-8")
     out = tmp_path / "m.json"

@@ -91,6 +91,12 @@ def test_embed_many_stacks_rows():
         assert_allclose(out[i], embed(e, vs[i]), rtol=0, atol=1e-14)
 
 
+def test_embed_many_of_no_vectors_has_no_rows():
+    assert embed_many(identity_embedder(), []).shape == (0, 0)
+    assert embed_many(identity_embedder(), np.zeros((0, 4))).shape == (0, 4)
+    assert embed_many(init_mlp(4, 3, 2, seed=2), []).shape == (0, 2)
+
+
 # -------------------------------------------------------------- init / rng
 
 def test_init_bounds_and_determinism():

@@ -14,6 +14,11 @@ import numpy as np
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
+# exp(-u*u/2) is exactly 0.0 in float64 once |u| > 38.6, so a query point
+# more than KDE_CUTOFF bandwidths from every sample has density 0.0.
+KDE_CUTOFF = 39.0
+# Kernel terms per block in kde_values; bounds one call's temporaries.
+KDE_BLOCK_TERMS = 1 << 20
 _MAX_BINS = 50_000_000
 
 DEFAULT_BIN_ORIGIN = 0.0
@@ -147,11 +152,23 @@ class KdeEstimator:
 
 
 def kde_values(est: KdeEstimator, points) -> np.ndarray:
-    """Density estimate at each query point: mean kernel value / bandwidth."""
+    """Density estimate at each query point: mean kernel value / bandwidth.
+
+    Points beyond KDE_CUTOFF bandwidths from the samples get 0.0 unevaluated;
+    the rest sum whole kernel rows in blocks, bit-identical to the full sum.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
-    u = (pts[:, None] - est.samples[None, :]) / est.bandwidth
-    k = np.exp(-0.5 * np.square(u)).sum(axis=1) / SQRT_2PI
-    return k / (est.n_samples * est.bandwidth)
+    x, h = est.samples, est.bandwidth
+    reach = KDE_CUTOFF * h
+    # "not outside" keeps NaN points live, so they still give NaN
+    live = np.flatnonzero(~((pts < x[0] - reach) | (pts > x[-1] + reach)))
+    k = np.zeros(pts.size)
+    rows = max(1, KDE_BLOCK_TERMS // x.size)
+    for i in range(0, live.size, rows):
+        idx = live[i : i + rows]
+        u = (pts[idx, None] - x[None, :]) / h
+        k[idx] = np.exp(-0.5 * np.square(u)).sum(axis=1) / SQRT_2PI
+    return k / (est.n_samples * h)
 
 
 def kde_at(est: KdeEstimator, x: float) -> float:
@@ -172,9 +189,18 @@ def silverman_bandwidth(samples) -> float:
         raise ValueError("samples must be finite")
     x = np.sort(x)  # order-independent summation
     sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    scale = min(sd, (q75 - q25) / 1.34)
+    scale = min(sd, (_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34)
     return max(1.06 * scale * x.size ** (-0.2), BANDWIDTH_FLOOR)
+
+
+def _sorted_quantile(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, 100 * q) of sorted x, 0 <= q < 1: numpy's linear rule, bit for bit."""
+    v = (x.size - 1) * q
+    i = int(v)
+    g = v - i
+    a, b = float(x[i]), float(x[i + 1])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 @dataclass(frozen=True)
@@ -262,9 +288,15 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     raw = kde_values(est, grid.points())
     mass = float(raw.sum() * grid.step)
     if mass <= 0.0:
+        lo, hi = est.samples[0], est.samples[-1]
+        if lo <= grid.t_hi and grid.t_lo <= hi:  # the grid overlaps the samples
+            raise ValueError(
+                f"bandwidth {w!r} is too small for the feature grid step {grid.step!r}:"
+                f" the density of the samples [{lo}, {hi}] is 0 at every grid point"
+            )
         raise ValueError(
             f"feature grid [{grid.t_lo}, {grid.t_hi}] does not overlap the sample range"
-            f" [{x.min()}, {x.max()}]"
+            f" [{lo}, {hi}]"
         )
     values = raw / mass
     return PdfFeature(

@@ -93,12 +93,28 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
     if not lines:
         raise RtmFormatError(path, "empty file", row=1)
     width, height = _parse_rtm_header(path, lines[0])
-    if len(lines) - 1 != height:
+    rows = lines[1:]
+    if len(rows) != height:
         raise RtmFormatError(
-            path, f"expected {height} data rows, found {len(lines) - 1}", row=len(lines)
+            path, f"expected {height} data rows, found {len(rows)}", row=len(lines)
         )
-    temps = np.empty((height, width), dtype=np.float64)
-    for r, line in enumerate(lines[1:], start=1):
+    temps = None
+    # numpy converts each cell as float() does; the row check keeps a long
+    # row and a short row from passing as a right-sized total
+    if all(line.count(",") == width - 1 for line in rows):
+        try:
+            temps = np.array(",".join(rows).split(","), dtype=np.float64).reshape(height, width)
+        except ValueError:
+            pass  # the cell loop names the bad cell
+    if temps is None or not np.isfinite(temps).all():
+        temps = _parse_rtm_cells(path, rows, width)
+    return ThermalImage(width, height, temps, source_id or path.stem)
+
+
+def _parse_rtm_cells(path, rows: list[str], width: int) -> np.ndarray:
+    """Cell-by-cell parse that reports the line and column of the first bad cell."""
+    temps = np.empty((len(rows), width), dtype=np.float64)
+    for r, line in enumerate(rows, start=1):
         cells = line.split(",")
         if len(cells) != width:
             raise RtmFormatError(
@@ -114,7 +130,7 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
             if not np.isfinite(value):
                 raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r + 1, col=c + 1)
             temps[r - 1, c] = value
-    return ThermalImage(width, height, temps, source_id or path.stem)
+    return temps
 
 
 def _parse_rtm_header(path, line: str) -> tuple[int, int]:

@@ -129,6 +129,23 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
     assert "outside" in capsys.readouterr().err
 
 
+def test_extract_one_pixel_region_names_bandwidth_and_grid_step(dataset, tmp_path, capsys):
+    import shutil
+
+    shutil.copytree(dataset / "data", tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    x, y = doc["labeled"][0]["bbox"][:2]
+    doc["labeled"][0]["bbox"] = [x, y, 1, 1]
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("extract", "--manifest", manifest, "--out", tmp_path / "f.json")
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "bandwidth 1e-06" in err and "grid step" in err
+    assert "does not overlap" not in err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_invalid_flag_usage_error_touches_nothing(dataset, tmp_path, capsys):
     out = tmp_path / "model.json"
     code = run_cli(

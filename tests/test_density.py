@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from thermofault.density import (
     FeatureGrid,
     KdeEstimator,
     PdfFeature,
+    _sorted_quantile,
     anchored_histogram,
     feature_vector,
     gaussian_kernel,
@@ -21,7 +23,8 @@ from thermofault.density import (
     kde_values,
     silverman_bandwidth,
 )
-from thermofault.synthetic import case_study_config, synthesize
+from thermofault.images import extract_region
+from thermofault.synthetic import case_study_config, default_synth_config, synthesize
 from thermofault.taxonomy import EquipmentType, Status
 
 
@@ -32,6 +35,16 @@ def kde_oracle(samples, bandwidth, x):
         u = (x - xi) / bandwidth
         total += math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     return total / (len(samples) * bandwidth)
+
+
+def kde_unwindowed(samples, bandwidth, points):
+    """Every point against every sorted sample: the full (points x samples) sum."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+    pts = np.asarray(points, dtype=np.float64).reshape(-1)
+    with np.errstate(all="ignore"):
+        u = (pts[:, None] - x[None, :]) / bandwidth
+        k = np.exp(-0.5 * np.square(u)).sum(axis=1) / math.sqrt(2.0 * math.pi)
+    return k / (x.size * bandwidth)
 
 
 # ---------------------------------------------------------------- histogram
@@ -192,6 +205,45 @@ def test_kde_permutation_invariant_and_nonnegative(samples, w):
     assert (va == vb).all()
 
 
+odd_points = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, -0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-200, 200), min_size=1, max_size=40),
+    st.floats(-6, 3),
+    st.lists(odd_points, max_size=30),
+    st.floats(30, 45),
+)
+def test_kde_values_bit_identical_to_unwindowed_sum(samples, log10_h, points, edge):
+    """Bandwidths 1e-6..1e3, unsorted and far-off points, NaN/inf, and points
+    about KDE_CUTOFF bandwidths outside the sample range."""
+    w = 10.0**log10_h
+    near = [min(samples) - edge * w, max(samples) + edge * w, min(samples) - 39 * w]
+    pts = np.array(points + near)
+    got = kde_values(KdeEstimator(samples, w), pts)
+    assert got.tobytes() == kde_unwindowed(samples, w, pts).tobytes()
+
+
+def test_kde_values_memory_bounded_on_a_300x300_region():
+    rng = np.random.Generator(np.random.PCG64(4))
+    samples = rng.normal(40.0, 3.0, size=300 * 300)
+    est = KdeEstimator(samples, silverman_bandwidth(samples))
+    pts = DEFAULT_GRID.points()
+    tracemalloc.start()
+    try:
+        got = kde_values(est, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    want = np.concatenate([kde_unwindowed(est.samples, est.bandwidth, [p]) for p in pts])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kde_estimator_validation():
     with pytest.raises(ValueError):
         KdeEstimator([], 1.0)
@@ -228,6 +280,22 @@ def test_silverman_scale_homogeneity():
 def test_silverman_needs_two_samples():
     with pytest.raises(ValueError):
         silverman_bandwidth([1.0])
+
+
+def test_sorted_quantile_bit_equals_numpy_percentile():
+    rng = np.random.Generator(np.random.PCG64(6))
+    for n in range(2, 1001):
+        draws = (
+            rng.normal(30.0, 4.0, n),
+            rng.lognormal(0.0, 8.0, n) * rng.choice([-1.0, 1.0], n),  # inexact b - a
+            rng.integers(20, 24, n).astype(np.float64),  # ties
+            np.full(n, 25.3),  # constant
+        )
+        for x in draws:
+            x = np.sort(x)
+            for q in (0.25, 0.75):
+                got = np.float64(_sorted_quantile(x, q))
+                assert got.tobytes() == np.percentile(x, 100 * q).tobytes(), (n, q)
 
 
 # ------------------------------------------------------------ feature grid
@@ -288,6 +356,37 @@ def test_feature_vector_guards():
         feature_vector([1.0], grid, bandwidth=-1.0)
     with pytest.raises(ValueError):
         feature_vector([1e6], grid, bandwidth=0.1)  # grid far from samples
+
+
+def test_feature_vector_bit_identical_to_full_grid_formula():
+    """Every region of synthetic seeds 0-4 against Silverman's rule with
+    np.percentile and the unwindowed KDE on all grid points."""
+    grid = DEFAULT_GRID
+    pts = np.linspace(grid.t_lo, grid.t_hi, grid.n_points)
+    for seed in range(5):
+        images, manifest = synthesize(default_synth_config(seed=seed))
+        by_id = {img.source_id: img for img in images}
+        for region in manifest.all_regions():
+            x = np.sort(extract_region(by_id[region.image_ref], region.bbox))
+            q75, q25 = np.percentile(x, [75.0, 25.0])
+            scale = min(float(np.std(x, ddof=1)), (q75 - q25) / 1.34)
+            w = max(1.06 * scale * x.size ** (-0.2), 1e-6)
+            raw = kde_unwindowed(x, w, pts)
+            feat = feature_vector(x[::-1], grid)
+            assert feat.bandwidth == w
+            assert feat.values.tobytes() == (raw / float(raw.sum() * grid.step)).tobytes()
+
+
+def test_feature_vector_degenerate_region_names_bandwidth_and_step():
+    """A constant region and a 1-pixel region both fall back to the 1e-6
+    bandwidth, far below the grid step: no grid point sees any density."""
+    for samples in ([25.0] * 64, [25.0]):
+        with pytest.raises(ValueError, match="bandwidth 1e-06") as exc:
+            feature_vector(samples)
+        assert repr(DEFAULT_GRID.step) in str(exc.value)
+        assert "does not overlap" not in str(exc.value)
+    with pytest.raises(ValueError, match="does not overlap"):
+        feature_vector([500.0, 501.0])
 
 
 def test_pdf_feature_serialization_round_trip():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,60 @@ def test_non_finite_cell_rejected(tmp_path):
     with pytest.raises(RtmFormatError) as exc:
         load_thermal(path)
     assert "column 2" in str(exc.value)
+
+
+def parse_cells_with_float(rows):
+    """Row-major float() of every cell, or the (line, column) of the first bad one."""
+    out = []
+    for r, line in enumerate(rows, start=2):
+        out.append([])
+        for c, cell in enumerate(line.split(","), start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return None, (r, c)
+            if not math.isfinite(value):
+                return None, (r, c)
+            out[-1].append(value)
+    return np.array(out, dtype=np.float64), None
+
+
+cell_texts = st.one_of(
+    finite_temps.map(lambda v: format(v, ".17g")),
+    finite_temps.map(repr),
+    finite_temps.map(lambda v: f" {v:+.3f}\t"),
+    finite_temps.map(lambda v: f"{v:e}"),
+    st.integers(-(10**6), 10**6).map(lambda i: f"{i:_}"),
+    st.sampled_from(
+        ["1_0", " 2.5", "+1", "0x10", "1e400", "-1e400", "nan", "inf", "", "oops", "1__0",
+         "\u0661\u0662", "1.5\x0c", "-0.0"]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_load_thermal_matches_float_cell_loop(tmp_path_factory, w, h, data):
+    rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(h)]
+    path = tmp_path_factory.mktemp("rtm") / "cells.rtm"
+    path.write_text(f"{w},{h}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    want, bad = parse_cells_with_float(rows)
+    if bad is None:
+        assert load_thermal(path).temps.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(RtmFormatError) as exc:
+            load_thermal(path)
+        assert (exc.value.row, exc.value.col) == bad
+
+
+def test_long_row_then_short_row_rejected(tmp_path):
+    """The total cell count is right; the first row is one cell too long."""
+    path = tmp_path / "shifted.rtm"
+    path.write_text("3,2\n1,2,3,4\n5,6\n")
+    with pytest.raises(RtmFormatError) as exc:
+        load_thermal(path)
+    assert exc.value.row == 2
+    assert "row has 4 values, expected 3" in str(exc.value)
 
 
 def test_read_rtm_header(tmp_path):

@@ -69,10 +69,8 @@ from .prototypes import (
     Posterior,
     PrototypeModel,
     build_model,
-    classify,
     classify_many,
     compute_centers,
-    distance,
     model_from_dict,
     model_to_dict,
     posterior,

@@ -151,18 +151,24 @@ def _grid_text(grid: FeatureGrid) -> str:
     return f"[{grid.t_lo}, {grid.t_hi}] x {grid.n_points} points"
 
 
-def cmd_train(args) -> int:
-    records = [
-        rec
-        for rec in _load_records(Path(args.features))
-        if rec["split"] in ("labeled", "unlabeled")
-    ]
+def _record_features(records: list[dict]) -> list[PdfFeature]:
+    """The feature of each record; every record must share one grid."""
     features = [PdfFeature.from_dict(rec["feature"]) for rec in records]
     grids = list(dict.fromkeys(f.grid for f in features))
     if len(grids) > 1:
         raise ValueError(
             f"feature records mix grids {_grid_text(grids[0])} and {_grid_text(grids[1])}"
         )
+    return features
+
+
+def cmd_train(args) -> int:
+    records = [
+        rec
+        for rec in _load_records(Path(args.features))
+        if rec["split"] in ("labeled", "unlabeled")
+    ]
+    features = _record_features(records)
     labeled = []
     unlabeled = []
     for rec, feature in zip(records, features):
@@ -205,40 +211,44 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     model = model_from_dict(_read_json(Path(args.model)))
     records = _load_records(Path(args.features))
+    features = _record_features(records)
     emb = identity_embedder()
     if args.embedder_file is not None:
         emb = embedder_from_dict(_read_json(Path(args.embedder_file)))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    vectors = [PdfFeature.from_dict(rec["feature"]).values for rec in records]
-    lines = []
-    for rec, v in zip(records, embed_many(emb, vectors)):
-        post = posterior(v, model, use_refined=True)
-        lines.append(
-            json.dumps(
-                {
-                    "image_ref": rec["image_ref"],
-                    "bbox": rec["bbox"],
-                    "split": rec["split"],
-                    "equipment_type": rec["equipment_type"],
-                    "status": rec["status"],
-                    "predicted": {
-                        "equipment_type": post.predicted.equipment_type.value,
-                        "status": post.predicted.status.value,
-                    },
-                    "posterior": [
-                        {
-                            "equipment_type": c.equipment_type.value,
-                            "status": c.status.value,
-                            "distance": float(d),
-                            "prob": float(p),
-                        }
-                        for c, d, p in zip(post.classes, post.distances, post.probs)
-                    ],
+    vectors = embed_many(emb, [f.values for f in features])
+    if not records:  # the identity embedder cannot know the width of no rows
+        vectors = vectors.reshape(0, model.feature_dim)
+    post = posterior(vectors, model)
+    lines = [
+        json.dumps(
+            {
+                "image_ref": rec["image_ref"],
+                "bbox": rec["bbox"],
+                "split": rec["split"],
+                "equipment_type": rec["equipment_type"],
+                "status": rec["status"],
+                "predicted": {
+                    "equipment_type": predicted.equipment_type.value,
+                    "status": predicted.status.value,
                 },
-                sort_keys=True,
-            )
+                "posterior": [
+                    {
+                        "equipment_type": c.equipment_type.value,
+                        "status": c.status.value,
+                        "distance": float(d),
+                        "prob": float(p),
+                    }
+                    for c, d, p in zip(post.classes, distances, probs)
+                ],
+            },
+            sort_keys=True,
         )
+        for rec, predicted, distances, probs in zip(
+            records, post.predicted, post.distances, post.probs
+        )
+    ]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -262,7 +272,13 @@ def _eval_config(args) -> ExperimentConfig:
 
 
 def cmd_eval(args) -> int:
+    if (args.sweep is None) != (args.values is None):
+        raise ValueError("--sweep and --values must be given together")
     cfg = _eval_config(args)
+    if cfg.repeats > 1 and (args.sweep is not None or args.mode == "both"):
+        raise ValueError(
+            f"--repeats {cfg.repeats} (flag or config) needs --mode supervised or weak, no --sweep"
+        )
     out_dir = Path(args.out)
 
     def emit(name: str, report) -> None:
@@ -365,8 +381,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "sweep", None) is not None and args.values is None:
-            raise ValueError("--sweep requires --values")
         return args.run(args)
     except SystemExit as exc:
         code = exc.code

@@ -230,16 +230,11 @@ DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
 
 @dataclass(frozen=True)
 class PdfFeature:
-    """Density evaluated on a grid, renormalized to unit mass.
-
-    norm_mass is the rectangle-rule mass of the stored values
-    (sum(values) * grid.step); construction normalizes it to 1.
-    """
+    """Density evaluated on a grid, renormalized to unit mass."""
 
     grid: FeatureGrid
     values: np.ndarray
     bandwidth: float
-    norm_mass: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -247,8 +242,6 @@ class PdfFeature:
             raise ValueError("values length must match the grid")
         if (values < 0).any():
             raise ValueError("density values must be non-negative")
-        if not math.isclose(self.norm_mass, values.sum() * self.grid.step, rel_tol=1e-9):
-            raise ValueError("norm_mass inconsistent with the stored values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -265,8 +258,7 @@ class PdfFeature:
     def from_dict(cls, d: dict) -> "PdfFeature":
         grid = FeatureGrid(float(d["t_lo"]), float(d["t_hi"]), int(d["n_points"]))
         values = np.asarray(d["values"], dtype=np.float64)
-        mass = float(values.sum() * grid.step)
-        return cls(grid=grid, values=values, bandwidth=float(d["bandwidth"]), norm_mass=mass)
+        return cls(grid=grid, values=values, bandwidth=float(d["bandwidth"]))
 
 
 def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") -> PdfFeature:
@@ -298,7 +290,4 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
             f"feature grid [{grid.t_lo}, {grid.t_hi}] does not overlap the sample range"
             f" [{lo}, {hi}]"
         )
-    values = raw / mass
-    return PdfFeature(
-        grid=grid, values=values, bandwidth=w, norm_mass=float(values.sum() * grid.step)
-    )
+    return PdfFeature(grid=grid, values=raw / mass, bandwidth=w)

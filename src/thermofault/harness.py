@@ -314,7 +314,7 @@ def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
         raise ValueError("test split is empty")
 
     vectors = np.stack([v for _, v in data.test])
-    predicted = classify_many(vectors, model, use_refined=True)
+    predicted = classify_many(vectors, model)
 
     counts: dict[EquipmentType, list[int]] = {}
     for (truth, _), pred in zip(data.test, predicted):

@@ -106,34 +106,27 @@ def build_model(
     )
 
 
-def distance(v, c) -> float:
-    """Euclidean distance between a feature vector and a class center."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if v.size != c.size:
-        raise ValueError(f"length mismatch: {v.size} vs {c.size}")
-    return float(np.sqrt(np.square(v - c).sum()))
-
-
 def sq_dists(x, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances from each row of x to each center.
 
-    The direct broadcast difference, unlike the |x|^2 - 2 x.c + |c|^2
-    expansion, has no cancellation, and a row gets the same bits alone as
-    in a batch.
+    The direct difference, unlike the |x|^2 - 2 x.c + |c|^2 expansion, has
+    no cancellation, and a row gets the same bits alone as in a batch. One
+    center at a time keeps the temporaries at (n, dim), not (n, k, dim).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != centers.shape[1]:
         raise ValueError(f"vectors must be (n, {centers.shape[1]}), got shape {x.shape}")
-    return np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
+    return np.stack([np.square(x - c).sum(axis=1) for c in centers], axis=1)
 
 
 @dataclass(frozen=True)
 class Posterior:
+    """Scores of one vector (1-D arrays, one class) or of n rows ((n, k) arrays, n classes)."""
+
     classes: tuple[SubcategoryId, ...]
     distances: np.ndarray
     probs: np.ndarray
-    predicted: SubcategoryId
+    predicted: SubcategoryId | tuple[SubcategoryId, ...]
 
     def __post_init__(self):
         for name in ("distances", "probs"):
@@ -142,32 +135,27 @@ class Posterior:
             object.__setattr__(self, name, a)
 
 
-def posterior(v, model: PrototypeModel, use_refined: bool = True) -> Posterior:
-    """Distances, softmax(-distance) probabilities, and the nearest class.
+def posterior(vectors, model: PrototypeModel) -> Posterior:
+    """Distances to the refined centers, softmax(-distance) probabilities,
+    and the nearest class, for an (n, dim) array or one 1-D vector.
 
-    The prediction is the argmin of the distances directly (first class on
-    ties, i.e. the lowest subcategory index), not an argmax over the
-    floating-point probabilities.
+    The prediction is the argmin of the squared distances (first class on
+    exact ties, i.e. the lowest subcategory index), not an argmax over the
+    floating-point probabilities or the rounded square roots.
     """
-    centers = model.centers_refined if use_refined else model.centers_labeled
-    d = np.sqrt(sq_dists(np.reshape(v, (1, -1)), centers)[0])
-    z = -d
-    z = z - z.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-    predicted = model.classes[int(np.argmin(d))]
-    return Posterior(classes=model.classes, distances=d, probs=probs, predicted=predicted)
+    x = np.asarray(vectors, dtype=np.float64)
+    sq = sq_dists(np.atleast_2d(x), model.centers_refined)
+    d = np.sqrt(sq)
+    e = np.exp(d.min(axis=1, keepdims=True) - d)
+    probs = e / e.sum(axis=1, keepdims=True)
+    predicted = tuple(model.classes[i] for i in np.argmin(sq, axis=1))
+    if x.ndim < 2:
+        return Posterior(model.classes, d[0], probs[0], predicted[0])
+    return Posterior(model.classes, d, probs, predicted)
 
 
-def classify(v, model: PrototypeModel, use_refined: bool = True) -> SubcategoryId:
-    return posterior(v, model, use_refined).predicted
-
-
-def classify_many(
-    vectors, model: PrototypeModel, use_refined: bool = True
-) -> list[SubcategoryId]:
-    centers = model.centers_refined if use_refined else model.centers_labeled
-    return [model.classes[i] for i in np.argmin(sq_dists(vectors, centers), axis=1)]
+def classify_many(vectors, model: PrototypeModel) -> list[SubcategoryId]:
+    return list(posterior(vectors, model).predicted)
 
 
 def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> PrototypeModel:
@@ -247,7 +235,6 @@ __all__ = [
     "Posterior",
     "build_model",
     "compute_centers",
-    "classify",
     "classify_many",
     "model_from_dict",
     "model_to_dict",

@@ -7,8 +7,10 @@ names are checked here, with the fast tests, instead of by a traced run.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -19,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from perfbench import run as bench  # noqa: E402
+from perfbench import workloads  # noqa: E402
 from perfbench.tracing import TARGETS, Tracer  # noqa: E402
 
 
@@ -71,3 +75,36 @@ def test_feature_vector_calls_the_traced_kde_functions():
         ("density.silverman_bandwidth", 0),
         ("density.kde_values", 0),
     ]
+
+
+def test_batch_labels_that_differ_from_the_reference_fail_the_run(monkeypatch):
+    """The benchmark's reference label check sees what ``classify`` writes:
+    a scorer that rotates every label by one class fails the run there,
+    not by raising."""
+    import thermofault.cli
+
+    default = workloads.default_synth_config
+    monkeypatch.setattr(bench, "MIN_SETUP_SAMPLES", 1)
+    monkeypatch.setattr(bench, "SETUP_SHARE", 0.0)
+    monkeypatch.setattr(
+        workloads,
+        "default_synth_config",
+        lambda seed: dataclasses.replace(
+            default(seed), counts={"labeled": 2, "unlabeled": 2, "test": 1}
+        ),
+    )
+    monkeypatch.setattr(workloads.DeskChain, "n_datasets", 1)
+    original = thermofault.cli.posterior
+
+    def rotated(vectors, model):
+        post = original(vectors, model)
+        k = model.n_classes
+        wrong = tuple(model.classes[(model.classes.index(c) + 1) % k] for c in post.predicted)
+        return dataclasses.replace(post, predicted=wrong)
+
+    monkeypatch.setattr(thermofault.cli, "posterior", rotated)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    argv = ["--workload", "desk_chain", "--seed", "3", "--seconds", "0.2", "--trace", "0"]
+    _, details, failures = bench.run(bench.parse_args(argv), spec)
+    assert failures and details["ops_failed"] == len(failures)
+    assert all("labels differ from the reference" in f for f in failures), failures[:3]

@@ -336,6 +336,21 @@ def test_classify_dim_mismatch(separable_run, tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_classify_rejects_mixed_grids(separable_run, tmp_path, capsys):
+    records = json.loads((separable_run / "features.json").read_text())["records"]
+    records[-1]["feature"]["t_lo"] = 10.0  # same n_points, different grid
+    feats = tmp_path / "mixed.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    code = run_cli(
+        "classify", "--model", separable_run / "model.json", "--features", feats, "--out", out
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "[0.0, 120.0] x 128" in err and "[10.0, 120.0] x 128" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- eval
 
 def test_eval_both_writes_reports_and_compare(dataset, tmp_path):
@@ -382,6 +397,34 @@ def test_eval_sweep_requires_values(tmp_path, capsys):
     code = run_cli("eval", "--out", tmp_path / "r", "--sweep", "alpha")
     assert code == EXIT_VALIDATION
     assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, from_config",
+    [
+        (["--repeats", 3], False),
+        (["--sweep", "alpha", "--values", "0,1", "--mode", "weak", "--repeats", 2], False),
+        ([], True),
+    ],
+    ids=["flag", "flag-with-sweep", "config"],
+)
+def test_eval_repeats_needs_a_single_mode(tmp_path, capsys, argv, from_config):
+    if from_config:
+        cfg_path = tmp_path / "exp.json"
+        cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}, "repeats": 3}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["--config", cfg_path]
+    code = run_cli("eval", "--out", tmp_path / "r", *argv)
+    assert code == EXIT_VALIDATION
+    assert "--repeats" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_values_requires_sweep(tmp_path, capsys):
+    code = run_cli("eval", "--out", tmp_path / "r", "--mode", "weak", "--values", "0,1")
+    assert code == EXIT_VALIDATION
+    assert "--sweep" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -327,7 +327,7 @@ def test_feature_vector_matches_pointwise_oracle():
     raw = np.array([kde_oracle(samples, 0.9, x) for x in grid.points()])
     expected = raw / (raw.sum() * grid.step)
     assert_allclose(feat.values, expected, rtol=0, atol=1e-12)
-    assert feat.norm_mass == pytest.approx(1.0, abs=1e-9)
+    assert feat.values.sum() * grid.step == pytest.approx(1.0, abs=1e-9)
 
 
 def test_feature_vector_permutation_invariant():
@@ -398,12 +398,6 @@ def test_pdf_feature_serialization_round_trip():
     assert back.grid == feat.grid
     assert back.bandwidth == feat.bandwidth
     assert (back.values == feat.values).all()
-
-
-def test_pdf_feature_norm_mass_consistency_checked():
-    grid = FeatureGrid(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        PdfFeature(grid, np.array([1.0, 1.0]), 1.0, norm_mass=5.0)
 
 
 def test_default_grid():

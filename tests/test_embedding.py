@@ -18,7 +18,7 @@ from thermofault.embedding import (
     proto_loss,
     train_embedder,
 )
-from thermofault.prototypes import build_model, classify
+from thermofault.prototypes import build_model, classify_many
 from thermofault.taxonomy import SUBCATEGORIES
 
 A, B, C = SUBCATEGORIES[0], SUBCATEGORIES[1], SUBCATEGORIES[2]
@@ -289,6 +289,5 @@ def test_identity_pipeline_bit_equal_to_raw():
     raw_model = build_model(pairs, alpha=0.5)
     emb_model = build_model([(s, embed(e, v)) for s, v in pairs], alpha=0.5)
     assert (raw_model.centers_labeled == emb_model.centers_labeled).all()
-    for _ in range(100):
-        q = rng.normal(size=12)
-        assert classify(q, raw_model) == classify(embed(e, q), emb_model)
+    queries = rng.normal(size=(100, 12))
+    assert classify_many(queries, raw_model) == classify_many(embed_many(e, queries), emb_model)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,25 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from thermofault.cli import EXIT_OK, main
 from thermofault.prototypes import (
     PrototypeModel,
     build_model,
-    classify,
     classify_many,
     compute_centers,
-    distance,
     model_from_dict,
     model_to_dict,
     posterior,
     refine_centers,
+    sq_dists,
 )
-from thermofault.taxonomy import SUBCATEGORIES
+from thermofault.taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId
 
 C0, C1, C2, C3 = SUBCATEGORIES[0], SUBCATEGORIES[1], SUBCATEGORIES[2], SUBCATEGORIES[3]
 
 
 def two_class_model(c0, c1, alpha=0.5):
     return build_model([(C0, np.asarray(c0, float)), (C1, np.asarray(c1, float))], alpha=alpha)
+
+
+def sq_distance(v, c) -> float:
+    """Squared Euclidean distance, summed in Python floats."""
+    return sum((float(a) - float(b)) ** 2 for a, b in zip(v, c))
 
 
 # ----------------------------------------------------------------- centers
@@ -72,21 +78,13 @@ def test_compute_centers_rejects_dim_mismatch():
 # ---------------------------------------------------------------- distance
 
 def test_distance_zero_and_345():
-    assert distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-
-def test_distance_matches_sqrt_oracle():
-    rng = np.random.Generator(np.random.PCG64(2))
-    for _ in range(30):
-        v, c = rng.normal(size=7), rng.normal(size=7)
-        oracle = math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(v, c)))
-        assert abs(distance(v, c) - oracle) < 1e-12
+    p = posterior(np.array([[1.0, 2.0], [0.0, 0.0]]), two_class_model([1.0, 2.0], [3.0, 4.0]))
+    assert p.distances.tolist() == [[0.0, math.sqrt(8.0)], [math.sqrt(5.0), 5.0]]
 
 
 def test_distance_length_mismatch():
     with pytest.raises(ValueError):
-        distance([1.0], [1.0, 2.0])
+        classify_many(np.ones((3, 1)), two_class_model([0.0, 0.0], [1.0, 1.0]))
 
 
 # --------------------------------------------------------------- posterior
@@ -171,7 +169,7 @@ def test_classify_many_matches_classify():
     model = build_model([(sub, rng.normal(size=4)) for sub in SUBCATEGORIES])
     vecs = rng.normal(size=(25, 4))
     batch = classify_many(vecs, model)
-    assert batch == [classify(v, model) for v in vecs]
+    assert batch == [posterior(v, model).predicted for v in vecs]
 
 
 def test_posterior_dim_mismatch():
@@ -180,15 +178,90 @@ def test_posterior_dim_mismatch():
         posterior(np.array([1.0, 2.0, 3.0]), m)
 
 
+def test_sq_dists_bit_equals_the_broadcast_formula():
+    rng = np.random.Generator(np.random.PCG64(11))
+    for n, k, dim in [(0, 3, 4), (1, 1, 1), (7, 3, 16), (400, 10, 128), (33, 10, 129)]:
+        x = rng.normal(scale=rng.uniform(0.1, 100.0), size=(n, dim))
+        centers = rng.normal(size=(k, dim))
+        expected = np.square(x[:, None, :] - centers[None, :, :]).sum(axis=2)
+        got = sq_dists(x, centers)
+        assert got.shape == (n, k)
+        assert got.tobytes() == expected.tobytes()
+
+
+TRANSFORMER_NORMAL = SubcategoryId(EquipmentType.TRANSFORMER, Status.NORMAL)
+TRANSFORMER_FAULT = SubcategoryId(EquipmentType.TRANSFORMER, Status.FAULT)
+
+
+def test_near_tie_is_decided_by_squared_distances(tmp_path):
+    """The squared distances are 1 + 2**-52 and 1, but both square roots
+    round to 1.0: every scorer, and the CLI, picks the strictly nearer
+    center."""
+    model = build_model(
+        [
+            (TRANSFORMER_NORMAL, np.array([1.0, 2.0**-26])),
+            (TRANSFORMER_FAULT, np.array([1.0, 0.0])),
+        ]
+    )
+    v = np.zeros(2)
+    assert posterior(v, model).distances.tolist() == [1.0, 1.0]
+    assert posterior(v, model).predicted == TRANSFORMER_FAULT
+    assert posterior([v], model).predicted[0] == TRANSFORMER_FAULT
+    assert classify_many([v], model)[0] == TRANSFORMER_FAULT
+
+    model_path, feats, out = tmp_path / "model.json", tmp_path / "f.json", tmp_path / "p.jsonl"
+    model_path.write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
+    feature = {"t_lo": 0.0, "t_hi": 1.0, "n_points": 2, "values": [0.0, 0.0], "bandwidth": 1.0}
+    record = {
+        "image_ref": "img",
+        "bbox": [0, 0, 1, 1],
+        "split": "test",
+        "equipment_type": "transformer",
+        "status": None,
+        "feature": feature,
+    }
+    feats.write_text(json.dumps({"records": [record]}), encoding="utf-8")
+    argv = ["classify", "--model", model_path, "--features", feats, "--out", out]
+    assert main([str(a) for a in argv]) == EXIT_OK
+    assert json.loads(out.read_text())["predicted"]["status"] == "fault"
+
+
+tie_prone = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-50, 50, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 10), st.integers(1, 4), st.integers(1, 6))
+def test_batch_rows_bit_equal_single_vector_posterior(data, k, dim, n):
+    rows = st.lists(tie_prone, min_size=dim, max_size=dim)
+    centers = data.draw(st.lists(rows, min_size=k, max_size=k))
+    queries = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)))
+    model = build_model([(SUBCATEGORIES[i], np.array(c)) for i, c in enumerate(centers)])
+    batch = posterior(queries, model)
+    assert batch.distances.shape == batch.probs.shape == (n, k)
+    assert len(batch.predicted) == n
+    for i, q in enumerate(queries):
+        one = posterior(q, model)
+        assert one.distances.shape == one.probs.shape == (k,)
+        assert batch.distances[i].tobytes() == one.distances.tobytes()
+        assert batch.probs[i].tobytes() == one.probs.tobytes()
+        assert batch.predicted[i] == one.predicted
+
+
+def test_posterior_of_no_rows_is_empty():
+    p = posterior(np.empty((0, 2)), two_class_model([0.0, 0.0], [1.0, 1.0]))
+    assert p.distances.shape == p.probs.shape == (0, 2)
+    assert p.predicted == ()
+    assert classify_many(np.empty((0, 2)), two_class_model([0.0, 0.0], [1.0, 1.0])) == []
+
+
 def test_permuting_class_order_same_prediction():
     rng = np.random.Generator(np.random.PCG64(5))
     vecs = {sub: rng.normal(size=3) for sub in SUBCATEGORIES[:4]}
     fwd = build_model([(s, v) for s, v in vecs.items()])
     rev = build_model([(s, vecs[s]) for s in reversed(list(vecs))])
     assert fwd.classes == rev.classes  # canonical ordering by index
-    for _ in range(50):
-        q = rng.normal(size=3)
-        assert classify(q, fwd) == classify(q, rev)
+    queries = rng.normal(size=(50, 3))
+    assert classify_many(queries, fwd) == classify_many(queries, rev)
 
 
 # -------------------------------------------------------------- refinement
@@ -231,7 +304,7 @@ def test_refine_coordinatewise_convexity(alpha, centers, unlabeled):
     refined = refine_centers(model, u)
     assigned = {m: [] for m in range(len(centers))}
     for v in u:
-        dists = [distance(v, c) for _, c in pairs]
+        dists = [sq_distance(v, c) for _, c in pairs]
         assigned[int(np.argmin(dists))].append(v)
     for m, (_, c) in enumerate(pairs):
         if not assigned[m]:
@@ -252,7 +325,7 @@ def test_refine_two_step_oracle_ten_classes():
 
     groups = {m: [] for m in range(10)}
     for v in unlabeled:
-        dists = [distance(v, c) for _, c in pairs]
+        dists = [sq_distance(v, c) for _, c in pairs]
         groups[int(np.argmin(dists))].append(v)
     expected = model.centers_labeled.copy()
     for m, members in groups.items():
@@ -298,7 +371,7 @@ def test_small_instance_exhaustive_oracle():
         oracle_centers = {s: np.mean(by_class[s], axis=0) for s in subs}
         groups = {s: [] for s in subs}
         for v in unlabeled:
-            best = min(subs, key=lambda s: (distance(v, oracle_centers[s]), s.index))
+            best = min(subs, key=lambda s: (sq_distance(v, oracle_centers[s]), s.index))
             groups[best].append(v)
         oracle_refined = {}
         for s in subs:
@@ -317,7 +390,7 @@ def test_small_instance_exhaustive_oracle():
         for _ in range(5):
             q = rng.normal(loc=rng.uniform(0, 4.0 * k), size=dim)
             p = posterior(q, model)
-            d = np.array([distance(q, oracle_refined[s]) for s in model.classes])
+            d = np.array([math.sqrt(sq_distance(q, oracle_refined[s])) for s in model.classes])
             e = np.exp(-d - (-d).max())
             assert_allclose(p.probs, e / e.sum(), rtol=0, atol=1e-12)
             assert p.predicted == model.classes[int(np.argmin(d))]

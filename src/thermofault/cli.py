@@ -16,6 +16,8 @@ import numpy as np
 
 from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
 from .embedding import (
+    KIND_IDENTITY,
+    KIND_MLP,
     TrainConfig,
     embed_many,
     embedder_from_dict,
@@ -41,10 +43,9 @@ from .harness import (
     sweep,
     sweep_table,
 )
-from .images import InputFormatError, ManifestError
+from .images import InputFormatError, ManifestError, RegionAnnotation
 from .prototypes import model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
-from .taxonomy import SubcategoryId, parse_equipment_type, parse_status
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,13 +81,17 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
+def _given(args, *names) -> dict:
+    """The flags among names that were given on the command line."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def cmd_synth(args) -> int:
     if args.config is not None:
         cfg = SynthConfig.from_dict(_read_json(Path(args.config)))
     else:
         cfg = default_synth_config()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = dataclasses.replace(cfg, **_given(args, "seed"))
     images, manifest = synthesize(cfg)
     manifest_path = write_dataset(images, manifest, Path(args.out))
     print(f"wrote {len(images)} images and {manifest_path}")
@@ -105,15 +110,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _region_record(region, split: str, feature: PdfFeature) -> dict:
-    return {
-        "image_ref": region.image_ref,
-        "bbox": list(region.bbox),
-        "split": split,
-        "equipment_type": region.equipment_type.value,
-        "status": None if region.status is None else region.status.value,
-        "feature": feature.to_dict(),
-    }
+def _region_record(region: RegionAnnotation, split: str, feature: PdfFeature) -> dict:
+    return {**region.to_dict(), "split": split, "feature": feature.to_dict()}
 
 
 def cmd_extract(args) -> int:
@@ -140,13 +138,6 @@ def _load_records(path: Path) -> list[dict]:
     return payload["records"]
 
 
-def _record_subcategory(rec: dict) -> SubcategoryId | None:
-    status = parse_status(rec.get("status"))
-    if status is None:
-        return None
-    return SubcategoryId(parse_equipment_type(rec["equipment_type"]), status)
-
-
 def _grid_text(grid: FeatureGrid) -> str:
     return f"[{grid.t_lo}, {grid.t_hi}] x {grid.n_points} points"
 
@@ -163,6 +154,10 @@ def _record_features(records: list[dict]) -> list[PdfFeature]:
 
 
 def cmd_train(args) -> int:
+    mlp_flags = _given(args, "hidden", "out_dim", "episodes", "lr")
+    if args.embedder != KIND_MLP and mlp_flags:
+        flags = ", ".join("--" + k.replace("_", "-") for k in mlp_flags)
+        raise ValueError(f"{flags}: only used with --embedder mlp")
     records = [
         rec
         for rec in _load_records(Path(args.features))
@@ -173,7 +168,7 @@ def cmd_train(args) -> int:
     unlabeled = []
     for rec, feature in zip(records, features):
         if rec["split"] == "labeled":
-            subcat = _record_subcategory(rec)
+            subcat = RegionAnnotation.from_dict(rec).subcategory
             if subcat is None:
                 raise ValueError("labeled record without a status")
             labeled.append((subcat, feature.values))
@@ -182,11 +177,7 @@ def cmd_train(args) -> int:
     if not labeled:
         raise ValueError("no labeled records in the feature file")
 
-    train_cfg = None
-    if args.embedder == "mlp":
-        train_cfg = TrainConfig(
-            hidden=args.hidden, out_dim=args.out_dim, episodes=args.episodes, lr=args.lr
-        )
+    train_cfg = TrainConfig(**mlp_flags) if args.embedder == KIND_MLP else None
     emb = fit_embedder(labeled, train_cfg, args.seed)
     if train_cfg is not None:
         embedder_path = Path(str(args.out) + ".embedder.json")
@@ -220,26 +211,21 @@ def cmd_classify(args) -> int:
     vectors = embed_many(emb, [f.values for f in features])
     if not records:  # the identity embedder cannot know the width of no rows
         vectors = vectors.reshape(0, model.feature_dim)
+    if vectors.shape[1] != model.feature_dim:
+        source = f"embedder {args.embedder_file}" if args.embedder_file else "no --embedder-file"
+        raise ValueError(
+            f"model {args.model} takes {model.feature_dim}-wide vectors, but the features"
+            f" with {source} are {vectors.shape[1]} wide"
+        )
     post = posterior(vectors, model)
     lines = [
         json.dumps(
             {
-                "image_ref": rec["image_ref"],
-                "bbox": rec["bbox"],
+                **RegionAnnotation.from_dict(rec).to_dict(),
                 "split": rec["split"],
-                "equipment_type": rec["equipment_type"],
-                "status": rec["status"],
-                "predicted": {
-                    "equipment_type": predicted.equipment_type.value,
-                    "status": predicted.status.value,
-                },
+                "predicted": predicted.to_dict(),
                 "posterior": [
-                    {
-                        "equipment_type": c.equipment_type.value,
-                        "status": c.status.value,
-                        "distance": float(d),
-                        "prob": float(p),
-                    }
+                    {**c.to_dict(), "distance": float(d), "prob": float(p)}
                     for c, d, p in zip(post.classes, distances, probs)
                 ],
             },
@@ -261,14 +247,7 @@ def _eval_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(_read_json(Path(args.config)))
     else:
         cfg = ExperimentConfig(synth=default_synth_config())
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return dataclasses.replace(cfg, **_given(args, "seed", "alpha", "repeats"))
 
 
 def cmd_eval(args) -> int:
@@ -346,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="build a prototype model from features")
     p_train.add_argument("--features", required=True)
     p_train.add_argument("--out", required=True, help="output model JSON")
-    p_train.add_argument("--alpha", type=float, default=0.5)
+    p_train.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_train.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK], default=MODE_WEAK)
-    p_train.add_argument("--refine-iters", type=int, default=1)
-    p_train.add_argument("--embedder", choices=["identity", "mlp"], default="identity")
-    p_train.add_argument("--hidden", type=int, default=32)
-    p_train.add_argument("--out-dim", type=int, default=16)
-    p_train.add_argument("--episodes", type=int, default=200)
-    p_train.add_argument("--lr", type=float, default=0.05)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--refine-iters", type=int, default=ExperimentConfig.refine_iters)
+    p_train.add_argument("--embedder", choices=[KIND_IDENTITY, KIND_MLP], default=KIND_IDENTITY)
+    p_train.add_argument("--hidden", type=int)
+    p_train.add_argument("--out-dim", type=int)
+    p_train.add_argument("--episodes", type=int)
+    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p_train.set_defaults(run=cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify feature records with a model")

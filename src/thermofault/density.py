@@ -103,7 +103,10 @@ def _cumulative_below(h: TemperatureHistogram, t: float) -> float:
     n = int(np.clip(math.ceil(q), 0, h.n_bins))
     if n <= 0:
         return 0.0
-    return float(h.probs[:n].sum())
+    total = h.probs.sum()
+    # numpy sums a long prefix pairwise, which can exceed a longer prefix's
+    # sum; a running sum capped at the full mass only grows with n
+    return float(total if n == h.n_bins else min(np.cumsum(h.probs[:n])[-1], total))
 
 
 def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: float) -> float:
@@ -224,6 +227,14 @@ class FeatureGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.t_lo, self.t_hi, self.n_points)
 
+    def to_dict(self) -> dict:
+        return {"t_lo": self.t_lo, "t_hi": self.t_hi, "n_points": self.n_points}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FeatureGrid":
+        """Reads only the three grid keys, so a flat feature dict parses too."""
+        return cls(float(d["t_lo"]), float(d["t_hi"]), int(d["n_points"]))
+
 
 DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
 
@@ -247,18 +258,15 @@ class PdfFeature:
 
     def to_dict(self) -> dict:
         return {
-            "t_lo": self.grid.t_lo,
-            "t_hi": self.grid.t_hi,
-            "n_points": self.grid.n_points,
+            **self.grid.to_dict(),
             "values": [float(v) for v in self.values],
             "bandwidth": self.bandwidth,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PdfFeature":
-        grid = FeatureGrid(float(d["t_lo"]), float(d["t_hi"]), int(d["n_points"]))
         values = np.asarray(d["values"], dtype=np.float64)
-        return cls(grid=grid, values=values, bandwidth=float(d["bandwidth"]))
+        return cls(grid=FeatureGrid.from_dict(d), values=values, bandwidth=float(d["bandwidth"]))
 
 
 def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") -> PdfFeature:

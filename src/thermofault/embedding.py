@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .taxonomy import SubcategoryId
+from .taxonomy import SubcategoryId, check_keys
 
 KIND_IDENTITY = "identity"
 KIND_MLP = "mlp"
@@ -215,15 +215,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        defaults = asdict(cls())
+        check_keys(d, ["kind", *defaults], "mlp embedder config")
         if d.get("kind") != KIND_MLP:
             raise ValueError(f"not an mlp embedder config: kind {d.get('kind')!r}")
-        defaults = cls()
-        return cls(
-            hidden=int(d.get("hidden", defaults.hidden)),
-            out_dim=int(d.get("out_dim", defaults.out_dim)),
-            episodes=int(d.get("episodes", defaults.episodes)),
-            lr=float(d.get("lr", defaults.lr)),
-        )
+        return cls(**{k: type(v)(d[k]) for k, v in defaults.items() if k in d})
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .embedding import (
 from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
-from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId
+from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys
 
 MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
@@ -76,11 +76,7 @@ class ExperimentConfig:
         embedder = {"kind": KIND_IDENTITY} if self.embedder is None else self.embedder.to_dict()
         return {
             "data": data,
-            "grid": {
-                "t_lo": self.grid.t_lo,
-                "t_hi": self.grid.t_hi,
-                "n_points": self.grid.n_points,
-            },
+            "grid": self.grid.to_dict(),
             "bandwidth": self.bandwidth,
             "embedder": embedder,
             "alpha": self.alpha,
@@ -91,35 +87,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        data = d.get("data", {})
-        synth = None
-        manifest_path = None
-        if "synth" in data:
-            synth = SynthConfig.from_dict(data["synth"])
-        if "manifest" in data:
-            manifest_path = data["manifest"]
+        """Keys left out keep the field defaults; unknown keys are an error."""
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        grid = DEFAULT_GRID
+        scalars = ("alpha", "refine_iters", "seed", "repeats")
+        check_keys(d, ("data", "grid", "bandwidth", "embedder", *scalars), "experiment config")
+        data = check_keys(d.get("data", {}), ("synth", "manifest"), "experiment data")
+        kwargs = {k: type(defaults[k])(d[k]) for k in scalars if k in d}
+        if "synth" in data:
+            kwargs["synth"] = SynthConfig.from_dict(data["synth"])
+        if "manifest" in data:
+            kwargs["manifest_path"] = data["manifest"]
         if "grid" in d:
-            g = d["grid"]
-            grid = FeatureGrid(float(g["t_lo"]), float(g["t_hi"]), int(g["n_points"]))
-        bandwidth = d.get("bandwidth", "auto")
-        if bandwidth != "auto":
-            bandwidth = float(bandwidth)
-        embedder = None
-        if d.get("embedder", {}).get("kind", KIND_IDENTITY) != KIND_IDENTITY:
-            embedder = TrainConfig.from_dict(d["embedder"])
-        return cls(
-            synth=synth,
-            manifest_path=manifest_path,
-            grid=grid,
-            bandwidth=bandwidth,
-            embedder=embedder,
-            alpha=float(d.get("alpha", defaults["alpha"])),
-            refine_iters=int(d.get("refine_iters", defaults["refine_iters"])),
-            seed=int(d.get("seed", defaults["seed"])),
-            repeats=int(d.get("repeats", defaults["repeats"])),
-        )
+            kwargs["grid"] = FeatureGrid.from_dict(d["grid"])
+        if d.get("bandwidth", "auto") != "auto":
+            kwargs["bandwidth"] = float(d["bandwidth"])
+        embedder = d.get("embedder", {"kind": KIND_IDENTITY})
+        if embedder != {"kind": KIND_IDENTITY}:
+            kwargs["embedder"] = TrainConfig.from_dict(embedder)
+        return cls(**kwargs)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -170,12 +155,6 @@ class EvalReport:
     rows: tuple[RowAccuracy, ...]
     overall: RowAccuracy
     config_hash: str
-
-    def row_for(self, equipment_type: EquipmentType) -> RowAccuracy:
-        for row in self.rows:
-            if row.equipment_type is equipment_type:
-                return row
-        raise KeyError(equipment_type)
 
 
 def report_to_dict(report: EvalReport) -> dict:

@@ -201,6 +201,31 @@ class RegionAnnotation:
     def key(self) -> tuple[str, BBox]:
         return (self.image_ref, self.bbox)
 
+    def to_dict(self) -> dict:
+        return {
+            "image_ref": self.image_ref,
+            "bbox": list(self.bbox),
+            "equipment_type": self.equipment_type.value,
+            "status": None if self.status is None else self.status.value,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RegionAnnotation":
+        """Parse a manifest entry or feature record; other keys are ignored,
+        and a missing status reads as null."""
+        try:
+            bbox, image_ref, equipment = d["bbox"], d["image_ref"], d["equipment_type"]
+        except (KeyError, TypeError):
+            raise ValueError("region entries need image_ref, bbox, equipment_type") from None
+        if not (isinstance(bbox, list) and len(bbox) == 4):
+            raise ValueError(f"bbox must be a 4-element [x,y,w,h] list, got {bbox!r}")
+        return cls(
+            tuple(int(v) for v in bbox),
+            parse_equipment_type(equipment),
+            parse_status(d.get("status")),
+            str(image_ref),
+        )
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -248,18 +273,8 @@ class DatasetManifest:
 
 def _region_from_dict(entry: dict, where: str) -> RegionAnnotation:
     try:
-        bbox = entry["bbox"]
-        image_ref = entry["image_ref"]
-        equipment = entry["equipment_type"]
-    except (KeyError, TypeError):
-        raise ManifestError(f"{where}: region entries need image_ref, bbox, equipment_type") from None
-    if not (isinstance(bbox, list) and len(bbox) == 4):
-        raise ManifestError(f"{where}: bbox must be a 4-element [x,y,w,h] list, got {bbox!r}")
-    try:
-        etype = parse_equipment_type(equipment)
-        status = parse_status(entry.get("status"))
-        return RegionAnnotation(tuple(int(v) for v in bbox), etype, status, str(image_ref))
-    except ValueError as exc:
+        return RegionAnnotation.from_dict(entry)
+    except (ValueError, TypeError) as exc:
         raise ManifestError(f"{where}: {exc}") from None
 
 
@@ -299,6 +314,10 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
     for name in ("labeled", "unlabeled", "test"):
         for i, entry in enumerate(doc.get(name, [])):
             region = _region_from_dict(entry, f"{path}: {name}[{i}]")
+            if name != "unlabeled" and "status" not in entry:
+                raise ManifestError(
+                    f"{path}: {name}[{i}] has no status key; give null to mark it unlabeled"
+                )
             if region.image_ref not in dims:
                 raise ManifestError(
                     f"{path}: {name}[{i}] references unknown image {region.image_ref!r}"
@@ -324,21 +343,13 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
-    def region_dict(r: RegionAnnotation) -> dict:
-        return {
-            "image_ref": r.image_ref,
-            "bbox": list(r.bbox),
-            "equipment_type": r.equipment_type.value,
-            "status": r.status.value if r.status is not None else None,
-        }
-
     return {
         "images": [
             {"id": img_id, "path": str(p)} for img_id, p in sorted(manifest.image_paths.items())
         ],
-        "labeled": [region_dict(r) for r in manifest.labeled],
-        "unlabeled": [region_dict(r) for r in manifest.unlabeled],
-        "test": [region_dict(r) for r in manifest.test],
+        "labeled": [r.to_dict() for r in manifest.labeled],
+        "unlabeled": [r.to_dict() for r in manifest.unlabeled],
+        "test": [r.to_dict() for r in manifest.test],
     }
 
 

@@ -201,26 +201,15 @@ def model_to_dict(model: PrototypeModel) -> dict:
     return {
         "alpha": model.alpha,
         "feature_dim": model.feature_dim,
-        "classes": [
-            {"equipment_type": c.equipment_type.value, "status": c.status.value}
-            for c in model.classes
-        ],
+        "classes": [c.to_dict() for c in model.classes],
         "centers_labeled": [[float(v) for v in row] for row in model.centers_labeled],
         "centers_refined": [[float(v) for v in row] for row in model.centers_refined],
     }
 
 
 def model_from_dict(d: dict) -> PrototypeModel:
-    from .taxonomy import parse_equipment_type, parse_status
-
-    classes = []
-    for entry in d["classes"]:
-        status = parse_status(entry["status"])
-        if status is None:
-            raise ValueError("model classes must carry a status")
-        classes.append(SubcategoryId(parse_equipment_type(entry["equipment_type"]), status))
     model = PrototypeModel(
-        classes=tuple(classes),
+        classes=tuple(SubcategoryId.from_dict(c) for c in d["classes"]),
         centers_labeled=np.asarray(d["centers_labeled"], dtype=np.float64),
         centers_refined=np.asarray(d["centers_refined"], dtype=np.float64),
         alpha=float(d["alpha"]),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .images import DatasetManifest, RegionAnnotation, ThermalImage, save_manifest, save_thermal
-from .taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId
+from .taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId, check_keys
 
 SPLIT_NAMES = ("labeled", "unlabeled", "test")
 
@@ -47,25 +47,14 @@ class RegionTempModel:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "ambient_mean": self.ambient_mean,
-            "ambient_std": self.ambient_std,
-            "hotspot_mean": self.hotspot_mean,
-            "hotspot_std": self.hotspot_std,
-            "hotspot_area_fraction": self.hotspot_area_fraction,
-            "scene_offset_std": self.scene_offset_std,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionTempModel":
-        return cls(
-            float(d["ambient_mean"]),
-            float(d["ambient_std"]),
-            float(d["hotspot_mean"]),
-            float(d["hotspot_std"]),
-            float(d["hotspot_area_fraction"]),
-            float(d.get("scene_offset_std", 0.0)),
-        )
+        fields = dataclasses.fields(cls)
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        check_keys(d, [f.name for f in fields], "temperature model", required)
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -73,7 +62,9 @@ class SynthConfig:
     """Full recipe for one synthetic dataset, including the PCG64 seed."""
 
     models: dict[SubcategoryId, RegionTempModel]
-    counts: dict[str, int]  # per-subcategory counts per split
+    counts: dict[str, int] = field(  # per-subcategory counts per split
+        default_factory=lambda: {"labeled": 15, "unlabeled": 15, "test": 10}
+    )
     image_width: int = 24
     image_height: int = 24
     region_width: int = 16
@@ -130,22 +121,21 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
+        sizes = ("seed", "image_width", "image_height", "region_width", "region_height")
+        required = ("models", "counts")
+        check_keys(d, (*required, "background", *sizes), "synth config", required)
         models: dict[SubcategoryId, RegionTempModel] = {}
         for type_name, by_status in d["models"].items():
             etype = EquipmentType(type_name)
             for status_name, model in by_status.items():
                 models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(model)
-        background = d.get("background", {})
+        counts = check_keys(d["counts"], SPLIT_NAMES, "synth counts")
+        background = check_keys(d.get("background", {}), ("mean", "std"), "synth background")
         return cls(
             models=models,
-            counts={k: int(v) for k, v in d["counts"].items()},
-            image_width=int(d.get("image_width", 24)),
-            image_height=int(d.get("image_height", 24)),
-            region_width=int(d.get("region_width", 16)),
-            region_height=int(d.get("region_height", 16)),
-            background_mean=float(background.get("mean", 5.0)),
-            background_std=float(background.get("std", 1.5)),
-            seed=int(d.get("seed", 0)),
+            counts={k: int(v) for k, v in counts.items()},
+            **{k: int(d[k]) for k in sizes if k in d},
+            **{f"background_{k}": float(v) for k, v in background.items()},
         )
 
 
@@ -193,11 +183,7 @@ def default_models(scene_offset_factor: float = 0.4) -> dict[SubcategoryId, Regi
 
 def default_synth_config(seed: int = 0) -> SynthConfig:
     """Default desk-scale protocol: 15 labeled + 15 unlabeled + 10 test per subcategory."""
-    return SynthConfig(
-        models=default_models(),
-        counts={"labeled": 15, "unlabeled": 15, "test": 10},
-        seed=seed,
-    )
+    return SynthConfig(models=default_models(), seed=seed)
 
 
 def case_study_config(equipment_type: EquipmentType, seed: int = 0) -> SynthConfig:
@@ -212,11 +198,7 @@ def case_study_config(equipment_type: EquipmentType, seed: int = 0) -> SynthConf
         for subcat, model in default_models().items()
         if subcat.equipment_type is equipment_type
     }
-    return SynthConfig(
-        models=models,
-        counts={"labeled": 15, "unlabeled": 15, "test": 10},
-        seed=seed,
-    )
+    return SynthConfig(models=models, seed=seed)
 
 
 def separable_synth_config(seed: int = 0) -> SynthConfig:
@@ -231,11 +213,7 @@ def separable_synth_config(seed: int = 0) -> SynthConfig:
             hotspot_std=0.125,
             hotspot_area_fraction=0.05 if subcat.status is Status.NORMAL else 0.5,
         )
-    return SynthConfig(
-        models=models,
-        counts={"labeled": 15, "unlabeled": 15, "test": 10},
-        seed=seed,
-    )
+    return SynthConfig(models=models, seed=seed)
 
 
 def _hotspot_shape(region_w: int, region_h: int, area_fraction: float) -> tuple[int, int] | None:

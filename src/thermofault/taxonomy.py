@@ -1,4 +1,5 @@
-"""Equipment types, statuses, and the 10 subcategory identifiers."""
+"""Equipment types, statuses, the 10 subcategory identifiers, and the key
+check shared by every JSON reader."""
 
 from __future__ import annotations
 
@@ -44,6 +45,16 @@ class SubcategoryId:
     def __lt__(self, other: "SubcategoryId") -> bool:
         return self.index < other.index
 
+    def to_dict(self) -> dict:
+        return {"equipment_type": self.equipment_type.value, "status": self.status.value}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SubcategoryId":
+        status = parse_status(d["status"])
+        if status is None:
+            raise ValueError("a class needs a status, 'normal' or 'fault'")
+        return cls(parse_equipment_type(d["equipment_type"]), status)
+
 
 SUBCATEGORIES: tuple[SubcategoryId, ...] = tuple(
     SubcategoryId(t, s) for t in EQUIPMENT_TYPES for s in STATUSES
@@ -71,3 +82,21 @@ def parse_status(name: str | None) -> Status | None:
         return Status(name)
     except ValueError:
         raise ValueError(f"unknown status {name!r}; expected 'normal', 'fault', or null") from None
+
+
+def check_keys(d, allowed, what: str, required=()) -> dict:
+    """d itself, once it is a JSON object that holds every required key and
+    no key outside allowed: a misspelled key must fail, not fall back to a
+    default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{what} needs key(s): {', '.join(map(repr, missing))}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s): {', '.join(map(repr, unknown))};"
+            f" expected: {', '.join(allowed)}"
+        )
+    return d

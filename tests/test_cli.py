@@ -10,8 +10,10 @@ from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from thermofault.density import FeatureGrid, feature_vector
 from thermofault.embedding import TrainConfig, embedder_from_dict
 from thermofault.harness import ExperimentConfig, extract_features, fit_embedder
-from thermofault.images import extract_region, load_manifest, load_thermal
+from thermofault.images import RegionAnnotation, extract_region, load_manifest, load_thermal
+from thermofault.prototypes import model_from_dict
 from thermofault.synthetic import default_synth_config, separable_synth_config
+from thermofault.taxonomy import SubcategoryId
 
 
 def run_cli(*argv):
@@ -90,6 +92,15 @@ def test_extract_matches_library_feature_vector(dataset):
     assert feat.values.tolist() == rec["feature"]["values"]
     assert feat.bandwidth == rec["feature"]["bandwidth"]
     assert len(records) == len(manifest.labeled) + len(manifest.unlabeled) + len(manifest.test)
+
+
+def test_extract_record_region_fields_come_from_the_region(dataset):
+    records = json.loads((dataset / "features.json").read_text())["records"]
+    manifest = load_manifest(dataset / "data" / "manifest.json")
+    assert len(records) == len(manifest.all_regions())
+    for rec, region in zip(records, manifest.all_regions()):
+        region_fields = {k: v for k, v in rec.items() if k not in ("split", "feature")}
+        assert region_fields == region.to_dict()
 
 
 def test_extract_corrupt_rtm_reports_file_and_line(dataset, tmp_path, capsys):
@@ -249,6 +260,15 @@ def test_train_rejects_mixed_grids(dataset, tmp_path, capsys, split):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--hidden", "--out-dim", "--episodes", "--lr"])
+def test_train_rejects_mlp_flags_without_mlp_embedder(dataset, tmp_path, capsys, flag):
+    out = tmp_path / "m.json"
+    code = run_cli("train", "--features", dataset / "features.json", "--out", out, flag, 1)
+    assert code == EXIT_VALIDATION
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_no_labeled_records(tmp_path, capsys):
     feats = tmp_path / "features.json"
     feats.write_text(json.dumps({"records": []}), encoding="utf-8")
@@ -307,6 +327,39 @@ def test_classify_posteriors_sum_to_one(separable_run):
         assert len(rec["posterior"]) == 10
         best = min(rec["posterior"], key=lambda c: (c["distance"]))
         assert rec["predicted"]["equipment_type"] == best["equipment_type"]
+
+
+def test_classify_class_fields_come_from_the_subcategory(separable_run):
+    model = model_from_dict(json.loads((separable_run / "model.json").read_text()))
+    for line in (separable_run / "predictions.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        region = RegionAnnotation.from_dict(rec)
+        assert {k: rec[k] for k in region.to_dict()} == region.to_dict()
+        assert rec["predicted"] == SubcategoryId.from_dict(rec["predicted"]).to_dict()
+        classes = [{k: c[k] for k in ("equipment_type", "status")} for c in rec["posterior"]]
+        assert classes == [c.to_dict() for c in model.classes]
+
+
+def test_classify_names_model_and_embedder_widths(separable_run, tmp_path, capsys):
+    feats, mlp_model = separable_run / "features.json", tmp_path / "mlp.json"
+    embedder = f"{mlp_model}.embedder.json"
+    assert run_cli(
+        "train", "--features", feats, "--out", mlp_model,
+        "--embedder", "mlp", "--episodes", 0, "--out-dim", 6,
+    ) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "p.jsonl"
+    identity_model = separable_run / "model.json"
+    for model, extra, source, widths in (
+        (mlp_model, [], "no --embedder-file", ("6-wide", "128 wide")),
+        (identity_model, ["--embedder-file", embedder], embedder, ("128-wide", "6 wide")),
+    ):
+        code = run_cli("classify", "--model", model, "--features", feats, "--out", out, *extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert str(model) in err and source in err
+        assert all(w in err for w in widths), err
+        assert not out.exists()
 
 
 def test_classify_empty_features(separable_run, tmp_path):
@@ -391,6 +444,16 @@ def test_eval_sweep_alpha_five_reports(dataset, tmp_path):
     reports = sorted(out.glob("report_sweep_alpha_*.json"))
     assert len(reports) == 5
     assert (out / "sweep_alpha.txt").read_text().count("alpha=") == 5
+
+
+def test_eval_config_with_unknown_key_fails(tmp_path, capsys):
+    cfg = ExperimentConfig(synth=default_synth_config())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg.to_dict(), "alpah": 0.0}), encoding="utf-8")
+    code = run_cli("eval", "--config", cfg_path, "--out", tmp_path / "r", "--mode", "weak")
+    assert code == EXIT_VALIDATION
+    assert "'alpah'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_sweep_requires_values(tmp_path, capsys):

@@ -83,8 +83,25 @@ def test_train_config_round_trip():
         cfg = small_config(embedder=embedder)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert small_config().to_dict()["embedder"] == {"kind": "identity"}
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({**small_config().to_dict(), "embedder": {"kind": "cnn"}})
+    for embedder in ({"kind": "cnn"}, {"hidden": 8}, {"kind": "identity", "hidden": 8}, "mlp"):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "embedder": embedder})
+
+
+@pytest.mark.parametrize("where", [(), ("data",), ("embedder",)])
+def test_config_readers_reject_unknown_keys(where):
+    doc = small_config(embedder=TrainConfig()).to_dict()
+    target = doc
+    for key in where:
+        target = target[key]
+    target["alpah"] = 0.0
+    with pytest.raises(ValueError, match="'alpah'"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_reader_takes_defaults_from_the_fields():
+    cfg = ExperimentConfig.from_dict({"data": {"manifest": "m.json"}})
+    assert cfg == ExperimentConfig(manifest_path="m.json")
 
 
 # ------------------------------------------------------------------- rows

@@ -284,6 +284,35 @@ def test_manifest_to_dict_schema(tmp_path):
     }
 
 
+def test_region_dict_round_trip():
+    for status in (Status.FAULT, None):
+        r = RegionAnnotation((1, 2, 3, 4), EquipmentType.ARRESTER, status, "imgA")
+        assert RegionAnnotation.from_dict(r.to_dict()) == r
+    # detector output may carry more keys than a region; they are ignored
+    doc = {**r.to_dict(), "score": 0.9}
+    assert RegionAnnotation.from_dict(doc) == r
+    del doc["status"]
+    assert RegionAnnotation.from_dict(doc) == r  # a missing status reads as null
+
+
+@pytest.mark.parametrize("split", ["labeled", "test"])
+def test_load_manifest_labeled_and_test_entries_need_a_status_key(tmp_path, split):
+    _write_rtm(tmp_path, "imgA")
+    lab = {"image_ref": "imgA", "bbox": [2, 2, 2, 2], "equipment_type": "arrester",
+           "status": "normal"}
+    typo = {"image_ref": "imgA", "bbox": [0, 0, 2, 2], "equipment_type": "arrester",
+            "stauts": "normal", "score": 0.9}
+    doc = {"images": [{"id": "imgA", "path": "imgA.rtm"}], "labeled": [lab]}
+    doc[split] = doc.get(split, []) + [typo]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=rf"{split}\[{len(doc[split]) - 1}\] has no status"):
+        load_manifest(mpath)
+    typo["status"] = "normal"  # keys beyond the region's, such as a score, stay allowed
+    mpath.write_text(json.dumps(doc))
+    assert len(getattr(load_manifest(mpath), split)) == len(doc[split])
+
+
 def test_load_manifest_null_status_routes_to_unlabeled(tmp_path):
     _write_rtm(tmp_path, "imgA")
     doc = {

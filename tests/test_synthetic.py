@@ -144,6 +144,36 @@ def test_config_serialization_round_trip():
     assert back.to_dict() == doc
 
 
+def test_synth_config_reader_takes_defaults_from_the_fields():
+    cfg = default_synth_config()
+    doc = {"models": cfg.to_dict()["models"], "counts": cfg.counts}
+    assert SynthConfig.from_dict(doc) == cfg
+
+
+def test_region_temp_model_dict_round_trip():
+    model = default_models()[SUBCATEGORIES[0]]
+    assert RegionTempModel.from_dict(model.to_dict()) == model
+    doc = model.to_dict()
+    del doc["scene_offset_std"]
+    assert RegionTempModel.from_dict(doc) == dataclasses.replace(model, scene_offset_std=0.0)
+    del doc["ambient_mean"]
+    with pytest.raises(ValueError, match="'ambient_mean'"):
+        RegionTempModel.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "where", [(), ("background",), ("counts",), ("models", "arrester", "fault")]
+)
+def test_synth_config_rejects_unknown_keys(where):
+    doc = default_synth_config().to_dict()
+    target = doc
+    for key in where:
+        target = target[key]
+    target["typo"] = 1
+    with pytest.raises(ValueError, match="'typo'"):
+        SynthConfig.from_dict(doc)
+
+
 def test_scene_offset_survives_serialization():
     cfg = default_synth_config(seed=0)
     model = cfg.models[SubcategoryId(EquipmentType.ARRESTER, Status.NORMAL)]

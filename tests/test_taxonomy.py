@@ -7,6 +7,7 @@ from thermofault.taxonomy import (
     EquipmentType,
     Status,
     SubcategoryId,
+    check_keys,
     parse_equipment_type,
     parse_status,
     subcategory_from_index,
@@ -67,3 +68,22 @@ def test_parse_status():
     assert parse_status(None) is None
     with pytest.raises(ValueError):
         parse_status("broken")
+
+
+def test_subcategory_dict_round_trip():
+    for sub in SUBCATEGORIES:
+        assert SubcategoryId.from_dict(sub.to_dict()) == sub
+    assert SUBCATEGORIES[3].to_dict() == {"equipment_type": "bushing", "status": "fault"}
+    with pytest.raises(ValueError, match="needs a status"):
+        SubcategoryId.from_dict({"equipment_type": "bushing", "status": None})
+
+
+def test_check_keys_names_unknown_and_missing_keys():
+    d = {"alpha": 0.5}
+    assert check_keys(d, ("alpha", "seed"), "config") is d
+    with pytest.raises(ValueError, match="'alpah'"):
+        check_keys({"alpah": 0.0}, ("alpha", "seed"), "config")
+    with pytest.raises(ValueError, match="'seed'"):
+        check_keys(d, ("alpha", "seed"), "config", required=("seed",))
+    with pytest.raises(ValueError, match="JSON object"):
+        check_keys([1, 2], ("alpha",), "config")

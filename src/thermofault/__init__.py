@@ -14,7 +14,6 @@ from .density import (
     TemperatureHistogram,
     anchored_histogram,
     feature_vector,
-    gaussian_kernel,
     histogram,
     interval_probability,
     kde_at,

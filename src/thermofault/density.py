@@ -7,6 +7,7 @@ sample so that absolute temperature differences stay visible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ BANDWIDTH_FLOOR = 1e-6
 KDE_CUTOFF = 39.0
 # Kernel terms per block in kde_values; bounds one call's temporaries.
 KDE_BLOCK_TERMS = 1 << 20
+# exp(t) is exactly +0.0 in float64 for t < -745.14, so kde_values stores
+# 0.0 for exponents below this without calling np.exp, whose underflow path
+# costs about 15x a normal result. Subnormal results still go through
+# np.exp: they can change the bits of a sum.
+EXP_UNDERFLOW = -746.0
 _MAX_BINS = 50_000_000
 
 DEFAULT_BIN_ORIGIN = 0.0
@@ -122,11 +128,24 @@ def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: flo
     return _cumulative_below(h, theta_prime) - _cumulative_below(h, theta)
 
 
-def gaussian_kernel(u):
-    """Standard Gaussian kernel: exp(-u^2 / 2) / sqrt(2 pi). Accepts arrays."""
-    u = np.asarray(u, dtype=np.float64)
-    value = np.exp(-0.5 * np.square(u)) / SQRT_2PI
-    return float(value) if value.ndim == 0 else value
+class _SortedSamples(np.ndarray):
+    """A read-only float64 vector that _sorted_finite has sorted and checked.
+
+    feature_vector passes one to silverman_bandwidth and KdeEstimator, so a
+    region is sorted and checked once; both unwrap it before any arithmetic.
+    """
+
+
+def _sorted_finite(samples, what: str) -> np.ndarray:
+    """samples as a sorted, read-only float64 vector; raises unless all finite."""
+    if isinstance(samples, _SortedSamples):
+        return samples.view(np.ndarray)
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+    # sorting puts -inf first and +inf, then NaN, last
+    if x.size and not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ValueError(f"{what} must be finite")
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -137,16 +156,12 @@ class KdeEstimator:
     bandwidth: float
 
     def __post_init__(self):
-        x = np.asarray(self.samples, dtype=np.float64).reshape(-1)
+        # canonical order: permuted inputs give bit-identical densities
+        x = _sorted_finite(self.samples, "KDE samples")
         if x.size == 0:
             raise ValueError("KDE requires at least one sample")
-        if not np.isfinite(x).all():
-            raise ValueError("KDE samples must be finite")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        # canonical order: permuted inputs give bit-identical densities
-        x = np.sort(x)
-        x.flags.writeable = False
         object.__setattr__(self, "samples", x)
 
     @property
@@ -158,7 +173,9 @@ def kde_values(est: KdeEstimator, points) -> np.ndarray:
     """Density estimate at each query point: mean kernel value / bandwidth.
 
     Points beyond KDE_CUTOFF bandwidths from the samples get 0.0 unevaluated;
-    the rest sum whole kernel rows in blocks, bit-identical to the full sum.
+    the rest sum whole kernel rows in blocks, bit-identical to the full sum:
+    each term takes the full formula's steps in its order, and only terms
+    whose exp is exactly 0.0 (exponent below EXP_UNDERFLOW) skip np.exp.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     x, h = est.samples, est.bandwidth
@@ -169,8 +186,14 @@ def kde_values(est: KdeEstimator, points) -> np.ndarray:
     rows = max(1, KDE_BLOCK_TERMS // x.size)
     for i in range(0, live.size, rows):
         idx = live[i : i + rows]
-        u = (pts[idx, None] - x[None, :]) / h
-        k[idx] = np.exp(-0.5 * np.square(u)).sum(axis=1) / SQRT_2PI
+        t = pts[idx, None] - x[None, :]
+        t /= h
+        np.square(t, out=t)
+        t *= -0.5
+        zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
+        np.exp(t, out=t, where=~zero)
+        np.copyto(t, 0.0, where=zero)
+        k[idx] = t.sum(axis=1) / SQRT_2PI
     return k / (est.n_samples * h)
 
 
@@ -185,15 +208,16 @@ def silverman_bandwidth(samples) -> float:
     interquartile-range guard, floored at 1e-6 so degenerate inputs
     (all samples identical) still yield a usable bandwidth.
     """
-    x = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if x.size < 2:
+    x = _sorted_finite(samples, "samples")  # sorted: order-independent sums
+    n = x.size
+    if n < 2:
         raise ValueError("bandwidth selection requires at least 2 samples")
-    if not np.isfinite(x).all():
-        raise ValueError("samples must be finite")
-    x = np.sort(x)  # order-independent summation
-    sd = float(np.std(x, ddof=1))
+    # np.std(x, ddof=1), reduction for reduction
+    d = x - x.sum() / n
+    np.square(d, out=d)
+    sd = math.sqrt(d.sum() / (n - 1))
     scale = min(sd, (_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34)
-    return max(1.06 * scale * x.size ** (-0.2), BANDWIDTH_FLOOR)
+    return max(1.06 * scale * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
 def _sorted_quantile(x: np.ndarray, q: float) -> float:
@@ -225,7 +249,14 @@ class FeatureGrid:
         return (self.t_hi - self.t_lo) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.t_lo, self.t_hi, self.n_points)
+        """The grid temperatures, built once per grid; read-only."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
+        pts = np.linspace(self.t_lo, self.t_hi, self.n_points)
+        pts.flags.writeable = False
+        return pts
 
     def to_dict(self) -> dict:
         return {"t_lo": self.t_lo, "t_hi": self.t_hi, "n_points": self.n_points}
@@ -275,7 +306,7 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     bandwidth may be a positive float or "auto" (Silverman's rule; a lone
     sample falls back to the floor value).
     """
-    x = np.asarray(samples, dtype=np.float64).reshape(-1)
+    x = _sorted_finite(samples, "samples").view(_SortedSamples)
     if x.size == 0:
         raise ValueError("feature extraction requires at least one sample")
     if bandwidth == "auto":

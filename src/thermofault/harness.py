@@ -98,7 +98,10 @@ class ExperimentConfig:
         if "manifest" in data:
             kwargs["manifest_path"] = data["manifest"]
         if "grid" in d:
-            kwargs["grid"] = FeatureGrid.from_dict(d["grid"])
+            grid_keys = [f.name for f in dataclasses.fields(FeatureGrid)]
+            kwargs["grid"] = FeatureGrid.from_dict(
+                check_keys(d["grid"], grid_keys, "experiment grid", grid_keys)
+            )
         if d.get("bandwidth", "auto") != "auto":
             kwargs["bandwidth"] = float(d["bandwidth"])
         embedder = d.get("embedder", {"kind": KIND_IDENTITY})

@@ -157,9 +157,9 @@ def read_rtm_header(path) -> tuple[int, int]:
 def save_thermal(img: ThermalImage, path) -> None:
     """Write an RTM text file; %.17g rendering keeps the round trip exact."""
     path = Path(path)
+    row_format = ",".join(["%.17g"] * img.width)
     rows = [f"{img.width},{img.height}"]
-    for r in range(img.height):
-        rows.append(",".join(format(v, ".17g") for v in img.temps[r]))
+    rows.extend(row_format % tuple(row) for row in img.temps.tolist())
     path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -125,8 +125,10 @@ class SynthConfig:
         required = ("models", "counts")
         check_keys(d, (*required, "background", *sizes), "synth config", required)
         models: dict[SubcategoryId, RegionTempModel] = {}
-        for type_name, by_status in d["models"].items():
+        type_names, status_names = [e.value for e in EquipmentType], [s.value for s in Status]
+        for type_name, by_status in check_keys(d["models"], type_names, "synth models").items():
             etype = EquipmentType(type_name)
+            check_keys(by_status, status_names, f"synth models[{type_name!r}]")
             for status_name, model in by_status.items():
                 models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(model)
         counts = check_keys(d["counts"], SPLIT_NAMES, "synth counts")

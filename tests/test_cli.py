@@ -77,6 +77,23 @@ def test_synth_zero_count_split(tmp_path):
     assert len(manifest.labeled) == 10
 
 
+@pytest.mark.parametrize(
+    "where, key", [((), "models"), (("models",), "arrester")], ids=["models", "status-map"]
+)
+def test_synth_config_map_that_is_not_an_object_fails(tmp_path, capsys, where, key):
+    doc = default_synth_config().to_dict()
+    target = doc
+    for k in where:
+        target = target[k]
+    target[key] = 7
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("synth", "--out", tmp_path / "d", "--config", cfg_path) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and "must be a JSON object, got 7" in err
+    assert not (tmp_path / "d").exists()
+
+
 # ----------------------------------------------------------------- extract
 
 def test_extract_matches_library_feature_vector(dataset):
@@ -453,6 +470,16 @@ def test_eval_config_with_unknown_key_fails(tmp_path, capsys):
     code = run_cli("eval", "--config", cfg_path, "--out", tmp_path / "r", "--mode", "weak")
     assert code == EXIT_VALIDATION
     assert "'alpah'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
+    cfg = ExperimentConfig(synth=default_synth_config())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg.to_dict(), "grid": 5}), encoding="utf-8")
+    code = run_cli("eval", "--config", cfg_path, "--out", tmp_path / "r", "--mode", "weak")
+    assert code == EXIT_VALIDATION
+    assert "experiment grid must be a JSON object, got 5" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

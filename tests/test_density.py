@@ -16,13 +16,13 @@ from thermofault.density import (
     _sorted_quantile,
     anchored_histogram,
     feature_vector,
-    gaussian_kernel,
     histogram,
     interval_probability,
     kde_at,
     kde_values,
     silverman_bandwidth,
 )
+from thermofault.harness import ExperimentConfig, extract_features
 from thermofault.images import extract_region
 from thermofault.synthetic import case_study_config, default_synth_config, synthesize
 from thermofault.taxonomy import EquipmentType, Status
@@ -152,15 +152,21 @@ def test_interval_monotone(samples, start, w1, w2):
 
 # ------------------------------------------------------------------ kernel
 
+def unit_kernel(u):
+    """The standard Gaussian kernel at u: a one-sample KDE at 0 with bandwidth 1."""
+    return kde_values(KdeEstimator([0.0], 1.0), np.atleast_1d(u))
+
+
 def test_kernel_closed_form_values():
-    assert gaussian_kernel(0.0) == pytest.approx(0.3989422804014327, abs=1e-16)
-    assert gaussian_kernel(1.0) == pytest.approx(0.24197072451914337, abs=1e-16)
+    got = unit_kernel([0.0, 1.0])
+    assert got[0] == pytest.approx(0.3989422804014327, abs=1e-16)
+    assert got[1] == pytest.approx(0.24197072451914337, abs=1e-16)
 
 
 @given(st.floats(-30, 30))
 def test_kernel_symmetry(u):
-    assert gaussian_kernel(u) == gaussian_kernel(-u)
-    assert gaussian_kernel(u) <= gaussian_kernel(0.0)
+    assert unit_kernel(u) == unit_kernel(-u)
+    assert unit_kernel(u) <= unit_kernel(0.0)
 
 
 # --------------------------------------------------------------------- kde
@@ -219,12 +225,27 @@ odd_points = st.one_of(
     st.floats(-6, 3),
     st.lists(odd_points, max_size=30),
     st.floats(30, 45),
+    st.integers(0, 400),
+    st.floats(37, 39),
 )
-def test_kde_values_bit_identical_to_unwindowed_sum(samples, log10_h, points, edge):
-    """Bandwidths 1e-6..1e3, unsorted and far-off points, NaN/inf, and points
-    about KDE_CUTOFF bandwidths outside the sample range."""
+# at 0: normal, subnormal (u = 37.9, 38.3) and zero (u = 38.7) terms; at 500: only zeros
+@example(
+    samples=[0.0, 37.9, 38.3, 38.7, 1e3], log10_h=0.0, points=[0.0, 5e2],
+    edge=30.0, extra=0, far=37.0,
+)
+# exp(-745.06) is the smallest subnormal, which a 1e-6 bandwidth scales up
+@example(samples=[0.0, 0.0], log10_h=-6.0, points=[38.602e-6], edge=30.0, extra=0, far=37.0)
+def test_kde_values_bit_identical_to_unwindowed_sum(samples, log10_h, points, edge, extra, far):
+    """Bandwidths 1e-6..1e3, unsorted and far-off points, NaN/inf, points
+    about KDE_CUTOFF bandwidths outside the sample range, up to 440 samples
+    (numpy sums rows of more than 128 pairwise), and points 37-39
+    bandwidths from a sample, whose terms are subnormal or exactly 0.0."""
     w = 10.0**log10_h
-    near = [min(samples) - edge * w, max(samples) + edge * w, min(samples) - 39 * w]
+    lo, hi = min(samples), max(samples)
+    rng = np.random.Generator(np.random.PCG64(extra))
+    samples = samples + list(rng.uniform(lo - 40 * w, hi + 40 * w, extra))
+    near = [lo - edge * w, hi + edge * w, lo - 39 * w, lo - far * w, hi + far * w]
+    near += [s + far * w * rng.choice([-1.0, 1.0]) for s in samples[:8]]
     pts = np.array(points + near)
     got = kde_values(KdeEstimator(samples, w), pts)
     assert got.tobytes() == kde_unwindowed(samples, w, pts).tobytes()
@@ -284,6 +305,30 @@ def test_silverman_needs_two_samples():
         silverman_bandwidth([1.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 1000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["normal", "wide", "ties", "constant"]),
+    st.floats(-1e3, 1e3),
+    st.floats(-8, 4),
+)
+def test_silverman_bandwidth_bit_equals_np_std_formula(n, seed, kind, loc, log10_scale):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = 10.0**log10_scale
+    x = {
+        "normal": lambda: rng.normal(loc, scale, n),
+        "wide": lambda: rng.lognormal(0.0, 8.0, n) * rng.choice([-1.0, 1.0], n),
+        "ties": lambda: loc + scale * rng.integers(0, 4, n),
+        "constant": lambda: np.full(n, loc),
+    }[kind]()
+    s = np.sort(x)
+    q75, q25 = np.percentile(s, [75.0, 25.0])
+    scale = min(float(np.std(s, ddof=1)), (q75 - q25) / 1.34)
+    want = max(1.06 * scale * n ** (-0.2), 1e-6)
+    assert np.float64(silverman_bandwidth(x)).tobytes() == np.float64(want).tobytes()
+
+
 def test_sorted_quantile_bit_equals_numpy_percentile():
     rng = np.random.Generator(np.random.PCG64(6))
     for n in range(2, 1001):
@@ -307,6 +352,8 @@ def test_grid_points_and_step():
     pts = grid.points()
     assert pts.shape == (128,)
     assert pts[0] == -20.0 and pts[-1] == 120.0
+    assert pts.tobytes() == np.linspace(-20.0, 120.0, 128).tobytes()
+    assert grid.points() is pts and not pts.flags.writeable  # built once, shared
     assert grid.step == pytest.approx((120.0 + 20.0) / 127)
     with pytest.raises(ValueError):
         FeatureGrid(5.0, 5.0, 10)
@@ -361,22 +408,33 @@ def test_feature_vector_guards():
 
 
 def test_feature_vector_bit_identical_to_full_grid_formula():
-    """Every region of synthetic seeds 0-4 against Silverman's rule with
-    np.percentile and the unwindowed KDE on all grid points."""
-    grid = DEFAULT_GRID
-    pts = np.linspace(grid.t_lo, grid.t_hi, grid.n_points)
-    for seed in range(5):
-        images, manifest = synthesize(default_synth_config(seed=seed))
+    """Every feature of the default synthetic dataset, seeds 0-4, as the
+    pipeline extracts it, against Silverman's rule with np.std and
+    np.percentile and the unwindowed KDE on all grid points; seed 0 also on
+    a 64-point grid with a fixed bandwidth."""
+    runs = [(seed, DEFAULT_GRID, "auto") for seed in range(5)]
+    runs.append((0, FeatureGrid(-20.0, 120.0, 64), 0.8))
+    for seed, grid, bandwidth in runs:
+        cfg = ExperimentConfig(
+            synth=default_synth_config(), seed=seed, grid=grid, bandwidth=bandwidth
+        )
+        manifest, features = extract_features(cfg, feature_vector)
+        images, _ = synthesize(default_synth_config(seed=seed))
         by_id = {img.source_id: img for img in images}
-        for region in manifest.all_regions():
-            x = np.sort(extract_region(by_id[region.image_ref], region.bbox))
-            q75, q25 = np.percentile(x, [75.0, 25.0])
-            scale = min(float(np.std(x, ddof=1)), (q75 - q25) / 1.34)
-            w = max(1.06 * scale * x.size ** (-0.2), 1e-6)
-            raw = kde_unwindowed(x, w, pts)
-            feat = feature_vector(x[::-1], grid)
-            assert feat.bandwidth == w
-            assert feat.values.tobytes() == (raw / float(raw.sum() * grid.step)).tobytes()
+        pts = np.linspace(grid.t_lo, grid.t_hi, grid.n_points)
+        for split, feats in features.items():
+            regions = getattr(manifest, split)
+            assert len(feats) == len(regions) > 0
+            for region, feat in zip(regions, feats):
+                x = np.sort(extract_region(by_id[region.image_ref], region.bbox))
+                w = bandwidth
+                if w == "auto":
+                    q75, q25 = np.percentile(x, [75.0, 25.0])
+                    scale = min(float(np.std(x, ddof=1)), (q75 - q25) / 1.34)
+                    w = max(1.06 * scale * x.size ** (-0.2), 1e-6)
+                raw = kde_unwindowed(x, w, pts)
+                assert feat.bandwidth == w
+                assert feat.values.tobytes() == (raw / float(raw.sum() * grid.step)).tobytes()
 
 
 def test_feature_vector_degenerate_region_names_bandwidth_and_step():

@@ -74,6 +74,19 @@ def test_rtm_17_digit_precision(tmp_path):
     assert (load_thermal(path).temps == vals).all()
 
 
+def test_rtm_rows_match_per_cell_rendering(tmp_path):
+    """Each row is written with one %-format call; its bytes equal the
+    per-cell format(v, ".17g") rendering, signed zero and extremes included."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1 / 3]
+    vals = np.concatenate([edge, rng.normal(30.0, 10.0, 16)]).reshape(4, 6)
+    path = tmp_path / "e.rtm"
+    save_thermal(make_image(vals), path)
+    rows = [",".join(format(v, ".17g") for v in row) for row in vals]
+    assert path.read_bytes() == ("6,4\n" + "\n".join(rows) + "\n").encode()
+    assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
+
 def test_header_errors(tmp_path):
     path = tmp_path / "bad.rtm"
     path.write_text("2\n1,2\n")

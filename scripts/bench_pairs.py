@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, kept as before/after files.
 
-    python3 scripts/bench_pairs.py --parent REV --tag TAG --seeds 61-70 \\
-        [--workloads seed_study,desk_chain,model_fit] [--seconds 36]
+    python3 scripts/bench_pairs.py --parent REV --tag TAG --seeds 61-70
 
-For each seed and workload, runs `perfbench/run.py --trace 0` once on the
-parent and once on the change, alternating which side runs first (even
-pairs the parent, odd pairs the change). The change is this checkout's
-working tree; the parent is a `git archive` copy of REV in a temporary
-directory, removed at the end. Writes BENCH_<TAG>_parent.json and
-BENCH_<TAG>.json at the repository root: one entry per run with its
-workload, seed, order in its pair (0 first, 1 second), exit code and the
-final JSON line the benchmark printed. Then prints, per workload and
-metric, each side's median and quartiles and the pairs the change won.
-Run it from any directory; of the benchmark it reads only its output and
-the metric directions in BENCHMARK.json.
+For each seed and each workload in BENCHMARK.json, runs `perfbench/run.py
+--trace 0` at the benchmark's run_seconds once on the parent and once on
+the change, alternating which side runs first (even pairs the parent, odd
+pairs the change). The change is this checkout's working tree; the parent
+is a `git archive` copy of REV in a temporary directory, removed at the
+end. Writes BENCH_<TAG>_parent.json and BENCH_<TAG>.json at the repository
+root: one entry per run with its workload, seed, order in its pair (0
+first, 1 second), exit code and the final JSON line the benchmark printed.
+Then prints, per workload, the runs of each side that failed (non-zero exit
+or no final JSON line) and, per metric, each side's median and quartiles
+over the pairs where both runs succeeded and the pairs the change won.
+Exits 1 if any run failed. Run it from any directory; of the benchmark it
+reads only its output and BENCHMARK.json (workloads, run_seconds and the
+metric directions).
 """
 
 from __future__ import annotations
@@ -70,15 +72,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"exit_code": done.returncode, "result": result}
 
 
-def summarize(parent: list[dict], change: list[dict]) -> None:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def failed(run: dict) -> bool:
+    return run["exit_code"] != 0 or run["result"] is None
+
+
+def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
+    """Prints the comparison; returns the number of failed runs on both sides."""
     higher = {m["name"] for m in spec["end_to_end"] if m["better"] == "higher"}
+    n_failed = 0
     for workload in dict.fromkeys(r["workload"] for r in parent):
-        pairs = [
-            (p, c) for p, c in zip(parent, change)
-            if p["workload"] == workload and p["result"] and c["result"]
-        ]
-        print(f"{workload}: {len(pairs)} pairs")
+        runs = [(p, c) for p, c in zip(parent, change) if p["workload"] == workload]
+        fails = [sum(failed(pair[i]) for pair in runs) for i in (0, 1)]
+        n_failed += sum(fails)
+        pairs = [(p, c) for p, c in runs if not failed(p) and not failed(c)]
+        print(
+            f"{workload}: {len(pairs)} of {len(runs)} pairs;"
+            f" failed runs: parent {fails[0]}, change {fails[1]}"
+        )
         for metric in pairs[0][0]["result"]["metrics"] if pairs else ():
             a = np.array([p["result"]["metrics"][metric]["value"] for p, _ in pairs])
             b = np.array([c["result"]["metrics"][metric]["value"] for _, c in pairs])
@@ -89,6 +99,7 @@ def summarize(parent: list[dict], change: list[dict]) -> None:
                 f"  change {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]"
                 f"  change/parent {qb[1] / qa[1]:.3f}  change better in {wins}/{len(pairs)}"
             )
+    return n_failed
 
 
 def main() -> int:
@@ -98,9 +109,10 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--tag", required=True, help="names the output files BENCH_<tag>*.json")
     ap.add_argument("--seeds", type=seed_range, required=True, help="benchmark seeds, LO-HI")
-    ap.add_argument("--workloads", default="seed_study", help="comma-separated workload names")
-    ap.add_argument("--seconds", type=float, default=36.0)
     args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
 
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -108,10 +120,10 @@ def main() -> int:
         commit = export_tree(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for i, seed in enumerate(args.seeds):
-            for workload in args.workloads.split(","):
+            for workload in workloads:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     entry = {"workload": workload, "seed": seed, "order": position}
                     runs[side].append({**entry, **run})
                     print(f"{workload} seed {seed} {side}: exit {run['exit_code']}", flush=True)
@@ -125,10 +137,9 @@ def main() -> int:
     }
     names = {"parent": f"BENCH_{args.tag}_parent.json", "change": f"BENCH_{args.tag}.json"}
     for side, name in names.items():
-        doc = {"side": side, **sources[side], "seconds": args.seconds, "runs": runs[side]}
+        doc = {"side": side, **sources[side], "seconds": seconds, "runs": runs[side]}
         (ROOT / name).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    summarize(runs["parent"], runs["change"])
-    return 0
+    return 1 if summarize(spec, runs["parent"], runs["change"]) else 0
 
 
 if __name__ == "__main__":

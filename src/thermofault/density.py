@@ -131,8 +131,11 @@ def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: flo
 class _SortedSamples(np.ndarray):
     """A read-only float64 vector that _sorted_finite has sorted and checked.
 
-    feature_vector passes one to silverman_bandwidth and KdeEstimator, so a
-    region is sorted and checked once; both unwrap it before any arithmetic.
+    feature_vector makes one as a view at each of its calls to
+    silverman_bandwidth and KdeEstimator, so a region is sorted and checked
+    once; both unwrap it before any arithmetic. numpy keeps the subclass on
+    slices and ufunc results (x[::-1], -x, x + c), which are neither sorted
+    nor checked: never pass an array derived from one to _sorted_finite.
     """
 
 
@@ -190,9 +193,14 @@ def kde_values(est: KdeEstimator, points) -> np.ndarray:
         t /= h
         np.square(t, out=t)
         t *= -0.5
-        zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
-        np.exp(t, out=t, where=~zero)
-        np.copyto(t, 0.0, where=zero)
+        # x is sorted, so each row's most negative term is in its first or last
+        # column; a block with no term below EXP_UNDERFLOW skips the mask passes
+        if np.minimum(t[:, 0], t[:, -1]).min() < EXP_UNDERFLOW:
+            zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
+            np.exp(t, out=t, where=~zero)
+            np.copyto(t, 0.0, where=zero)
+        else:
+            np.exp(t, out=t)
         k[idx] = t.sum(axis=1) / SQRT_2PI
     return k / (est.n_samples * h)
 
@@ -306,16 +314,16 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     bandwidth may be a positive float or "auto" (Silverman's rule; a lone
     sample falls back to the floor value).
     """
-    x = _sorted_finite(samples, "samples").view(_SortedSamples)
+    x = _sorted_finite(samples, "samples")
     if x.size == 0:
         raise ValueError("feature extraction requires at least one sample")
     if bandwidth == "auto":
-        w = silverman_bandwidth(x) if x.size >= 2 else BANDWIDTH_FLOOR
+        w = silverman_bandwidth(x.view(_SortedSamples)) if x.size >= 2 else BANDWIDTH_FLOOR
     else:
         w = float(bandwidth)
         if w <= 0:
             raise ValueError("bandwidth must be positive")
-    est = KdeEstimator(x, w)
+    est = KdeEstimator(x.view(_SortedSamples), w)
     raw = kde_values(est, grid.points())
     mass = float(raw.sum() * grid.step)
     if mass <= 0.0:

@@ -193,14 +193,9 @@ def kde_values(est: KdeEstimator, points) -> np.ndarray:
         t /= h
         np.square(t, out=t)
         t *= -0.5
-        # x is sorted, so each row's most negative term is in its first or last
-        # column; a block with no term below EXP_UNDERFLOW skips the mask passes
-        if np.minimum(t[:, 0], t[:, -1]).min() < EXP_UNDERFLOW:
-            zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
-            np.exp(t, out=t, where=~zero)
-            np.copyto(t, 0.0, where=zero)
-        else:
-            np.exp(t, out=t)
+        zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
+        np.exp(t, out=t, where=~zero)
+        np.copyto(t, 0.0, where=zero)
         k[idx] = t.sum(axis=1) / SQRT_2PI
     return k / (est.n_samples * h)
 

@@ -218,21 +218,23 @@ def cmd_classify(args) -> int:
             f" with {source} are {vectors.shape[1]} wide"
         )
     post = posterior(vectors, model)
+    class_dicts = [c.to_dict() for c in post.classes]
+    predicted_dicts = dict(zip(post.classes, class_dicts))
     lines = [
         json.dumps(
             {
                 **RegionAnnotation.from_dict(rec).to_dict(),
                 "split": rec["split"],
-                "predicted": predicted.to_dict(),
+                "predicted": predicted_dicts[predicted],
                 "posterior": [
-                    {**c.to_dict(), "distance": float(d), "prob": float(p)}
-                    for c, d, p in zip(post.classes, distances, probs)
+                    {**c, "distance": d, "prob": p}
+                    for c, d, p in zip(class_dicts, distances, probs)
                 ],
             },
             sort_keys=True,
         )
         for rec, predicted, distances, probs in zip(
-            records, post.predicted, post.distances, post.probs
+            records, post.predicted, post.distances.tolist(), post.probs.tolist()
         )
     ]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .taxonomy import read_scalar
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
 # exp(-u*u/2) is exactly 0.0 in float64 once |u| > 38.6, so a query point
@@ -265,9 +267,13 @@ class FeatureGrid:
         return {"t_lo": self.t_lo, "t_hi": self.t_hi, "n_points": self.n_points}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FeatureGrid":
+    def from_dict(cls, d: dict, what: str = "grid") -> "FeatureGrid":
         """Reads only the three grid keys, so a flat feature dict parses too."""
-        return cls(float(d["t_lo"]), float(d["t_hi"]), int(d["n_points"]))
+        return cls(
+            read_scalar(d, "t_lo", float, what),
+            read_scalar(d, "t_hi", float, what),
+            read_scalar(d, "n_points", int, what),
+        )
 
 
 DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
@@ -293,14 +299,15 @@ class PdfFeature:
     def to_dict(self) -> dict:
         return {
             **self.grid.to_dict(),
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
             "bandwidth": self.bandwidth,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PdfFeature":
         values = np.asarray(d["values"], dtype=np.float64)
-        return cls(grid=FeatureGrid.from_dict(d), values=values, bandwidth=float(d["bandwidth"]))
+        bandwidth = read_scalar(d, "bandwidth", float, "feature")
+        return cls(grid=FeatureGrid.from_dict(d, "feature"), values=values, bandwidth=bandwidth)
 
 
 def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") -> PdfFeature:

@@ -10,11 +10,11 @@ they can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .taxonomy import SubcategoryId, check_keys
+from .taxonomy import SubcategoryId, check_keys, read_scalar
 
 KIND_IDENTITY = "identity"
 KIND_MLP = "mlp"
@@ -130,7 +130,23 @@ def _episode_arrays(ep: Episode):
     ys = np.array([index[c] for c, _ in ep.support])
     xq = np.stack([np.asarray(v, dtype=np.float64).reshape(-1) for _, v in ep.query])
     yq = np.array([index[c] for c, _ in ep.query])
-    return classes, xs, ys, xq, yq
+    return xs, ys, xq, yq
+
+
+class _Labels(NamedTuple):
+    """Class indices of an episode's support and query rows, and the arrays
+    the loss derives from them alone; training builds them once."""
+
+    ys: np.ndarray
+    yq: np.ndarray
+    counts: np.ndarray  # support rows per class, float64
+    query_rows: np.ndarray  # arange(len(yq))
+    ys_counts: np.ndarray  # counts[ys] as a column
+
+
+def _labels(ys: np.ndarray, yq: np.ndarray) -> _Labels:
+    counts = np.bincount(ys, minlength=int(ys.max()) + 1).astype(np.float64)
+    return _Labels(ys, yq, counts, np.arange(yq.shape[0]), counts[ys][:, None])
 
 
 def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
@@ -142,8 +158,15 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
     """
     if not ep.query:
         raise ValueError("episode has no query points")
-    _, xs, ys, xq, yq = _episode_arrays(ep)
-    n_classes = int(ys.max()) + 1
+    xs, ys, xq, yq = _episode_arrays(ep)
+    return _proto_loss(e, xs, xq, _labels(ys, yq))
+
+
+def _proto_loss(
+    e: Embedder, xs: np.ndarray, xq: np.ndarray, lab: _Labels
+) -> tuple[float, dict[str, np.ndarray]]:
+    """proto_loss of support rows xs and query rows xq, labelled by lab."""
+    n_classes = lab.counts.shape[0]
     n_query = xq.shape[0]
 
     if e.kind == KIND_IDENTITY:
@@ -156,10 +179,9 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
         hq = np.tanh(a_q)
         eq = hq @ e.W2.T + e.b2
 
-    counts = np.bincount(ys, minlength=n_classes).astype(np.float64)
     protos = np.zeros((n_classes, es.shape[1]))
-    np.add.at(protos, ys, es)
-    protos /= counts[:, None]
+    np.add.at(protos, lab.ys, es)
+    protos /= lab.counts[:, None]
 
     diff = eq[:, None, :] - protos[None, :, :]
     dist = np.sqrt(np.square(diff).sum(axis=2))
@@ -167,19 +189,19 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
     z_shift = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
     log_probs = z_shift - log_norm
-    loss = float(-log_probs[np.arange(n_query), yq].mean())
+    loss = float(-log_probs[lab.query_rows, lab.yq].mean())
 
     if e.kind == KIND_IDENTITY:
         return loss, {}
 
     g_z = np.exp(log_probs)
-    g_z[np.arange(n_query), yq] -= 1.0
+    g_z[lab.query_rows, lab.yq] -= 1.0
     g_z /= n_query
     g_dist = -g_z
     g_diff = (g_dist / np.maximum(dist, _GRAD_EPS))[:, :, None] * diff
     g_eq = g_diff.sum(axis=1)
     g_protos = -g_diff.sum(axis=0)
-    g_es = g_protos[ys] / counts[ys][:, None]
+    g_es = g_protos[lab.ys] / lab.ys_counts
 
     g_out = np.concatenate([g_es, g_eq], axis=0)
     h_all = np.concatenate([hs, hq], axis=0)
@@ -219,7 +241,8 @@ class TrainConfig:
         check_keys(d, ["kind", *defaults], "mlp embedder config")
         if d.get("kind") != KIND_MLP:
             raise ValueError(f"not an mlp embedder config: kind {d.get('kind')!r}")
-        return cls(**{k: type(v)(d[k]) for k, v in defaults.items() if k in d})
+        what = "mlp embedder config"
+        return cls(**{k: read_scalar(d, k, type(v), what) for k, v in defaults.items() if k in d})
 
 
 @dataclass(frozen=True)
@@ -241,7 +264,9 @@ def train_embedder(
     buckets: dict[SubcategoryId, list[np.ndarray]] = {}
     for subcat, vec in labeled:
         buckets.setdefault(subcat, []).append(np.asarray(vec, dtype=np.float64).reshape(-1))
-    rich = [c for c, vs in buckets.items() if len(vs) >= 2]
+    classes = sorted(buckets)
+    sizes = [len(buckets[c]) for c in classes]
+    rich = [k for k, n in enumerate(sizes) if n >= 2]
     if len(rich) < 2:
         raise ValueError("training needs at least 2 classes with 2+ labeled vectors each")
     dims = {v.size for vs in buckets.values() for v in vs}
@@ -251,19 +276,20 @@ def train_embedder(
 
     e = init_mlp(in_dim, cfg.hidden, cfg.out_dim, seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    classes = sorted(buckets)
+    # Every episode's support row k is a vector of class k, and its query
+    # rows are one vector of each class in rich: only the rows drawn change.
+    vectors = np.stack([v for c in classes for v in buckets[c]])
+    starts = np.cumsum([0, *sizes[:-1]])
+    lab = _labels(np.arange(len(classes)), np.array(rich))
+    support = starts.copy()  # a class with one vector always supports with it
+    query = np.empty(len(rich), dtype=np.intp)
     losses = []
     for _ in range(cfg.episodes):
-        support, query = [], []
-        for c in classes:
-            vs = buckets[c]
-            if len(vs) >= 2:
-                i, j = rng.permutation(len(vs))[:2]
-                support.append((c, vs[i]))
-                query.append((c, vs[j]))
-            else:
-                support.append((c, vs[0]))
-        loss, grads = proto_loss(e, Episode(support=tuple(support), query=tuple(query)))
+        for q, k in enumerate(rich):
+            i, j = rng.permutation(sizes[k])[:2]
+            support[k] = starts[k] + i
+            query[q] = starts[k] + j
+        loss, grads = _proto_loss(e, vectors[support], vectors[query], lab)
         for name, g in grads.items():
             setattr(e, name, getattr(e, name) - cfg.lr * g)
         losses.append(loss)
@@ -277,10 +303,10 @@ def embedder_to_dict(e: Embedder) -> dict:
     return {
         "kind": KIND_MLP,
         "dims": [g, h, d],
-        "W1": [[float(v) for v in row] for row in e.W1],
-        "b1": [float(v) for v in e.b1],
-        "W2": [[float(v) for v in row] for row in e.W2],
-        "b2": [float(v) for v in e.b2],
+        "W1": e.W1.tolist(),
+        "b1": e.b1.tolist(),
+        "W2": e.W2.tolist(),
+        "b2": e.b2.tolist(),
     }
 
 

@@ -31,7 +31,14 @@ from .embedding import (
 from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
-from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys
+from .taxonomy import (
+    EQUIPMENT_TYPES,
+    EquipmentType,
+    Status,
+    SubcategoryId,
+    check_keys,
+    read_scalar,
+)
 
 MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
@@ -92,7 +99,9 @@ class ExperimentConfig:
         scalars = ("alpha", "refine_iters", "seed", "repeats")
         check_keys(d, ("data", "grid", "bandwidth", "embedder", *scalars), "experiment config")
         data = check_keys(d.get("data", {}), ("synth", "manifest"), "experiment data")
-        kwargs = {k: type(defaults[k])(d[k]) for k in scalars if k in d}
+        kwargs = {
+            k: read_scalar(d, k, type(defaults[k]), "experiment config") for k in scalars if k in d
+        }
         if "synth" in data:
             kwargs["synth"] = SynthConfig.from_dict(data["synth"])
         if "manifest" in data:
@@ -100,10 +109,10 @@ class ExperimentConfig:
         if "grid" in d:
             grid_keys = [f.name for f in dataclasses.fields(FeatureGrid)]
             kwargs["grid"] = FeatureGrid.from_dict(
-                check_keys(d["grid"], grid_keys, "experiment grid", grid_keys)
+                check_keys(d["grid"], grid_keys, "experiment grid", grid_keys), "experiment grid"
             )
         if d.get("bandwidth", "auto") != "auto":
-            kwargs["bandwidth"] = float(d["bandwidth"])
+            kwargs["bandwidth"] = read_scalar(d, "bandwidth", float, "experiment config")
         embedder = d.get("embedder", {"kind": KIND_IDENTITY})
         if embedder != {"kind": KIND_IDENTITY}:
             kwargs["embedder"] = TrainConfig.from_dict(embedder)

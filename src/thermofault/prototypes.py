@@ -202,8 +202,8 @@ def model_to_dict(model: PrototypeModel) -> dict:
         "alpha": model.alpha,
         "feature_dim": model.feature_dim,
         "classes": [c.to_dict() for c in model.classes],
-        "centers_labeled": [[float(v) for v in row] for row in model.centers_labeled],
-        "centers_refined": [[float(v) for v in row] for row in model.centers_refined],
+        "centers_labeled": model.centers_labeled.tolist(),
+        "centers_refined": model.centers_refined.tolist(),
     }
 
 

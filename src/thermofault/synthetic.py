@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .images import DatasetManifest, RegionAnnotation, ThermalImage, save_manifest, save_thermal
-from .taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId, check_keys
+from .taxonomy import (
+    SUBCATEGORIES,
+    EquipmentType,
+    Status,
+    SubcategoryId,
+    check_keys,
+    read_scalar,
+)
 
 SPLIT_NAMES = ("labeled", "unlabeled", "test")
 
@@ -50,11 +57,11 @@ class RegionTempModel:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegionTempModel":
+    def from_dict(cls, d: dict, what: str = "temperature model") -> "RegionTempModel":
         fields = dataclasses.fields(cls)
         required = [f.name for f in fields if f.default is dataclasses.MISSING]
-        check_keys(d, [f.name for f in fields], "temperature model", required)
-        return cls(**{k: float(v) for k, v in d.items()})
+        check_keys(d, [f.name for f in fields], what, required)
+        return cls(**{k: read_scalar(d, k, float, what) for k in d})
 
 
 @dataclass(frozen=True)
@@ -130,14 +137,20 @@ class SynthConfig:
             etype = EquipmentType(type_name)
             check_keys(by_status, status_names, f"synth models[{type_name!r}]")
             for status_name, model in by_status.items():
-                models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(model)
+                where = f"synth models[{type_name!r}][{status_name!r}]"
+                models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(
+                    model, where
+                )
         counts = check_keys(d["counts"], SPLIT_NAMES, "synth counts")
         background = check_keys(d.get("background", {}), ("mean", "std"), "synth background")
         return cls(
             models=models,
-            counts={k: int(v) for k, v in counts.items()},
-            **{k: int(d[k]) for k in sizes if k in d},
-            **{f"background_{k}": float(v) for k, v in background.items()},
+            counts={k: read_scalar(counts, k, int, "synth counts") for k in counts},
+            **{k: read_scalar(d, k, int, "synth config") for k in sizes if k in d},
+            **{
+                f"background_{k}": read_scalar(background, k, float, "synth background")
+                for k in background
+            },
         )
 
 

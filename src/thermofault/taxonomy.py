@@ -100,3 +100,14 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
             f" expected: {', '.join(allowed)}"
         )
     return d
+
+
+def read_scalar(d: dict, key: str, kind: type, what: str):
+    """kind(d[key]) for kind int or float. A value kind() cannot convert (a
+    list, an object, null, a non-numeric string, an infinity read as an
+    integer) is a ValueError naming the key, so the CLI exits 1 on it."""
+    try:
+        return kind(d[key])
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} {key!r} must be {noun}, got {d[key]!r}") from None

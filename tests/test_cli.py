@@ -483,6 +483,36 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("eval", {"alpha": [0.5]}, "experiment config 'alpha' must be a number, got [0.5]"),
+        (
+            "eval",
+            {"embedder": {"kind": "mlp", "hidden": [8]}},
+            "mlp embedder config 'hidden' must be an integer, got [8]",
+        ),
+        (
+            "synth",
+            {"counts": {"labeled": [1], "unlabeled": 1, "test": 1}},
+            "synth counts 'labeled' must be an integer, got [1]",
+        ),
+    ],
+)
+def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):
+    synth = default_synth_config().to_dict()
+    if command == "eval":
+        doc = {**ExperimentConfig(synth=default_synth_config()).to_dict(), **override}
+        argv = ["--mode", "weak"]
+    else:
+        doc, argv = {**synth, **override}, []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(command, "--config", cfg_path, "--out", tmp_path / "o", *argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_sweep_requires_values(tmp_path, capsys):
     code = run_cli("eval", "--out", tmp_path / "r", "--sweep", "alpha")
     assert code == EXIT_VALIDATION

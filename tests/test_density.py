@@ -469,6 +469,17 @@ def test_feature_grid_dict_round_trip():
     assert FeatureGrid.from_dict(feat.to_dict()) == grid
 
 
+def test_feature_grid_scalar_of_the_wrong_json_type_names_its_key():
+    good = {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
+    for key, bad in [("t_lo", [0.0]), ("t_hi", None), ("n_points", {}), ("n_points", float("inf"))]:
+        with pytest.raises(ValueError, match=f"grid '{key}' must be"):
+            FeatureGrid.from_dict({**good, key: bad})
+    doc = feature_vector([10.0, 30.0, 31.0], FeatureGrid(**good), bandwidth=2.0).to_dict()
+    with pytest.raises(ValueError, match="feature 'bandwidth' must be a number"):
+        PdfFeature.from_dict({**doc, "bandwidth": [2.0]})
+    assert FeatureGrid.from_dict({**good, "n_points": 16.0, "t_lo": "-20"}) == FeatureGrid(**good)
+
+
 def test_default_grid():
     assert DEFAULT_GRID == FeatureGrid(-20.0, 120.0, 128)
 

@@ -257,6 +257,57 @@ def test_train_rejects_insufficient_data():
         train_embedder([(A, np.zeros(4)), (B, np.ones(4))], cfg, seed=0)  # singletons
 
 
+def per_episode_training(labeled, cfg, seed):
+    """The training loop written out per episode: an Episode of (class,
+    vector) pairs built and checked every step, then proto_loss."""
+    buckets = {}
+    for c, v in labeled:
+        buckets.setdefault(c, []).append(np.asarray(v, dtype=np.float64))
+    e = init_mlp(len(labeled[0][1]), cfg.hidden, cfg.out_dim, seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    losses = []
+    for _ in range(cfg.episodes):
+        support, query = [], []
+        for c in sorted(buckets):
+            vs = buckets[c]
+            if len(vs) >= 2:
+                i, j = rng.permutation(len(vs))[:2]
+                support.append((c, vs[i]))
+                query.append((c, vs[j]))
+            else:
+                support.append((c, vs[0]))
+        loss, grads = proto_loss(e, Episode(support=tuple(support), query=tuple(query)))
+        for name, g in grads.items():
+            setattr(e, name, getattr(e, name) - cfg.lr * g)
+        losses.append(loss)
+    return e, np.asarray(losses, dtype=np.float64)
+
+
+@pytest.mark.parametrize(
+    "seed, sizes, g, hidden, out_dim",
+    [
+        (0, [2, 2], 3, 4, 2),
+        (1, [15] * 10, 128, 32, 16),  # the default synthetic labeled split's shape
+        (2, [1, 3, 5, 2, 1], 7, 5, 3),  # two classes only ever in the support
+        (3, [4, 1, 9], 16, 8, 8),
+        (4, [3, 2, 6, 1, 2, 8, 1], 1, 3, 1),
+    ],
+)
+def test_train_embedder_bit_equals_per_episode_loop(seed, sizes, g, hidden, out_dim):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    classes = [SUBCATEGORIES[int(i)] for i in rng.permutation(len(SUBCATEGORIES))]
+    labeled = [
+        (classes[k], rng.normal(k, 1.0, size=g)) for k, n in enumerate(sizes) for _ in range(n)
+    ]
+    labeled = [labeled[i] for i in rng.permutation(len(labeled))]  # unsorted, interleaved
+    cfg = TrainConfig(hidden=hidden, out_dim=out_dim, episodes=30, lr=0.1)
+    result = train_embedder(labeled, cfg, seed=seed)
+    ref, ref_losses = per_episode_training(labeled, cfg, seed)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(result.embedder, name).tobytes() == getattr(ref, name).tobytes()
+    assert result.losses.tobytes() == ref_losses.tobytes()
+
+
 # ------------------------------------------------------------ serialization
 
 def test_serialization_round_trip():

@@ -161,6 +161,36 @@ def test_region_temp_model_dict_round_trip():
         RegionTempModel.from_dict(doc)
 
 
+def test_region_temp_model_scalar_of_the_wrong_json_type_names_its_path():
+    doc = default_synth_config().to_dict()
+    doc["models"]["arrester"]["fault"]["hotspot_std"] = [1.0]
+    with pytest.raises(
+        ValueError, match=r"synth models\['arrester'\]\['fault'\] 'hotspot_std' must be a number"
+    ):
+        SynthConfig.from_dict(doc)
+    model = default_models()[SUBCATEGORIES[0]].to_dict()
+    with pytest.raises(ValueError, match="temperature model 'ambient_mean' must be a number"):
+        RegionTempModel.from_dict({**model, "ambient_mean": None})
+    assert RegionTempModel.from_dict({**model, "ambient_mean": "7"}).ambient_mean == 7.0
+
+
+def test_synth_config_scalar_of_the_wrong_json_type_names_its_key():
+    cfg = default_synth_config()
+    for where, key, bad in [
+        ("counts", "labeled", [1]), ((), "image_width", None), ((), "seed", "one"),
+        ("background", "std", {}), ((), "seed", float("inf")),
+    ]:
+        doc = cfg.to_dict()
+        target = doc[where] if where else doc
+        target[key] = bad
+        with pytest.raises(ValueError, match=f"synth {where or 'config'} '{key}' must be"):
+            SynthConfig.from_dict(doc)
+    doc = cfg.to_dict()
+    doc["counts"]["test"], doc["seed"] = 4.0, "9"
+    back = SynthConfig.from_dict(doc)
+    assert (back.counts["test"], back.seed) == (4, 9)
+
+
 @pytest.mark.parametrize(
     "where", [(), ("background",), ("counts",), ("models", "arrester", "fault")]
 )

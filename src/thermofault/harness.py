@@ -105,7 +105,7 @@ class ExperimentConfig:
         if "synth" in data:
             kwargs["synth"] = SynthConfig.from_dict(data["synth"])
         if "manifest" in data:
-            kwargs["manifest_path"] = data["manifest"]
+            kwargs["manifest_path"] = read_scalar(data, "manifest", str, "experiment data")
         if "grid" in d:
             grid_keys = [f.name for f in dataclasses.fields(FeatureGrid)]
             kwargs["grid"] = FeatureGrid.from_dict(

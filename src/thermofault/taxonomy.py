@@ -102,12 +102,19 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
     return d
 
 
+
+_SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string"}
+
+
 def read_scalar(d: dict, key: str, kind: type, what: str):
-    """kind(d[key]) for kind int or float. A value kind() cannot convert (a
-    list, an object, null, a non-numeric string, an infinity read as an
-    integer) is a ValueError naming the key, so the CLI exits 1 on it."""
+    """d[key] as kind: int(d[key]) or float(d[key]), or d[key] itself if it
+    is a string for kind str. A value it cannot read that way (a list, an
+    object, null, a non-numeric string, an infinity read as an integer) is
+    a ValueError naming the key, so the CLI exits 1 on it."""
+    value = d[key]
     try:
-        return kind(d[key])
+        if kind is not str or isinstance(value, str):
+            return kind(value)
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{what} {key!r} must be {noun}, got {d[key]!r}") from None
+        pass
+    raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {value!r}")

@@ -500,12 +500,12 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
     ],
 )
 def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):
-    synth = default_synth_config().to_dict()
     if command == "eval":
-        doc = {**ExperimentConfig(synth=default_synth_config()).to_dict(), **override}
+        doc = ExperimentConfig(synth=default_synth_config()).to_dict()
         argv = ["--mode", "weak"]
     else:
-        doc, argv = {**synth, **override}, []
+        doc, argv = default_synth_config().to_dict(), []
+    doc.update(override)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli(command, "--config", cfg_path, "--out", tmp_path / "o", *argv) == EXIT_VALIDATION

@@ -121,6 +121,9 @@ def test_config_scalar_of_the_wrong_json_type_names_its_key():
     ]:
         with pytest.raises(ValueError, match=f"experiment config '{key}' must be"):
             ExperimentConfig.from_dict({**base, key: bad})
+    for bad in (["m.json"], 5, None):
+        with pytest.raises(ValueError, match="experiment data 'manifest' must be a string"):
+            ExperimentConfig.from_dict({"data": {"manifest": bad}})
     grid = {"t_lo": 0.0, "t_hi": [1.0], "n_points": 8}
     with pytest.raises(ValueError, match="experiment grid 't_hi' must be a number"):
         ExperimentConfig.from_dict({**base, "grid": grid})

@@ -31,14 +31,7 @@ from .embedding import (
 from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
-from .taxonomy import (
-    EQUIPMENT_TYPES,
-    EquipmentType,
-    Status,
-    SubcategoryId,
-    check_keys,
-    read_scalar,
-)
+from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
 
 MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"

@@ -16,14 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .images import DatasetManifest, RegionAnnotation, ThermalImage, save_manifest, save_thermal
-from .taxonomy import (
-    SUBCATEGORIES,
-    EquipmentType,
-    Status,
-    SubcategoryId,
-    check_keys,
-    read_scalar,
-)
+from .taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
 
 SPLIT_NAMES = ("labeled", "unlabeled", "test")
 

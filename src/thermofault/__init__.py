@@ -25,11 +25,9 @@ from .embedding import (
     Episode,
     TrainConfig,
     TrainResult,
-    embed,
     embed_many,
     embedder_from_dict,
     embedder_to_dict,
-    identity_embedder,
     init_mlp,
     proto_loss,
     train_embedder,
@@ -41,7 +39,6 @@ from .harness import (
     compare,
     compare_table,
     config_hash,
-    replicate,
     report_table,
     report_to_dict,
     run_both,

@@ -15,18 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
-from .embedding import (
-    KIND_IDENTITY,
-    KIND_MLP,
-    TrainConfig,
-    embed_many,
-    embedder_from_dict,
-    embedder_to_dict,
-    identity_embedder,
-)
+from .embedding import KIND_MLP, TrainConfig, embed_many, embedder_from_dict, embedder_to_dict
 from .harness import (
     MODE_SUPERVISED,
     MODE_WEAK,
+    NO_EMBEDDER_KIND,
     SPLITS,
     SWEEP_PARAMS,
     ExperimentConfig,
@@ -35,7 +28,6 @@ from .harness import (
     extract_features,
     fit_embedder,
     fit_model,
-    replicate,
     report_table,
     report_to_dict,
     run_both,
@@ -46,6 +38,7 @@ from .harness import (
 from .images import InputFormatError, ManifestError, RegionAnnotation
 from .prototypes import model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
+from .taxonomy import check_keys
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -133,9 +126,12 @@ def cmd_extract(args) -> int:
 
 def _load_records(path: Path) -> list[dict]:
     payload = _read_json(path)
-    if not isinstance(payload, dict) or "records" not in payload:
-        raise ValueError(f"{path}: not a feature file (missing 'records')")
-    return payload["records"]
+    records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
+    if not isinstance(records, list):
+        raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
+    for rec in records:
+        check_keys(rec, rec, f"feature file {path}: record", ("split", "feature"))
+    return records
 
 
 def _grid_text(grid: FeatureGrid) -> str:
@@ -177,20 +173,14 @@ def cmd_train(args) -> int:
     if not labeled:
         raise ValueError("no labeled records in the feature file")
 
-    train_cfg = TrainConfig(**mlp_flags) if args.embedder == KIND_MLP else None
-    emb = fit_embedder(labeled, train_cfg, args.seed)
-    if train_cfg is not None:
+    if args.embedder == KIND_MLP:
+        emb = fit_embedder(labeled, TrainConfig(**mlp_flags), args.seed)
         embedder_path = Path(str(args.out) + ".embedder.json")
         _write_json(embedder_path, embedder_to_dict(emb))
         print(f"wrote embedder to {embedder_path}")
-    lab = embed_many(emb, [v for _, v in labeled])
-    model = fit_model(
-        list(zip((c for c, _ in labeled), lab)),
-        embed_many(emb, unlabeled),
-        args.mode,
-        args.alpha,
-        args.refine_iters,
-    )
+        labeled = list(zip((c for c, _ in labeled), embed_many(emb, [v for _, v in labeled])))
+        unlabeled = embed_many(emb, unlabeled)
+    model = fit_model(labeled, unlabeled, args.mode, args.alpha, args.refine_iters)
     _write_json(Path(args.out), model_to_dict(model))
     print(
         f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
@@ -203,13 +193,12 @@ def cmd_classify(args) -> int:
     model = model_from_dict(_read_json(Path(args.model)))
     records = _load_records(Path(args.features))
     features = _record_features(records)
-    emb = identity_embedder()
+    vectors = np.asarray([f.values for f in features], dtype=np.float64)
     if args.embedder_file is not None:
-        emb = embedder_from_dict(_read_json(Path(args.embedder_file)))
+        vectors = embed_many(embedder_from_dict(_read_json(Path(args.embedder_file))), vectors)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    vectors = embed_many(emb, [f.values for f in features])
-    if not records:  # the identity embedder cannot know the width of no rows
+    if not records:  # no rows have no width to check
         vectors = vectors.reshape(0, model.feature_dim)
     if vectors.shape[1] != model.feature_dim:
         source = f"embedder {args.embedder_file}" if args.embedder_file else "no --embedder-file"
@@ -256,10 +245,8 @@ def cmd_eval(args) -> int:
     if (args.sweep is None) != (args.values is None):
         raise ValueError("--sweep and --values must be given together")
     cfg = _eval_config(args)
-    if cfg.repeats > 1 and (args.sweep is not None or args.mode == "both"):
-        raise ValueError(
-            f"--repeats {cfg.repeats} (flag or config) needs --mode supervised or weak, no --sweep"
-        )
+    if cfg.repeats > 1 and args.sweep is not None:
+        raise ValueError(f"--repeats {cfg.repeats} (flag or config) does not combine with --sweep")
     out_dir = Path(args.out)
 
     def emit(name: str, report) -> None:
@@ -277,31 +264,34 @@ def cmd_eval(args) -> int:
         print(table)
         return EXIT_OK
 
-    if args.mode == "both":
-        sup, weak = run_both(cfg)
-        emit("report_supervised", sup)
-        emit("report_weak", weak)
-        deltas = compare(sup, weak)
-        table = compare_table(deltas)
-        _write_text(out_dir / "compare.txt", table)
-        print(report_table(sup))
-        print(report_table(weak))
-        print(table)
-        return EXIT_OK
-
-    if cfg.repeats > 1:
-        reports = replicate(cfg, args.mode)
+    runs = [  # per seed, the supervised and weak reports, or the one mode's report
+        run_both(c) if args.mode == "both" else (run_experiment(c, args.mode),)
+        for c in (dataclasses.replace(cfg, seed=cfg.seed + r) for r in range(cfg.repeats))
+    ]
+    for reports in runs:
         for rep in reports:
-            emit(f"report_{args.mode}_seed{rep.seed}", rep)
-        mean = float(np.mean([r.overall.acc_average for r in reports]))
-        summary = f"mean overall accuracy over {len(reports)} seeds: {mean:.3f}"
-        _write_text(out_dir / f"summary_{args.mode}.txt", summary)
-        print(summary)
+            emit(f"report_{rep.mode}" + (f"_seed{rep.seed}" if cfg.repeats > 1 else ""), rep)
+
+    if cfg.repeats == 1:
+        tables = [report_table(rep) for rep in runs[0]]
+        if args.mode == "both":
+            tables.append(compare_table(compare(*runs[0])))
+            _write_text(out_dir / "compare.txt", tables[-1])
+        print("\n".join(tables))
         return EXIT_OK
 
-    report = run_experiment(cfg, args.mode)
-    emit(f"report_{args.mode}", report)
-    print(report_table(report))
+    accs = [np.array([rep.overall.acc_average for rep in col]) for col in zip(*runs)]
+    if args.mode == "both":
+        sup, weak = accs
+        summary = (
+            f"mean supervised {sup.mean():.4f}  mean weak {weak.mean():.4f}"
+            f"  mean delta {weak.mean() - sup.mean():+.4f}"
+            f"  weak >= supervised in {int((weak >= sup).sum())}/{len(runs)} seeds"
+        )
+    else:
+        summary = f"mean overall accuracy over {len(runs)} seeds: {accs[0].mean():.3f}"
+    _write_text(out_dir / f"summary_{args.mode}.txt", summary)
+    print(summary)
     return EXIT_OK
 
 
@@ -330,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_train.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK], default=MODE_WEAK)
     p_train.add_argument("--refine-iters", type=int, default=ExperimentConfig.refine_iters)
-    p_train.add_argument("--embedder", choices=[KIND_IDENTITY, KIND_MLP], default=KIND_IDENTITY)
+    p_train.add_argument(
+        "--embedder", choices=[NO_EMBEDDER_KIND, KIND_MLP], default=NO_EMBEDDER_KIND
+    )
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--out-dim", type=int)
     p_train.add_argument("--episodes", type=int)

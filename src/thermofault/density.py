@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import read_scalar
+from .taxonomy import check_keys, read_array, read_scalar
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
@@ -305,7 +305,8 @@ class PdfFeature:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PdfFeature":
-        values = np.asarray(d["values"], dtype=np.float64)
+        keys = ("t_lo", "t_hi", "n_points", "values", "bandwidth")
+        values = read_array(check_keys(d, keys, "feature", keys), "values", "feature")
         bandwidth = read_scalar(d, "bandwidth", float, "feature")
         return cls(grid=FeatureGrid.from_dict(d, "feature"), values=values, bandwidth=bandwidth)
 

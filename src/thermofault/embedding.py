@@ -1,4 +1,4 @@
-"""Optional feature embedding: identity (default) or a small tanh MLP.
+"""Optional feature embedding: a small tanh MLP.
 
 The MLP is trained episodically: each episode draws one support and one
 query vector per class, builds prototypes from the embedded supports, and
@@ -14,9 +14,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .taxonomy import SubcategoryId, check_keys, read_scalar
+from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
 
-KIND_IDENTITY = "identity"
 KIND_MLP = "mlp"
 
 _GRAD_EPS = 1e-12
@@ -24,26 +23,16 @@ _GRAD_EPS = 1e-12
 
 @dataclass
 class Embedder:
-    """Identity pass-through or one-hidden-layer tanh MLP with linear output."""
+    """One-hidden-layer tanh MLP with linear output."""
 
-    kind: str
-    W1: np.ndarray | None = None
-    b1: np.ndarray | None = None
-    W2: np.ndarray | None = None
-    b2: np.ndarray | None = None
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self):
-        if self.kind == KIND_IDENTITY:
-            if any(p is not None for p in (self.W1, self.b1, self.W2, self.b2)):
-                raise ValueError("identity embedder takes no parameters")
-            return
-        if self.kind != KIND_MLP:
-            raise ValueError(f"unknown embedder kind {self.kind!r}")
         for name in ("W1", "b1", "W2", "b2"):
-            p = getattr(self, name)
-            if p is None:
-                raise ValueError(f"mlp embedder missing parameter {name}")
-            setattr(self, name, np.asarray(p, dtype=np.float64))
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.W1.ndim != 2 or self.W2.ndim != 2 or self.b1.ndim != 1 or self.b2.ndim != 1:
             raise ValueError("W1/W2 must be matrices, b1/b2 vectors")
         h, g = self.W1.shape
@@ -55,15 +44,9 @@ class Embedder:
                 raise ValueError(f"non-finite values in {name}")
 
     @property
-    def dims(self) -> tuple[int, int, int] | None:
-        """(input, hidden, output) sizes; None for the identity embedder."""
-        if self.kind == KIND_IDENTITY:
-            return None
+    def dims(self) -> tuple[int, int, int]:
+        """(input, hidden, output) sizes."""
         return (self.W1.shape[1], self.W1.shape[0], self.W2.shape[0])
-
-
-def identity_embedder() -> Embedder:
-    return Embedder(kind=KIND_IDENTITY)
 
 
 def init_mlp(in_dim: int, hidden: int, out_dim: int, seed: int) -> Embedder:
@@ -74,7 +57,6 @@ def init_mlp(in_dim: int, hidden: int, out_dim: int, seed: int) -> Embedder:
     s1 = 1.0 / np.sqrt(in_dim)
     s2 = 1.0 / np.sqrt(hidden)
     return Embedder(
-        kind=KIND_MLP,
         W1=rng.uniform(-s1, s1, size=(hidden, in_dim)),
         b1=rng.uniform(-s1, s1, size=hidden),
         W2=rng.uniform(-s2, s2, size=(out_dim, hidden)),
@@ -86,18 +68,12 @@ def embed_many(e: Embedder, vectors) -> np.ndarray:
     """Embed each row of vectors; one 1-D vector is one row, no vectors give 0 rows."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.size == 0 and x.ndim < 2:
-        x = x.reshape(0, 0 if e.dims is None else e.dims[0])
+        x = x.reshape(0, e.dims[0])
     x = np.atleast_2d(x)
-    if e.kind == KIND_IDENTITY:
-        return x.copy()
     if x.shape[1] != e.W1.shape[1]:
         raise ValueError(f"input dim {x.shape[1]} does not match embedder dim {e.W1.shape[1]}")
     h = np.tanh(x @ e.W1.T + e.b1)
     return h @ e.W2.T + e.b2
-
-
-def embed(e: Embedder, v) -> np.ndarray:
-    return embed_many(e, np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 @dataclass(frozen=True)
@@ -153,8 +129,7 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
     """Mean query NLL and per-parameter gradients.
 
     Prototypes are class means of the embedded support; the posterior is
-    softmax over negative Euclidean distances. The identity embedder has
-    no parameters, so its gradient dict is empty.
+    softmax over negative Euclidean distances.
     """
     if not ep.query:
         raise ValueError("episode has no query points")
@@ -169,15 +144,10 @@ def _proto_loss(
     n_classes = lab.counts.shape[0]
     n_query = xq.shape[0]
 
-    if e.kind == KIND_IDENTITY:
-        es, eq = xs, xq
-    else:
-        a_s = xs @ e.W1.T + e.b1
-        hs = np.tanh(a_s)
-        es = hs @ e.W2.T + e.b2
-        a_q = xq @ e.W1.T + e.b1
-        hq = np.tanh(a_q)
-        eq = hq @ e.W2.T + e.b2
+    hs = np.tanh(xs @ e.W1.T + e.b1)
+    es = hs @ e.W2.T + e.b2
+    hq = np.tanh(xq @ e.W1.T + e.b1)
+    eq = hq @ e.W2.T + e.b2
 
     protos = np.zeros((n_classes, es.shape[1]))
     np.add.at(protos, lab.ys, es)
@@ -190,9 +160,6 @@ def _proto_loss(
     log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
     log_probs = z_shift - log_norm
     loss = float(-log_probs[lab.query_rows, lab.yq].mean())
-
-    if e.kind == KIND_IDENTITY:
-        return loss, {}
 
     g_z = np.exp(log_probs)
     g_z[lab.query_rows, lab.yq] -= 1.0
@@ -297,8 +264,6 @@ def train_embedder(
 
 
 def embedder_to_dict(e: Embedder) -> dict:
-    if e.kind == KIND_IDENTITY:
-        return {"kind": KIND_IDENTITY}
     g, h, d = e.dims
     return {
         "kind": KIND_MLP,
@@ -311,19 +276,12 @@ def embedder_to_dict(e: Embedder) -> dict:
 
 
 def embedder_from_dict(d: dict) -> Embedder:
-    kind = d.get("kind")
-    if kind == KIND_IDENTITY:
-        return identity_embedder()
-    if kind != KIND_MLP:
-        raise ValueError(f"unknown embedder kind {kind!r}")
-    e = Embedder(
-        kind=KIND_MLP,
-        W1=np.asarray(d["W1"], dtype=np.float64),
-        b1=np.asarray(d["b1"], dtype=np.float64),
-        W2=np.asarray(d["W2"], dtype=np.float64),
-        b2=np.asarray(d["b2"], dtype=np.float64),
-    )
-    if "dims" in d and tuple(d["dims"]) != e.dims:
+    params = ("W1", "b1", "W2", "b2")
+    check_keys(d, ("kind", "dims", *params), "embedder", ("kind", *params))
+    if d["kind"] != KIND_MLP:
+        raise ValueError(f"embedder kind must be {KIND_MLP!r}, got {d['kind']!r}")
+    e = Embedder(*(read_array(d, k, "embedder") for k in params))
+    if d.get("dims", list(e.dims)) != list(e.dims):
         raise ValueError(f"declared dims {d['dims']} do not match parameters {list(e.dims)}")
     return e
 
@@ -333,11 +291,9 @@ __all__ = [
     "Episode",
     "TrainConfig",
     "TrainResult",
-    "embed",
     "embed_many",
     "embedder_from_dict",
     "embedder_to_dict",
-    "identity_embedder",
     "init_mlp",
     "proto_loss",
     "train_embedder",

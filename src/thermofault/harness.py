@@ -20,14 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
-from .embedding import (
-    KIND_IDENTITY,
-    Embedder,
-    TrainConfig,
-    embed_many,
-    identity_embedder,
-    train_embedder,
-)
+from .embedding import Embedder, TrainConfig, embed_many, train_embedder
 from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
@@ -39,6 +32,9 @@ ENTIRETY_LABEL = "entirety"
 
 SPLITS = ("labeled", "unlabeled", "test")
 SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
+# The kind that configs and `train --embedder` give for no embedder; every
+# report's config_hash hashes {"kind": NO_EMBEDDER_KIND}.
+NO_EMBEDDER_KIND = "identity"
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class ExperimentConfig:
     manifest_path: str | None = None
     grid: FeatureGrid = DEFAULT_GRID
     bandwidth: float | str = "auto"
-    embedder: TrainConfig | None = None  # None: identity embedder
+    embedder: TrainConfig | None = None  # None: the raw density vectors
     alpha: float = 0.5
     refine_iters: int = 1
     seed: int = 0
@@ -73,7 +69,7 @@ class ExperimentConfig:
             data = {"synth": self.synth.to_dict()}
         else:
             data = {"manifest": self.manifest_path}
-        embedder = {"kind": KIND_IDENTITY} if self.embedder is None else self.embedder.to_dict()
+        embedder = {"kind": NO_EMBEDDER_KIND} if self.embedder is None else self.embedder.to_dict()
         return {
             "data": data,
             "grid": self.grid.to_dict(),
@@ -106,9 +102,8 @@ class ExperimentConfig:
             )
         if d.get("bandwidth", "auto") != "auto":
             kwargs["bandwidth"] = read_scalar(d, "bandwidth", float, "experiment config")
-        embedder = d.get("embedder", {"kind": KIND_IDENTITY})
-        if embedder != {"kind": KIND_IDENTITY}:
-            kwargs["embedder"] = TrainConfig.from_dict(embedder)
+        if d.get("embedder", {"kind": NO_EMBEDDER_KIND}) != {"kind": NO_EMBEDDER_KIND}:
+            kwargs["embedder"] = TrainConfig.from_dict(d["embedder"])
         return cls(**kwargs)
 
 
@@ -244,10 +239,11 @@ def embedder_seed(seed: int) -> int:
 
 def fit_embedder(
     labeled: Sequence[tuple[SubcategoryId, np.ndarray]], train_cfg: TrainConfig | None, seed: int
-) -> Embedder:
-    """Identity, or an MLP trained on the labeled vectors with embedder_seed(seed)."""
+) -> Embedder | None:
+    """None without a train config, else an MLP trained on the labeled
+    vectors with embedder_seed(seed)."""
     if train_cfg is None:
-        return identity_embedder()
+        return None
     return train_embedder(labeled, train_cfg, embedder_seed(seed)).embedder
 
 
@@ -272,7 +268,7 @@ def fit_model(
 
 
 def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
-    """Extract and embed the feature vectors of every region."""
+    """Extract the feature vectors of every region, embedded if cfg has an embedder."""
     manifest, features = extract_features(cfg, feature_vector)
     vectors = {split: [f.values for f in features[split]] for split in SPLITS}
     emb = fit_embedder(
@@ -280,11 +276,12 @@ def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
         cfg.embedder,
         cfg.seed,
     )
-    lab, unl, tst = (embed_many(emb, vectors[split]) for split in SPLITS)
+    if emb is not None:
+        vectors = {split: embed_many(emb, vectors[split]) for split in SPLITS}
     return _PreparedData(
-        labeled=tuple(zip((r.subcategory for r in manifest.labeled), lab)),
-        unlabeled=unl,
-        test=tuple(zip((r.subcategory for r in manifest.test), tst)),
+        labeled=tuple(zip((r.subcategory for r in manifest.labeled), vectors["labeled"])),
+        unlabeled=np.asarray(vectors["unlabeled"], dtype=np.float64),
+        test=tuple(zip((r.subcategory for r in manifest.test), vectors["test"])),
     )
 
 
@@ -340,14 +337,6 @@ def run_both(cfg: ExperimentConfig) -> tuple[EvalReport, EvalReport]:
     """Supervised and weak reports sharing one feature extraction pass."""
     data = prepare_features(cfg)
     return _score(data, cfg, MODE_SUPERVISED), _score(data, cfg, MODE_WEAK)
-
-
-def replicate(cfg: ExperimentConfig, mode: str) -> list[EvalReport]:
-    """cfg.repeats runs with seeds cfg.seed, cfg.seed+1, ..."""
-    return [
-        run_experiment(dataclasses.replace(cfg, seed=cfg.seed + r), mode)
-        for r in range(cfg.repeats)
-    ]
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: Sequence) -> list[EvalReport]:

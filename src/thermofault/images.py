@@ -18,8 +18,10 @@ from .taxonomy import (
     EquipmentType,
     Status,
     SubcategoryId,
+    check_keys,
     parse_equipment_type,
     parse_status,
+    read_scalar,
 )
 
 BBox = tuple[int, int, int, int]
@@ -69,14 +71,6 @@ class ThermalImage:
             raise ValueError("temperatures must all be finite")
         temps.flags.writeable = False
         object.__setattr__(self, "temps", temps)
-
-    @property
-    def temp_min(self) -> float:
-        return float(self.temps.min())
-
-    @property
-    def temp_max(self) -> float:
-        return float(self.temps.max())
 
 
 def load_thermal(path, source_id: str | None = None) -> ThermalImage:
@@ -213,17 +207,15 @@ class RegionAnnotation:
     def from_dict(cls, d: dict) -> "RegionAnnotation":
         """Parse a manifest entry or feature record; other keys are ignored,
         and a missing status reads as null."""
-        try:
-            bbox, image_ref, equipment = d["bbox"], d["image_ref"], d["equipment_type"]
-        except (KeyError, TypeError):
-            raise ValueError("region entries need image_ref, bbox, equipment_type") from None
+        check_keys(d, d, "region", ("image_ref", "bbox", "equipment_type"))
+        bbox = d["bbox"]
         if not (isinstance(bbox, list) and len(bbox) == 4):
             raise ValueError(f"bbox must be a 4-element [x,y,w,h] list, got {bbox!r}")
         return cls(
-            tuple(int(v) for v in bbox),
-            parse_equipment_type(equipment),
+            tuple(read_scalar(bbox, i, int, "region bbox") for i in range(4)),
+            parse_equipment_type(d["equipment_type"]),
             parse_status(d.get("status")),
-            str(image_ref),
+            str(d["image_ref"]),
         )
 
 
@@ -266,9 +258,6 @@ class DatasetManifest:
                 raise ManifestError(
                     f"test subcategory {region.subcategory.label} has no labeled examples"
                 )
-
-    def all_regions(self) -> tuple[RegionAnnotation, ...]:
-        return self.labeled + self.unlabeled + self.test
 
 
 def _region_from_dict(entry: dict, where: str) -> RegionAnnotation:

@@ -15,11 +15,11 @@ labeled value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .taxonomy import SubcategoryId
+from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,8 @@ class PrototypeModel:
 
 def compute_centers(
     pairs: Iterable[tuple[SubcategoryId, np.ndarray]],
-    classes: Sequence[SubcategoryId] | None = None,
 ) -> tuple[tuple[SubcategoryId, ...], np.ndarray]:
-    """Per-class mean vectors, classes sorted by subcategory index.
-
-    When classes is given it fixes the class set; a listed class with no
-    vectors is an error, and vectors outside the set are an error too.
-    """
+    """Per-class mean vectors, classes sorted by subcategory index."""
     buckets: dict[SubcategoryId, list[np.ndarray]] = {}
     dim = None
     for subcat, vec in pairs:
@@ -81,26 +76,15 @@ def compute_centers(
         buckets.setdefault(subcat, []).append(v)
     if dim is None:
         raise ValueError("no labeled vectors provided")
-    if classes is None:
-        ordered = tuple(sorted(buckets))
-    else:
-        ordered = tuple(sorted(classes))
-        extra = set(buckets) - set(ordered)
-        if extra:
-            raise ValueError(f"vectors for classes outside the model: {sorted(extra)}")
-        missing = [c.label for c in ordered if c not in buckets]
-        if missing:
-            raise ValueError(f"no labeled vectors for: {missing}")
+    ordered = tuple(sorted(buckets))
     centers = np.stack([np.mean(buckets[c], axis=0) for c in ordered])
     return ordered, centers
 
 
 def build_model(
-    labeled_pairs: Iterable[tuple[SubcategoryId, np.ndarray]],
-    alpha: float = 0.5,
-    classes: Sequence[SubcategoryId] | None = None,
+    labeled_pairs: Iterable[tuple[SubcategoryId, np.ndarray]], alpha: float = 0.5
 ) -> PrototypeModel:
-    ordered, centers = compute_centers(labeled_pairs, classes=classes)
+    ordered, centers = compute_centers(labeled_pairs)
     return PrototypeModel(
         classes=ordered, centers_labeled=centers, centers_refined=centers, alpha=alpha
     )
@@ -208,13 +192,17 @@ def model_to_dict(model: PrototypeModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PrototypeModel:
+    keys = ("alpha", "feature_dim", "classes", "centers_labeled", "centers_refined")
+    check_keys(d, keys, "model", keys)
+    if not isinstance(d["classes"], list):
+        raise ValueError(f"model 'classes' must be a list, got {d['classes']!r}")
     model = PrototypeModel(
         classes=tuple(SubcategoryId.from_dict(c) for c in d["classes"]),
-        centers_labeled=np.asarray(d["centers_labeled"], dtype=np.float64),
-        centers_refined=np.asarray(d["centers_refined"], dtype=np.float64),
-        alpha=float(d["alpha"]),
+        centers_labeled=read_array(d, "centers_labeled", "model"),
+        centers_refined=read_array(d, "centers_refined", "model"),
+        alpha=read_scalar(d, "alpha", float, "model"),
     )
-    if model.feature_dim != int(d["feature_dim"]):
+    if model.feature_dim != read_scalar(d, "feature_dim", int, "model"):
         raise ValueError("feature_dim does not match the stored centers")
     return model
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 
+import numpy as np
+
 
 class EquipmentType(Enum):
     TRANSFORMER = "transformer"
@@ -50,7 +52,8 @@ class SubcategoryId:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubcategoryId":
-        status = parse_status(d["status"])
+        keys = ("equipment_type", "status")
+        status = parse_status(check_keys(d, keys, "class", keys)["status"])
         if status is None:
             raise ValueError("a class needs a status, 'normal' or 'fault'")
         return cls(parse_equipment_type(d["equipment_type"]), status)
@@ -102,7 +105,6 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
     return d
 
 
-
 _SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -118,3 +120,13 @@ def read_scalar(d: dict, key: str, kind: type, what: str):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
+
+
+def read_array(d: dict, key: str, what: str) -> np.ndarray:
+    """d[key] as a float64 array; a value numpy cannot read as numbers (an
+    object among them, say) is a ValueError naming the key."""
+    value = d[key]
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {key!r} must be an array of numbers") from None

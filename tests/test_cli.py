@@ -9,7 +9,13 @@ import pytest
 from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from thermofault.density import FeatureGrid, feature_vector
 from thermofault.embedding import TrainConfig, embedder_from_dict
-from thermofault.harness import ExperimentConfig, extract_features, fit_embedder
+from thermofault.harness import (
+    ExperimentConfig,
+    extract_features,
+    fit_embedder,
+    report_to_dict,
+    run_both,
+)
 from thermofault.images import RegionAnnotation, extract_region, load_manifest, load_thermal
 from thermofault.prototypes import model_from_dict
 from thermofault.synthetic import default_synth_config, separable_synth_config
@@ -114,8 +120,9 @@ def test_extract_matches_library_feature_vector(dataset):
 def test_extract_record_region_fields_come_from_the_region(dataset):
     records = json.loads((dataset / "features.json").read_text())["records"]
     manifest = load_manifest(dataset / "data" / "manifest.json")
-    assert len(records) == len(manifest.all_regions())
-    for rec, region in zip(records, manifest.all_regions()):
+    regions = manifest.labeled + manifest.unlabeled + manifest.test
+    assert len(records) == len(regions)
+    for rec, region in zip(records, regions):
         region_fields = {k: v for k, v in rec.items() if k not in ("split", "feature")}
         assert region_fields == region.to_dict()
 
@@ -390,6 +397,71 @@ def test_classify_empty_features(separable_run, tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "artifact, where, value, message",
+    [
+        ("model", ("alpha",), [0.5], "model 'alpha' must be a number, got [0.5]"),
+        ("model", ("classes",), 5, "model 'classes' must be a list, got 5"),
+        ("model", ("classes", 0), 5, "class must be a JSON object, got 5"),
+        ("model", ("feature_dim",), None, "model 'feature_dim' must be an integer, got None"),
+        ("model", ("centers_refined", 0, 0), {}, "model 'centers_refined' must be an array"),
+        ("features", ("records", 0, "bbox", 1), None, "region bbox 1 must be an integer, got None"),
+        ("features", ("records", 0), 5, "record must be a JSON object, got 5"),
+        ("features", ("records", 0, "feature"), 5, "feature must be a JSON object, got 5"),
+        ("features", ("records",), 5, "'records' must be a list, got 5"),
+        ("embedder", (), [1.0], "embedder must be a JSON object, got [1.0]"),
+        ("embedder", (), {"kind": "identity"}, "embedder needs key(s): 'W1', 'b1', 'W2', 'b2'"),
+        ("embedder", ("kind",), "identity", "embedder kind must be 'mlp', got 'identity'"),
+    ],
+    ids=[
+        "model-alpha-list",
+        "model-classes-int",
+        "model-class-int",
+        "model-feature-dim-null",
+        "model-center-object",
+        "bbox-entry-null",
+        "record-int",
+        "record-feature-int",
+        "records-int",
+        "embedder-list",
+        "embedder-identity",
+        "embedder-kind-identity",
+    ],
+)
+def test_classify_malformed_artifact_exits_1(
+    separable_run, tmp_path, capsys, artifact, where, value, message
+):
+    """A wrong JSON type in a model, feature or embedder file is a validation
+    error that names the value, not an uncaught TypeError."""
+    feats, model, embedder = (tmp_path / f"{n}.json" for n in ("features", "model", "embedder"))
+    feats.write_bytes((separable_run / "features.json").read_bytes())
+    model.write_bytes((separable_run / "model.json").read_bytes())
+    assert run_cli(
+        "train", "--features", feats, "--out", tmp_path / "mlp.json",
+        "--embedder", "mlp", "--episodes", 0, "--out-dim", 128,
+    ) == EXIT_OK
+    Path(f"{tmp_path / 'mlp.json'}.embedder.json").rename(embedder)
+    capsys.readouterr()
+    path = {"model": model, "features": feats, "embedder": embedder}[artifact]
+    doc = json.loads(path.read_text())
+    if where:
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+    else:
+        doc = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    code = run_cli(
+        "classify", "--model", model, "--features", feats, "--out", out,
+        "--embedder-file", embedder,
+    )
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_dim_mismatch(separable_run, tmp_path, capsys):
     records = json.loads((separable_run / "features.json").read_text())["records"][:1]
     rec = records[0]
@@ -522,20 +594,17 @@ def test_eval_sweep_requires_values(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, from_config",
-    [
-        (["--repeats", 3], False),
-        (["--sweep", "alpha", "--values", "0,1", "--mode", "weak", "--repeats", 2], False),
-        ([], True),
-    ],
-    ids=["flag", "flag-with-sweep", "config"],
+    [(["--mode", "weak", "--repeats", 2], False), ([], True)],
+    ids=["flag-with-sweep", "config"],
 )
 def test_eval_repeats_needs_a_single_mode(tmp_path, capsys, argv, from_config):
+    """A sweep runs one seed, so repeats above 1 from the flag or the config fail."""
     if from_config:
         cfg_path = tmp_path / "exp.json"
         cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}, "repeats": 3}
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = ["--config", cfg_path]
-    code = run_cli("eval", "--out", tmp_path / "r", *argv)
+    code = run_cli("eval", "--out", tmp_path / "r", "--sweep", "alpha", "--values", "0,1", *argv)
     assert code == EXIT_VALIDATION
     assert "--repeats" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
@@ -561,6 +630,37 @@ def test_eval_repeats_writes_summary(dataset, tmp_path):
     assert (out / "report_supervised_seed4.json").exists()
     assert (out / "report_supervised_seed5.json").exists()
     assert "mean overall accuracy over 2 seeds" in (out / "summary_supervised.txt").read_text()
+
+
+def test_eval_repeats_both_modes_is_the_seed_study(dataset, tmp_path, capsys):
+    cfg = {"data": {"manifest": str(dataset / "data" / "manifest.json")}, "seed": 0}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "reports"
+    code = run_cli("eval", "--out", out, "--config", cfg_path, "--repeats", 2, "--seed", 4)
+    assert code == EXIT_OK
+    reports = {
+        f"report_{mode}_seed{seed}.{ext}"
+        for mode in ("supervised", "weak")
+        for seed in (4, 5)
+        for ext in ("json", "txt")
+    }
+    assert {p.name for p in out.iterdir()} == reports | {"summary_both.txt"}
+    # the same seeds through the library; the config hash covers repeats too
+    exp = dataclasses.replace(ExperimentConfig.from_dict(cfg), repeats=2)
+    runs = [run_both(dataclasses.replace(exp, seed=seed)) for seed in (4, 5)]
+    for rep in (rep for pair in runs for rep in pair):
+        written = json.loads((out / f"report_{rep.mode}_seed{rep.seed}.json").read_text())
+        assert written == report_to_dict(rep)
+    sup = np.array([r[0].overall.acc_average for r in runs])
+    weak = np.array([r[1].overall.acc_average for r in runs])
+    summary = (
+        f"mean supervised {sup.mean():.4f}  mean weak {weak.mean():.4f}"
+        f"  mean delta {weak.mean() - sup.mean():+.4f}"
+        f"  weak >= supervised in {int((weak >= sup).sum())}/2 seeds"
+    )
+    assert (out / "summary_both.txt").read_text() == summary + "\n"
+    assert capsys.readouterr().out == summary + "\n"
 
 
 # ------------------------------------------------------------ determinism

@@ -1,24 +1,24 @@
-import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from thermofault.density import feature_vector
 from thermofault.embedding import (
     Embedder,
     Episode,
     TrainConfig,
-    embed,
     embed_many,
     embedder_from_dict,
     embedder_to_dict,
-    identity_embedder,
     init_mlp,
     proto_loss,
     train_embedder,
 )
-from thermofault.prototypes import build_model, classify_many
+from thermofault.harness import SPLITS, ExperimentConfig, extract_features, prepare_features
+from thermofault.synthetic import default_synth_config
 from thermofault.taxonomy import SUBCATEGORIES
 
 A, B, C = SUBCATEGORIES[0], SUBCATEGORIES[1], SUBCATEGORIES[2]
@@ -29,6 +29,11 @@ def make_episode(support, query):
         support=tuple((s, np.asarray(v, float)) for s, v in support),
         query=tuple((s, np.asarray(v, float)) for s, v in query),
     )
+
+
+def tanh_mlp(g):
+    """The MLP with W1 = W2 = I and zero biases: elementwise tanh."""
+    return Embedder(W1=np.eye(g), b1=np.zeros(g), W2=np.eye(g), b2=np.zeros(g))
 
 
 def random_episode(rng, g, n_classes=2, per_class=2, n_query=2):
@@ -46,25 +51,22 @@ def random_episode(rng, g, n_classes=2, per_class=2, n_query=2):
 # ----------------------------------------------------------------- forward
 
 def test_identity_embed():
-    e = identity_embedder()
-    v = np.array([0.1, 0.9])
-    assert (embed(e, v) == v).all()
+    v = np.array([0.1, 0.9, -3.0])
+    assert (embed_many(tanh_mlp(3), [v])[0] == np.tanh(v)).all()
 
 
 def test_zero_weight_mlp_maps_to_zero():
     e = Embedder(
-        kind="mlp",
         W1=np.zeros((3, 4)),
         b1=np.zeros(3),
         W2=np.zeros((2, 3)),
         b2=np.zeros(2),
     )
-    assert embed(e, np.array([1.0, -2.0, 3.0, 0.5])).tolist() == [0.0, 0.0]
+    assert embed_many(e, [np.array([1.0, -2.0, 3.0, 0.5])])[0].tolist() == [0.0, 0.0]
 
 
 def test_identity_weight_mlp_at_zero():
-    e = Embedder(kind="mlp", W1=np.eye(3), b1=np.zeros(3), W2=np.eye(3), b2=np.zeros(3))
-    assert embed(e, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert embed_many(tanh_mlp(3), [np.zeros(3)])[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_embed_matches_manual_forward():
@@ -73,13 +75,13 @@ def test_embed_matches_manual_forward():
     v = rng.normal(size=5)
     h = np.tanh(e.W1 @ v + e.b1)
     out = e.W2 @ h + e.b2
-    assert_allclose(embed(e, v), out, rtol=0, atol=1e-15)
+    assert_allclose(embed_many(e, [v])[0], out, rtol=0, atol=1e-15)
 
 
 def test_embed_dim_mismatch():
     e = init_mlp(5, 4, 3, seed=1)
     with pytest.raises(ValueError):
-        embed(e, np.zeros(6))
+        embed_many(e, [np.zeros(6)])
 
 
 def test_embed_many_stacks_rows():
@@ -88,13 +90,12 @@ def test_embed_many_stacks_rows():
     out = embed_many(e, vs)
     assert out.shape == (6, 2)
     for i in range(6):
-        assert_allclose(out[i], embed(e, vs[i]), rtol=0, atol=1e-14)
+        assert_allclose(out[i], embed_many(e, [vs[i]])[0], rtol=0, atol=1e-14)
 
 
 def test_embed_many_of_no_vectors_has_no_rows():
-    assert embed_many(identity_embedder(), []).shape == (0, 0)
-    assert embed_many(identity_embedder(), np.zeros((0, 4))).shape == (0, 4)
     assert embed_many(init_mlp(4, 3, 2, seed=2), []).shape == (0, 2)
+    assert embed_many(init_mlp(4, 3, 2, seed=2), np.zeros((0, 4))).shape == (0, 2)
 
 
 # -------------------------------------------------------------- init / rng
@@ -117,17 +118,21 @@ def test_equidistant_two_class_loss_is_ln2():
         support=[(A, [0.0, 1.0]), (B, [0.0, -1.0])],
         query=[(A, [0.0, 0.0])],
     )
-    loss, grads = proto_loss(identity_embedder(), ep)
-    assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-    assert grads == {}
+    loss, grads = proto_loss(tanh_mlp(2), ep)  # tanh keeps both prototypes equidistant
+    assert loss == math.log(2.0)
+    assert sorted(grads) == ["W1", "W2", "b1", "b2"]
 
 
 def test_query_at_own_prototype_far_other_is_near_zero_loss():
+    # tanh caps each coordinate at 1, so B is far through 256 of them:
+    # its embedded distance is 16 * tanh(25)
+    g = 256
     ep = make_episode(
-        support=[(A, [0.0, 0.0]), (B, [25.0, 0.0])],
-        query=[(A, [0.0, 0.0])],
+        support=[(A, np.zeros(g)), (B, np.full(g, 25.0))],
+        query=[(A, np.zeros(g))],
     )
-    loss, _ = proto_loss(identity_embedder(), ep)
+    loss, _ = proto_loss(tanh_mlp(g), ep)
+    assert loss == pytest.approx(math.log1p(math.exp(-16.0 * math.tanh(25.0))), rel=1e-9)
     assert 0.0 <= loss < 1e-6
 
 
@@ -137,8 +142,8 @@ def test_loss_uses_support_means_as_prototypes():
         support=[(A, [-1.0, 0.0]), (A, [1.0, 0.0]), (B, [0.0, 3.0])],
         query=[(A, [0.0, 0.0])],
     )
-    loss, _ = proto_loss(identity_embedder(), ep)
-    expected = -math.log(1.0 / (1.0 + math.exp(-3.0)))
+    loss, _ = proto_loss(tanh_mlp(2), ep)  # tanh maps A's supports to (-t, 0) and (t, 0)
+    expected = -math.log(1.0 / (1.0 + math.exp(-math.tanh(3.0))))
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -319,9 +324,6 @@ def test_serialization_round_trip():
     for name in ("W1", "b1", "W2", "b2"):
         assert (getattr(back, name) == getattr(e, name)).all()
 
-    ident = embedder_from_dict(embedder_to_dict(identity_embedder()))
-    assert ident.kind == "identity"
-
 
 def test_serialization_rejects_dim_mismatch():
     e = init_mlp(6, 5, 4, seed=13)
@@ -331,14 +333,16 @@ def test_serialization_rejects_dim_mismatch():
         embedder_from_dict(doc)
 
 
-# ------------------------------------------------- identity pipeline parity
+# ---------------------------------------------- no-embedder pipeline parity
 
 def test_identity_pipeline_bit_equal_to_raw():
-    rng = np.random.Generator(np.random.PCG64(14))
-    pairs = [(sub, rng.normal(size=12)) for sub in SUBCATEGORIES]
-    e = identity_embedder()
-    raw_model = build_model(pairs, alpha=0.5)
-    emb_model = build_model([(s, embed(e, v)) for s, v in pairs], alpha=0.5)
-    assert (raw_model.centers_labeled == emb_model.centers_labeled).all()
-    queries = rng.normal(size=(100, 12))
-    assert classify_many(queries, raw_model) == classify_many(embed_many(e, queries), emb_model)
+    counts = {"labeled": 2, "unlabeled": 2, "test": 1}
+    cfg = ExperimentConfig(synth=dataclasses.replace(default_synth_config(seed=14), counts=counts))
+    data = prepare_features(cfg)  # cfg.embedder is None
+    manifest, features = extract_features(cfg, feature_vector)
+    raw = {split: np.stack([f.values for f in features[split]]) for split in SPLITS}
+    assert np.stack([v for _, v in data.labeled]).tobytes() == raw["labeled"].tobytes()
+    assert data.unlabeled.tobytes() == raw["unlabeled"].tobytes()
+    assert np.stack([v for _, v in data.test]).tobytes() == raw["test"].tobytes()
+    assert [c for c, _ in data.labeled] == [r.subcategory for r in manifest.labeled]
+    assert [c for c, _ in data.test] == [r.subcategory for r in manifest.test]

@@ -12,7 +12,6 @@ from thermofault.harness import (
     compare,
     compare_table,
     config_hash,
-    replicate,
     report_table,
     report_to_dict,
     run_both,
@@ -212,14 +211,6 @@ def test_separable_config_perfect_recognition():
 def test_mode_validated():
     with pytest.raises(ValueError):
         run_experiment(small_config(), "transductive")
-
-
-def test_replicate_uses_consecutive_seeds():
-    cfg = small_config(repeats=3)
-    reports = replicate(cfg, MODE_SUPERVISED)
-    assert [r.seed for r in reports] == [0, 1, 2]
-    again = replicate(cfg, MODE_SUPERVISED)
-    assert [report_to_dict(r) for r in again] == [report_to_dict(r) for r in reports]
 
 
 def test_run_with_mlp_embedder():

@@ -1,0 +1,50 @@
+"""Source checks that need no linter: every imported name is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# The package __init__ imports names to re-export them, so it is left out.
+SOURCES = sorted(
+    p
+    for p in [*(ROOT / "src" / "thermofault").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import that the module never reads and does not list
+    in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_sources_are_found():
+    assert {"cli.py", "harness.py", "bench_pairs.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_reported():
+    source = "import os\nimport sys\nfrom typing import Any, List\n__all__ = ['List']\nsys.exit(0)\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: Any"]

@@ -208,12 +208,6 @@ def test_thermal_image_invariants():
         img.temps[0, 0] = 9.0
 
 
-def test_temp_min_max():
-    img = make_image([[3.0, -1.0], [7.5, 2.0]])
-    assert img.temp_min == -1.0
-    assert img.temp_max == 7.5
-
-
 def test_extract_region_row_major():
     img = make_image(np.arange(12.0).reshape(3, 4))
     got = extract_region(img, (1, 1, 2, 2))
@@ -257,7 +251,7 @@ def test_manifest_test_coverage():
     with pytest.raises(ManifestError):
         DatasetManifest((lab,), (), (test_fault,))
     ok = DatasetManifest((lab,), (), (region("b"),))
-    assert len(ok.all_regions()) == 2
+    assert len(ok.labeled + ok.unlabeled + ok.test) == 2
 
 
 def _write_rtm(tmp_path, name, w=4, h=4):

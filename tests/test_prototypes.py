@@ -65,11 +65,6 @@ def test_centers_match_summation_oracle():
         assert_allclose(row, expected[sub], rtol=0, atol=1e-12)
 
 
-def test_compute_centers_rejects_empty_class():
-    with pytest.raises(ValueError):
-        compute_centers([(C0, np.array([1.0]))], classes=[C0, C1])
-
-
 def test_compute_centers_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         compute_centers([(C0, np.array([1.0])), (C1, np.array([1.0, 2.0]))])

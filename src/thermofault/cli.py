@@ -129,8 +129,13 @@ def _load_records(path: Path) -> list[dict]:
     records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
         raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
-    for rec in records:
+    for i, rec in enumerate(records):
         check_keys(rec, rec, f"feature file {path}: record", ("split", "feature"))
+        if rec["split"] not in SPLITS:
+            raise ValueError(
+                f"feature file {path}: record {i} has split {rec['split']!r};"
+                f" expected one of: {', '.join(SPLITS)}"
+            )
     return records
 
 

@@ -17,16 +17,19 @@ from .taxonomy import check_keys, read_array, read_scalar
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
-# exp(-u*u/2) is exactly 0.0 in float64 once |u| > 38.6, so a query point
-# more than KDE_CUTOFF bandwidths from every sample has density 0.0.
-KDE_CUTOFF = 39.0
+# Support of the Gaussian kernel in bandwidths: kde_values stores 0.0 for a
+# term whose exponent -u*u/2 is below -support**2/2 and never calls np.exp
+# for it. At KERNEL_SUPPORT a dropped term is below e**-72 (5.4e-32);
+# feature_vector bounds what they add up to and falls back to
+# UNDERFLOW_SUPPORT, beyond which exp(-u*u/2) is exactly 0.0 in float64
+# (|u| > 38.6), so that support drops no term and gives the full sum.
+KERNEL_SUPPORT = 12.0
+UNDERFLOW_SUPPORT = 39.0
+# feature_vector keeps a KERNEL_SUPPORT feature only when the bound on its
+# gap to the UNDERFLOW_SUPPORT feature is at most this.
+TRUNCATION_TOLERANCE = 2.0**-60
 # Kernel terms per block in kde_values; bounds one call's temporaries.
 KDE_BLOCK_TERMS = 1 << 20
-# exp(t) is exactly +0.0 in float64 for t < -745.14, so kde_values stores
-# 0.0 for exponents below this without calling np.exp, whose underflow path
-# costs about 15x a normal result. Subnormal results still go through
-# np.exp: they can change the bits of a sum.
-EXP_UNDERFLOW = -746.0
 _MAX_BINS = 50_000_000
 
 DEFAULT_BIN_ORIGIN = 0.0
@@ -174,17 +177,21 @@ class KdeEstimator:
         return int(self.samples.size)
 
 
-def kde_values(est: KdeEstimator, points) -> np.ndarray:
+def kde_values(est: KdeEstimator, points, support: float = KERNEL_SUPPORT) -> np.ndarray:
     """Density estimate at each query point: mean kernel value / bandwidth.
 
-    Points beyond KDE_CUTOFF bandwidths from the samples get 0.0 unevaluated;
-    the rest sum whole kernel rows in blocks, bit-identical to the full sum:
-    each term takes the full formula's steps in its order, and only terms
-    whose exp is exactly 0.0 (exponent below EXP_UNDERFLOW) skip np.exp.
+    The kernel is cut at support bandwidths: a term whose exponent is below
+    -support**2/2 is 0.0 and skips np.exp. Points more than support + 1
+    bandwidths outside the sample range get 0.0 unevaluated; the margin
+    covers rounding, so the cull drops no term that the cut keeps. The
+    rest sum whole kernel rows in blocks, bit-identical to the full
+    (points x samples) sum with the same cut: each term takes the full
+    formula's steps in its order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     x, h = est.samples, est.bandwidth
-    reach = KDE_CUTOFF * h
+    reach = (support + 1.0) * h
+    cut = -0.5 * support * support
     # "not outside" keeps NaN points live, so they still give NaN
     live = np.flatnonzero(~((pts < x[0] - reach) | (pts > x[-1] + reach)))
     k = np.zeros(pts.size)
@@ -195,7 +202,7 @@ def kde_values(est: KdeEstimator, points) -> np.ndarray:
         t /= h
         np.square(t, out=t)
         t *= -0.5
-        zero = t < EXP_UNDERFLOW  # False for NaN, which np.exp keeps
+        zero = t < cut  # False for NaN, which np.exp keeps
         np.exp(t, out=t, where=~zero)
         np.copyto(t, 0.0, where=zero)
         k[idx] = t.sum(axis=1) / SQRT_2PI
@@ -291,6 +298,8 @@ class PdfFeature:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values length must match the grid")
+        if not np.isfinite(values).all():  # a JSON null reads as NaN
+            raise ValueError("feature 'values' must be finite numbers")
         if (values < 0).any():
             raise ValueError("density values must be non-negative")
         values.flags.writeable = False
@@ -311,11 +320,27 @@ class PdfFeature:
         return cls(grid=FeatureGrid.from_dict(d, "feature"), values=values, bandwidth=bandwidth)
 
 
+def _truncation_bound(raw: np.ndarray, mass: float, grid: FeatureGrid, h: float) -> float:
+    """Bound on how far the KERNEL_SUPPORT feature raw / mass is from the
+    UNDERFLOW_SUPPORT one, for mass > 0; see feature_vector."""
+    d = math.exp(-0.5 * KERNEL_SUPPORT * KERNEL_SUPPORT) / (h * SQRT_2PI)
+    return d / mass * max(1.0, grid.n_points * grid.step * float(raw.max()) / mass)
+
+
 def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") -> PdfFeature:
     """KDE of the samples evaluated on the grid and renormalized to unit mass.
 
     bandwidth may be a positive float or "auto" (Silverman's rule; a lone
     sample falls back to the floor value).
+
+    The KDE is evaluated at KERNEL_SUPPORT. Each grid value then differs
+    from the UNDERFLOW_SUPPORT one by at most D = e**-72 / (h sqrt(2 pi)),
+    and the mass m by at most n_points * step * D, so the feature moves by
+    at most (D / m) * max(1, n_points * step * max(raw) / m): a bound on
+    the exact sums, which float rounding can exceed only where a cut term
+    tips a rounding tie. Where that
+    bound exceeds TRUNCATION_TOLERANCE (or m is 0), the KDE is evaluated
+    again at UNDERFLOW_SUPPORT, which gives the full sum's bytes.
     """
     x = _sorted_finite(samples, "samples")
     if x.size == 0:
@@ -329,6 +354,9 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     est = KdeEstimator(x.view(_SortedSamples), w)
     raw = kde_values(est, grid.points())
     mass = float(raw.sum() * grid.step)
+    if mass <= 0.0 or _truncation_bound(raw, mass, grid, w) > TRUNCATION_TOLERANCE:
+        raw = kde_values(est, grid.points(), support=UNDERFLOW_SUPPORT)
+        mass = float(raw.sum() * grid.step)
     if mass <= 0.0:
         lo, hi = est.samples[0], est.samples[-1]
         if lo <= grid.t_hi and grid.t_lo <= hi:  # the grid overlaps the samples

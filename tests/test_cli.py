@@ -409,6 +409,10 @@ def test_classify_empty_features(separable_run, tmp_path):
         ("features", ("records", 0), 5, "record must be a JSON object, got 5"),
         ("features", ("records", 0, "feature"), 5, "feature must be a JSON object, got 5"),
         ("features", ("records",), 5, "'records' must be a list, got 5"),
+        (
+            "features", ("records", 0, "feature", "values", 3), None,
+            "feature 'values' must be finite",
+        ),
         ("embedder", (), [1.0], "embedder must be a JSON object, got [1.0]"),
         ("embedder", (), {"kind": "identity"}, "embedder needs key(s): 'W1', 'b1', 'W2', 'b2'"),
         ("embedder", ("kind",), "identity", "embedder kind must be 'mlp', got 'identity'"),
@@ -423,6 +427,7 @@ def test_classify_empty_features(separable_run, tmp_path):
         "record-int",
         "record-feature-int",
         "records-int",
+        "feature-value-null",
         "embedder-list",
         "embedder-identity",
         "embedder-kind-identity",
@@ -459,6 +464,24 @@ def test_classify_malformed_artifact_exits_1(
     )
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_misspelled_split_names_the_record(separable_run, tmp_path, capsys, command):
+    """A record whose split is none of labeled, unlabeled, test is an error,
+    not a record that train drops and classify passes through."""
+    records = json.loads((separable_run / "features.json").read_text())["records"]
+    assert records[3]["split"] == "labeled"
+    records[3]["split"] = "labelled"
+    feats = tmp_path / "misspelled.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    args = ["--model", separable_run / "model.json"] if command == "classify" else []
+    code = run_cli(command, "--features", feats, "--out", out, *args)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "record 3 has split 'labelled'; expected one of: labeled, unlabeled, test" in err
     assert not out.exists()
 
 

@@ -10,6 +10,9 @@ from numpy.testing import assert_allclose
 
 from thermofault.density import (
     DEFAULT_GRID,
+    KERNEL_SUPPORT,
+    TRUNCATION_TOLERANCE,
+    UNDERFLOW_SUPPORT,
     FeatureGrid,
     KdeEstimator,
     PdfFeature,
@@ -22,8 +25,16 @@ from thermofault.density import (
     kde_values,
     silverman_bandwidth,
 )
-from thermofault.harness import ExperimentConfig, extract_features
+from thermofault.harness import (
+    MODE_SUPERVISED,
+    MODE_WEAK,
+    SPLITS,
+    ExperimentConfig,
+    extract_features,
+    fit_model,
+)
 from thermofault.images import extract_region
+from thermofault.prototypes import posterior
 from thermofault.synthetic import case_study_config, default_synth_config, synthesize
 from thermofault.taxonomy import EquipmentType, Status
 
@@ -37,14 +48,53 @@ def kde_oracle(samples, bandwidth, x):
     return total / (len(samples) * bandwidth)
 
 
-def kde_unwindowed(samples, bandwidth, points):
-    """Every point against every sorted sample: the full (points x samples) sum."""
+def kde_unwindowed(samples, bandwidth, points, support=None):
+    """Every point against every sorted sample: the full (points x samples)
+    sum. With a support, each term whose exponent is below -support**2/2
+    is stored as 0.0; without one, every term is exp's own result."""
     x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
     with np.errstate(all="ignore"):
         u = (pts[:, None] - x[None, :]) / bandwidth
-        k = np.exp(-0.5 * np.square(u)).sum(axis=1) / math.sqrt(2.0 * math.pi)
+        t = -0.5 * np.square(u)
+        terms = np.exp(t)
+        if support is not None:
+            terms[t < -0.5 * support * support] = 0.0
+        k = terms.sum(axis=1) / math.sqrt(2.0 * math.pi)
     return k / (x.size * bandwidth)
+
+
+def silverman_reference(x):
+    """Silverman's rule from np.std and np.percentile, floored at 1e-6."""
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    scale = min(float(np.std(x, ddof=1)), (q75 - q25) / 1.34)
+    return max(1.06 * scale * x.size ** (-0.2), 1e-6)
+
+
+def truncated_feature(x, w, grid):
+    """The KERNEL_SUPPORT raw KDE on the grid, its mass, and the bound on
+    the gap from raw / mass to the full-support feature: every grid value
+    moves by at most D = e**-72 / (w sqrt(2 pi)), the mass by at most
+    n_points * step * D (infinite where the mass is 0)."""
+    raw = kde_unwindowed(x, w, grid.points(), support=KERNEL_SUPPORT)
+    mass = float(raw.sum() * grid.step)
+    if mass == 0.0:
+        return raw, mass, math.inf
+    d = math.exp(-72.0) / (w * math.sqrt(2.0 * math.pi))
+    return raw, mass, d / mass * max(1.0, grid.n_points * grid.step * raw.max() / mass)
+
+
+def full_support_values(x, w, grid):
+    """The renormalized unwindowed KDE: the feature with no term cut."""
+    raw = kde_unwindowed(x, w, grid.points())
+    return raw / float(raw.sum() * grid.step)
+
+
+def reference_values(x, w, grid):
+    """The feature the guard keeps: truncated where its bound is at most
+    2**-60, else the full-support one."""
+    raw, mass, bound = truncated_feature(x, w, grid)
+    return raw / mass if bound <= 2.0**-60 else full_support_values(x, w, grid)
 
 
 # ---------------------------------------------------------------- histogram
@@ -219,6 +269,51 @@ odd_points = st.one_of(
 )
 
 
+def windowed_points(samples, w, points, edge, extra, far, cull):
+    """The samples with extra uniform draws, and query points edge, cull and
+    far bandwidths outside the sample range and far from single samples."""
+    lo, hi = min(samples), max(samples)
+    rng = np.random.Generator(np.random.PCG64(extra))
+    samples = samples + list(rng.uniform(lo - 40 * w, hi + 40 * w, extra))
+    near = [lo - edge * w, hi + edge * w, lo - cull * w, lo - far * w, hi + far * w]
+    near += [s + far * w * rng.choice([-1.0, 1.0]) for s in samples[:8]]
+    return samples, np.array(points + near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-200, 200), min_size=1, max_size=40),
+    st.floats(-6, 3),
+    st.lists(odd_points, max_size=30),
+    st.floats(11, 14),
+    st.integers(0, 400),
+    st.floats(11, 13),
+)
+# at 0: kept terms (u = 11.9, 12 - 1e-9, 12.0) and cut ones (u = 12 + 1e-9,
+# 12.5); at 500: only cut terms
+@example(
+    samples=[0.0, 11.9, 12.0 - 1e-9, 12.0, 12.0 + 1e-9, 12.5, 1e3], log10_h=0.0,
+    points=[0.0, 5e2], edge=12.0, extra=0, far=12.0,
+)
+# points 12, 12.5 and 13 bandwidths beyond the extreme samples: the last
+# one sits on the point cull's edge, where every term is cut
+@example(
+    samples=[0.0, 1.0], log10_h=-1.0, points=[-1.2, 2.25, -1.3, 2.3], edge=13.0, extra=0,
+    far=12.5,
+)
+def test_kde_values_bit_identical_to_unwindowed_sum(samples, log10_h, points, edge, extra, far):
+    """At KERNEL_SUPPORT: bandwidths 1e-6..1e3, unsorted and far-off points,
+    NaN/inf, points 11-14 bandwidths outside the sample range and on the
+    point cull's edge, up to 440 samples (numpy sums rows of more than 128
+    pairwise), and points 11-13 bandwidths from a sample, whose terms are
+    kept or cut."""
+    w = 10.0**log10_h
+    samples, pts = windowed_points(samples, w, points, edge, extra, far, KERNEL_SUPPORT + 1)
+    got = kde_values(KdeEstimator(samples, w), pts)
+    want = kde_unwindowed(samples, w, pts, support=KERNEL_SUPPORT)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(-200, 200), min_size=1, max_size=40),
@@ -235,19 +330,15 @@ odd_points = st.one_of(
 )
 # exp(-745.06) is the smallest subnormal, which a 1e-6 bandwidth scales up
 @example(samples=[0.0, 0.0], log10_h=-6.0, points=[38.602e-6], edge=30.0, extra=0, far=37.0)
-def test_kde_values_bit_identical_to_unwindowed_sum(samples, log10_h, points, edge, extra, far):
-    """Bandwidths 1e-6..1e3, unsorted and far-off points, NaN/inf, points
-    about KDE_CUTOFF bandwidths outside the sample range, up to 440 samples
-    (numpy sums rows of more than 128 pairwise), and points 37-39
-    bandwidths from a sample, whose terms are subnormal or exactly 0.0."""
+def test_kde_values_at_underflow_support_bit_identical_to_unwindowed_sum(
+    samples, log10_h, points, edge, extra, far
+):
+    """At UNDERFLOW_SUPPORT every term is exp's own result, as in the sum
+    with no cut: points 37-39 bandwidths from a sample, whose terms are
+    subnormal or exactly 0.0, and about 39-40 bandwidths outside the range."""
     w = 10.0**log10_h
-    lo, hi = min(samples), max(samples)
-    rng = np.random.Generator(np.random.PCG64(extra))
-    samples = samples + list(rng.uniform(lo - 40 * w, hi + 40 * w, extra))
-    near = [lo - edge * w, hi + edge * w, lo - 39 * w, lo - far * w, hi + far * w]
-    near += [s + far * w * rng.choice([-1.0, 1.0]) for s in samples[:8]]
-    pts = np.array(points + near)
-    got = kde_values(KdeEstimator(samples, w), pts)
+    samples, pts = windowed_points(samples, w, points, edge, extra, far, UNDERFLOW_SUPPORT + 1)
+    got = kde_values(KdeEstimator(samples, w), pts, support=UNDERFLOW_SUPPORT)
     assert got.tobytes() == kde_unwindowed(samples, w, pts).tobytes()
 
 
@@ -263,8 +354,13 @@ def test_kde_values_memory_bounded_on_a_300x300_region():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    want = np.concatenate([kde_unwindowed(est.samples, est.bandwidth, [p]) for p in pts])
+    want = np.concatenate(
+        [kde_unwindowed(est.samples, est.bandwidth, [p], support=KERNEL_SUPPORT) for p in pts]
+    )
     assert got.tobytes() == want.tobytes()
+    full = kde_values(est, pts, support=UNDERFLOW_SUPPORT)
+    want = np.concatenate([kde_unwindowed(est.samples, est.bandwidth, [p]) for p in pts])
+    assert full.tobytes() == want.tobytes()
 
 
 def test_kde_estimator_validation():
@@ -410,8 +506,9 @@ def test_feature_vector_guards():
 def test_feature_vector_bit_identical_to_full_grid_formula():
     """Every feature of the default synthetic dataset, seeds 0-4, as the
     pipeline extracts it, against Silverman's rule with np.std and
-    np.percentile and the unwindowed KDE on all grid points; seed 0 also on
-    a 64-point grid with a fixed bandwidth."""
+    np.percentile and the unwindowed KDE on all grid points, cut at
+    KERNEL_SUPPORT unless the bound sends it to the full support; seed 0
+    also on a 64-point grid with a fixed bandwidth."""
     runs = [(seed, DEFAULT_GRID, "auto") for seed in range(5)]
     runs.append((0, FeatureGrid(-20.0, 120.0, 64), 0.8))
     for seed, grid, bandwidth in runs:
@@ -421,30 +518,139 @@ def test_feature_vector_bit_identical_to_full_grid_formula():
         manifest, features = extract_features(cfg, feature_vector)
         images, _ = synthesize(default_synth_config(seed=seed))
         by_id = {img.source_id: img for img in images}
-        pts = np.linspace(grid.t_lo, grid.t_hi, grid.n_points)
         for split, feats in features.items():
             regions = getattr(manifest, split)
             assert len(feats) == len(regions) > 0
             for region, feat in zip(regions, feats):
                 x = np.sort(extract_region(by_id[region.image_ref], region.bbox))
-                w = bandwidth
-                if w == "auto":
-                    q75, q25 = np.percentile(x, [75.0, 25.0])
-                    scale = min(float(np.std(x, ddof=1)), (q75 - q25) / 1.34)
-                    w = max(1.06 * scale * x.size ** (-0.2), 1e-6)
-                raw = kde_unwindowed(x, w, pts)
+                w = silverman_reference(x) if bandwidth == "auto" else bandwidth
                 assert feat.bandwidth == w
-                assert feat.values.tobytes() == (raw / float(raw.sum() * grid.step)).tobytes()
+                assert feat.values.tobytes() == reference_values(x, w, grid).tobytes()
+
+
+def test_kernel_support_constants():
+    assert (KERNEL_SUPPORT, UNDERFLOW_SUPPORT, TRUNCATION_TOLERANCE) == (12.0, 39.0, 2.0**-60)
+    # the Gaussian is 0.0 in float64 beyond 38.6 bandwidths, so the
+    # underflow support cuts no term that exp would keep
+    assert np.exp(-0.5 * 38.5**2) > 0.0
+    assert np.exp(-0.5 * 38.7**2) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3, 1),
+    st.floats(0, 1),
+    st.one_of(st.just("auto"), st.floats(-3, 0.5).map(lambda e: 10.0**e)),
+)
+# a normal region whose outliers alone reach the grid: the guard falls back
+@example(n=256, seed=0, log10_spread=math.log10(0.08), offset=0.5, bandwidth="auto")
+# a wide region: the truncated feature is kept
+@example(n=256, seed=0, log10_spread=0.5, offset=0.5, bandwidth="auto")
+def test_feature_vector_within_its_bound_of_the_full_support_feature(
+    n, seed, log10_spread, offset, bandwidth
+):
+    """Normal regions of 1-300 pixels centred anywhere between two grid
+    points, spreads 0.001-10 C, Silverman or fixed bandwidths: a kept
+    truncated feature is the cut KDE's bytes and lies within its bound of
+    the full-support feature; a feature the guard rejects is the
+    full-support feature's bytes."""
+    grid = DEFAULT_GRID
+    rng = np.random.Generator(np.random.PCG64(seed))
+    center = grid.points()[60] + offset * grid.step
+    x = np.sort(rng.normal(center, 10.0**log10_spread, n))
+    w = bandwidth
+    if w == "auto":
+        w = silverman_reference(x) if n >= 2 else 1e-6
+    if not kde_unwindowed(x, w, grid.points()).sum() > 0.0:
+        with pytest.raises(ValueError, match="is 0 at every grid point"):
+            feature_vector(x, grid, bandwidth)
+        return
+    got = feature_vector(x, grid, bandwidth).values
+    want = full_support_values(x, w, grid)
+    raw, mass, bound = truncated_feature(x, w, grid)
+    if bound <= 2.0**-60:
+        assert got.tobytes() == (raw / mass).tobytes()
+        assert (np.abs(got - want) <= bound).all()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "side, spread, cut_mass",
+    [
+        (16, 0.08, "outliers"),  # h = 0.028, its nearest grid point 19.4 h away
+        (300, 0.08, "zero"),  # h = 0.0087
+        (300, 0.1, "outliers"),  # h = 0.011
+    ],
+)
+def test_near_uniform_region_falls_back_to_the_full_support(side, spread, cut_mass):
+    """A normal region mid-way between two grid points, so narrow that the
+    12-bandwidth kernel reaches the grid from at most a few outlier pixels
+    or from none: cut there, the region would fail to extract or get a
+    feature built from those pixels. The guard evaluates it again at the
+    full support, so it extracts with the full-support feature's bytes."""
+    grid = DEFAULT_GRID
+    pts = grid.points()
+    rng = np.random.Generator(np.random.PCG64(0))
+    x = np.sort(rng.normal((pts[45] + pts[46]) / 2, spread, side * side))
+    w = silverman_reference(x)
+    raw, mass, bound = truncated_feature(x, w, grid)
+    near = sum(int((np.abs(x - p) <= KERNEL_SUPPORT * w).sum()) for p in pts)
+    if cut_mass == "zero":
+        assert mass == 0.0 and near == 0
+    else:
+        assert 0.0 < mass and 0 < near <= 2 and bound > 2.0**-60
+    feat = feature_vector(x)
+    assert feat.bandwidth == w
+    assert feat.values.tobytes() == full_support_values(x, w, grid).tobytes()
+
+
+def full_support_feature(samples, grid, bandwidth):
+    """A featurize for extract_features with no term of the kernel cut."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+    w = silverman_reference(x) if bandwidth == "auto" else bandwidth
+    return PdfFeature(grid, full_support_values(x, w, grid), w)
+
+
+def test_posterior_labels_from_truncated_features_equal_full_support_ones():
+    """Seeds 0-4, supervised and weak: a model fitted on the pipeline's
+    features labels every region as one fitted on full-support features,
+    though about a quarter of the feature values differ between the two."""
+    changed = 0
+    for seed in range(5):
+        cfg = ExperimentConfig(synth=default_synth_config(), seed=seed)
+        manifest, cut = extract_features(cfg, feature_vector)
+        _, full = extract_features(cfg, full_support_feature)
+        for split in SPLITS:
+            pairs = zip(cut[split], full[split])
+            changed += sum(int((a.values != b.values).sum()) for a, b in pairs)
+        for mode in (MODE_SUPERVISED, MODE_WEAK):
+            labels = []
+            for feats in (cut, full):
+                labeled = [
+                    (r.subcategory, f.values) for r, f in zip(manifest.labeled, feats["labeled"])
+                ]
+                unlabeled = np.array([f.values for f in feats["unlabeled"]])
+                model = fit_model(labeled, unlabeled, mode, cfg.alpha, cfg.refine_iters)
+                vectors = np.array([f.values for split in SPLITS for f in feats[split]])
+                labels.append(posterior(vectors, model).predicted)
+            assert labels[0] == labels[1]
+    assert changed > 50_000  # of 256,000
 
 
 def test_feature_vector_degenerate_region_names_bandwidth_and_step():
     """A constant region and a 1-pixel region both fall back to the 1e-6
-    bandwidth, far below the grid step: no grid point sees any density."""
+    bandwidth, far below the grid step: no grid point sees any density,
+    at the kernel support or at the full one."""
     for samples in ([25.0] * 64, [25.0]):
-        with pytest.raises(ValueError, match="bandwidth 1e-06") as exc:
+        with pytest.raises(ValueError) as exc:
             feature_vector(samples)
-        assert repr(DEFAULT_GRID.step) in str(exc.value)
-        assert "does not overlap" not in str(exc.value)
+        assert str(exc.value) == (
+            f"bandwidth 1e-06 is too small for the feature grid step {DEFAULT_GRID.step!r}:"
+            " the density of the samples [25.0, 25.0] is 0 at every grid point"
+        )
     with pytest.raises(ValueError, match="does not overlap"):
         feature_vector([500.0, 501.0])
 

@@ -17,16 +17,12 @@ from .taxonomy import check_keys, read_array, read_scalar
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
-# Support of the Gaussian kernel in bandwidths: kde_values stores 0.0 for a
-# term whose exponent -u*u/2 is below -support**2/2 and never calls np.exp
-# for it. At KERNEL_SUPPORT a dropped term is below e**-72 (5.4e-32);
-# feature_vector bounds what they add up to and falls back to
-# UNDERFLOW_SUPPORT, beyond which exp(-u*u/2) is exactly 0.0 in float64
-# (|u| > 38.6), so that support drops no term and gives the full sum.
+# Kernel supports in bandwidths (see kde_values). A term cut at
+# KERNEL_SUPPORT is below e**-72 (5.4e-32). exp(-u*u/2) is exactly 0.0 in
+# float64 once |u| > 38.6, so UNDERFLOW_SUPPORT cuts no term exp keeps.
 KERNEL_SUPPORT = 12.0
 UNDERFLOW_SUPPORT = 39.0
-# feature_vector keeps a KERNEL_SUPPORT feature only when the bound on its
-# gap to the UNDERFLOW_SUPPORT feature is at most this.
+# Largest bound on the cut's effect that feature_vector accepts.
 TRUNCATION_TOLERANCE = 2.0**-60
 # Kernel terms per block in kde_values; bounds one call's temporaries.
 KDE_BLOCK_TERMS = 1 << 20
@@ -338,9 +334,9 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     and the mass m by at most n_points * step * D, so the feature moves by
     at most (D / m) * max(1, n_points * step * max(raw) / m): a bound on
     the exact sums, which float rounding can exceed only where a cut term
-    tips a rounding tie. Where that
-    bound exceeds TRUNCATION_TOLERANCE (or m is 0), the KDE is evaluated
-    again at UNDERFLOW_SUPPORT, which gives the full sum's bytes.
+    tips a rounding tie. Where that bound exceeds TRUNCATION_TOLERANCE (or
+    m is 0), the KDE is evaluated again at UNDERFLOW_SUPPORT, which gives
+    the full sum's bytes.
     """
     x = _sorted_finite(samples, "samples")
     if x.size == 0:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
+from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector, read_features
 from .embedding import KIND_MLP, TrainConfig, embed_many, embedder_from_dict, embedder_to_dict
 from .harness import (
     MODE_SUPERVISED,
@@ -38,7 +38,7 @@ from .harness import (
 from .images import InputFormatError, ManifestError, RegionAnnotation
 from .prototypes import model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
-from .taxonomy import check_keys
+from .taxonomy import check_keys, write_json, write_records
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,13 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -114,17 +107,21 @@ def cmd_extract(args) -> int:
         bandwidth="auto" if args.bandwidth == "auto" else float(args.bandwidth),
     )
     manifest, features = extract_features(cfg, feature_vector)
-    records = [
-        _region_record(region, split, feature)
-        for split in SPLITS
-        for region, feature in zip(getattr(manifest, split), features[split])
-    ]
-    _write_json(Path(args.out), {"records": records})
-    print(f"wrote {len(records)} feature records to {args.out}")
+    n = write_records(
+        Path(args.out),
+        (
+            _region_record(region, split, feature)
+            for split in SPLITS
+            for region, feature in zip(getattr(manifest, split), features[split])
+        ),
+    )
+    print(f"wrote {n} feature records to {args.out}")
     return EXIT_OK
 
 
-def _load_records(path: Path) -> list[dict]:
+def _load_records(path: Path) -> tuple[list[dict], FeatureGrid | None, np.ndarray]:
+    """The records of a feature file, their one grid (None for no records)
+    and their feature values, one row per record."""
     payload = _read_json(path)
     records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
@@ -136,22 +133,10 @@ def _load_records(path: Path) -> list[dict]:
                 f"feature file {path}: record {i} has split {rec['split']!r};"
                 f" expected one of: {', '.join(SPLITS)}"
             )
-    return records
-
-
-def _grid_text(grid: FeatureGrid) -> str:
-    return f"[{grid.t_lo}, {grid.t_hi}] x {grid.n_points} points"
-
-
-def _record_features(records: list[dict]) -> list[PdfFeature]:
-    """The feature of each record; every record must share one grid."""
-    features = [PdfFeature.from_dict(rec["feature"]) for rec in records]
-    grids = list(dict.fromkeys(f.grid for f in features))
-    if len(grids) > 1:
-        raise ValueError(
-            f"feature records mix grids {_grid_text(grids[0])} and {_grid_text(grids[1])}"
-        )
-    return features
+    grid, values, _ = read_features(
+        [rec["feature"] for rec in records], f"feature file {path}: record"
+    )
+    return records, grid, values
 
 
 def cmd_train(args) -> int:
@@ -159,34 +144,29 @@ def cmd_train(args) -> int:
     if args.embedder != KIND_MLP and mlp_flags:
         flags = ", ".join("--" + k.replace("_", "-") for k in mlp_flags)
         raise ValueError(f"{flags}: only used with --embedder mlp")
-    records = [
-        rec
-        for rec in _load_records(Path(args.features))
-        if rec["split"] in ("labeled", "unlabeled")
-    ]
-    features = _record_features(records)
+    records, grid, values = _load_records(Path(args.features))
     labeled = []
     unlabeled = []
-    for rec, feature in zip(records, features):
+    for rec, row in zip(records, values):
         if rec["split"] == "labeled":
             subcat = RegionAnnotation.from_dict(rec).subcategory
             if subcat is None:
                 raise ValueError("labeled record without a status")
-            labeled.append((subcat, feature.values))
-        else:
-            unlabeled.append(feature.values)
+            labeled.append((subcat, row))
+        elif rec["split"] == "unlabeled":
+            unlabeled.append(row)
     if not labeled:
         raise ValueError("no labeled records in the feature file")
 
     if args.embedder == KIND_MLP:
         emb = fit_embedder(labeled, TrainConfig(**mlp_flags), args.seed)
         embedder_path = Path(str(args.out) + ".embedder.json")
-        _write_json(embedder_path, embedder_to_dict(emb))
+        write_json(embedder_path, embedder_to_dict(emb))
         print(f"wrote embedder to {embedder_path}")
         labeled = list(zip((c for c, _ in labeled), embed_many(emb, [v for _, v in labeled])))
         unlabeled = embed_many(emb, unlabeled)
     model = fit_model(labeled, unlabeled, args.mode, args.alpha, args.refine_iters)
-    _write_json(Path(args.out), model_to_dict(model))
+    write_json(Path(args.out), model_to_dict(model, grid))
     print(
         f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
         f" classes={model.n_classes}, dim={model.feature_dim})"
@@ -195,10 +175,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    model = model_from_dict(_read_json(Path(args.model)))
-    records = _load_records(Path(args.features))
-    features = _record_features(records)
-    vectors = np.asarray([f.values for f in features], dtype=np.float64)
+    model, model_grid = model_from_dict(_read_json(Path(args.model)))
+    records, grid, vectors = _load_records(Path(args.features))
+    if grid is not None and grid != model_grid:
+        raise ValueError(
+            f"feature file {args.features} is on grid {grid}, but model {args.model}"
+            f" was trained on grid {model_grid}"
+        )
     if args.embedder_file is not None:
         vectors = embed_many(embedder_from_dict(_read_json(Path(args.embedder_file))), vectors)
     out_path = Path(args.out)
@@ -255,7 +238,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
 
     def emit(name: str, report) -> None:
-        _write_json(out_dir / f"{name}.json", report_to_dict(report))
+        write_json(out_dir / f"{name}.json", report_to_dict(report))
         _write_text(out_dir / f"{name}.txt", report_table(report))
 
     if args.sweep is not None:

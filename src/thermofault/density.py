@@ -266,6 +266,9 @@ class FeatureGrid:
         pts.flags.writeable = False
         return pts
 
+    def __str__(self) -> str:
+        return f"[{self.t_lo}, {self.t_hi}] x {self.n_points} points"
+
     def to_dict(self) -> dict:
         return {"t_lo": self.t_lo, "t_hi": self.t_hi, "n_points": self.n_points}
 
@@ -280,6 +283,7 @@ class FeatureGrid:
 
 
 DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
+GRID_KEYS = ("t_lo", "t_hi", "n_points")
 
 
 @dataclass(frozen=True)
@@ -308,12 +312,59 @@ class PdfFeature:
             "bandwidth": self.bandwidth,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PdfFeature":
-        keys = ("t_lo", "t_hi", "n_points", "values", "bandwidth")
-        values = read_array(check_keys(d, keys, "feature", keys), "values", "feature")
-        bandwidth = read_scalar(d, "bandwidth", float, "feature")
-        return cls(grid=FeatureGrid.from_dict(d, "feature"), values=values, bandwidth=bandwidth)
+
+FEATURE_KEYS = (*GRID_KEYS, "values", "bandwidth")
+
+
+def read_features(
+    docs: list, what: str = "feature"
+) -> tuple[FeatureGrid | None, np.ndarray, np.ndarray]:
+    """The one grid, the (n, n_points) values and the n bandwidths of n
+    feature dicts (the grid is None for none).
+
+    Each dict is checked as a PdfFeature checks its fields: it holds
+    exactly FEATURE_KEYS, its scalars have the right JSON types, and its
+    values are n_points finite, non-negative numbers; and all must share
+    one grid. The values are decoded by one np.array call; an error names
+    the index of the dict at fault as "{what} {i}".
+    """
+    if not docs:
+        return None, np.empty((0, 0)), np.empty(0)
+    grid = raw_grid = None
+    bandwidths = np.empty(len(docs))
+    for i, d in enumerate(docs):
+        try:
+            check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
+            bandwidths[i] = read_scalar(d, "bandwidth", float, "feature")
+            raw = (d["t_lo"], d["t_hi"], d["n_points"])
+            # equal JSON values read as equal scalars, so only a new triple is parsed
+            g = grid if raw == raw_grid else FeatureGrid.from_dict(d, "feature")
+        except ValueError as exc:
+            raise ValueError(f"{what} {i}: {exc}") from None
+        if grid is None:
+            grid, raw_grid = g, raw
+        elif g != grid:
+            raise ValueError(f"{what} {i} has grid {g}, but the first one has grid {grid}")
+    try:
+        values = np.array([d["values"] for d in docs], dtype=np.float64)
+    except (TypeError, ValueError):  # a ragged or non-numeric list
+        values = None
+    if values is None or values.shape != (len(docs), grid.n_points):
+        for i, d in enumerate(docs):  # name the first dict at fault
+            row = read_array(d, "values", f"{what} {i}: feature")
+            if row.shape != (grid.n_points,):
+                raise ValueError(
+                    f"{what} {i}: feature 'values' has shape {row.shape},"
+                    f" but its grid has {grid.n_points} points"
+                )
+    finite = np.isfinite(values).all(axis=1)  # a JSON null reads as NaN
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what} {i}: feature 'values' must be finite numbers")
+    negative = (values < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"{what} {int(np.argmax(negative))}: density values must be non-negative")
+    return grid, values, bandwidths
 
 
 def _truncation_bound(raw: np.ndarray, mass: float, grid: FeatureGrid, h: float) -> float:

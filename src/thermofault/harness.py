@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
+from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, PdfFeature, feature_vector
 from .embedding import Embedder, TrainConfig, embed_many, train_embedder
 from .images import DatasetManifest, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
@@ -96,9 +96,8 @@ class ExperimentConfig:
         if "manifest" in data:
             kwargs["manifest_path"] = read_scalar(data, "manifest", str, "experiment data")
         if "grid" in d:
-            grid_keys = [f.name for f in dataclasses.fields(FeatureGrid)]
             kwargs["grid"] = FeatureGrid.from_dict(
-                check_keys(d["grid"], grid_keys, "experiment grid", grid_keys), "experiment grid"
+                check_keys(d["grid"], GRID_KEYS, "experiment grid", GRID_KEYS), "experiment grid"
             )
         if d.get("bandwidth", "auto") != "auto":
             kwargs["bandwidth"] = read_scalar(d, "bandwidth", float, "experiment config")

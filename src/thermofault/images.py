@@ -22,6 +22,7 @@ from .taxonomy import (
     parse_equipment_type,
     parse_status,
     read_scalar,
+    write_json,
 )
 
 BBox = tuple[int, int, int, int]
@@ -343,8 +344,4 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    Path(path).write_text(
-        json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_json(path, manifest_to_dict(manifest))

@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .density import GRID_KEYS, FeatureGrid
 from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
 
 
@@ -181,21 +182,31 @@ def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> Prototyp
     )
 
 
-def model_to_dict(model: PrototypeModel) -> dict:
+def model_to_dict(model: PrototypeModel, grid: FeatureGrid) -> dict:
+    """The model file: the model and the grid of the features it was fit on."""
     return {
         "alpha": model.alpha,
         "feature_dim": model.feature_dim,
+        "grid": grid.to_dict(),
         "classes": [c.to_dict() for c in model.classes],
         "centers_labeled": model.centers_labeled.tolist(),
         "centers_refined": model.centers_refined.tolist(),
     }
 
 
-def model_from_dict(d: dict) -> PrototypeModel:
-    keys = ("alpha", "feature_dim", "classes", "centers_labeled", "centers_refined")
+def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid]:
+    """The model and its feature grid, as model_to_dict writes them."""
+    keys = ("alpha", "feature_dim", "grid", "classes", "centers_labeled", "centers_refined")
+    if isinstance(d, dict) and "grid" not in d:
+        raise ValueError(
+            "model needs key(s): 'grid', the grid of the features it was trained on,"
+            " which older model files lack; re-run train to write it"
+        )
     check_keys(d, keys, "model", keys)
     if not isinstance(d["classes"], list):
         raise ValueError(f"model 'classes' must be a list, got {d['classes']!r}")
+    grid_doc = check_keys(d["grid"], GRID_KEYS, "model grid", GRID_KEYS)
+    grid = FeatureGrid.from_dict(grid_doc, "model grid")
     model = PrototypeModel(
         classes=tuple(SubcategoryId.from_dict(c) for c in d["classes"]),
         centers_labeled=read_array(d, "centers_labeled", "model"),
@@ -204,7 +215,7 @@ def model_from_dict(d: dict) -> PrototypeModel:
     )
     if model.feature_dim != read_scalar(d, "feature_dim", int, "model"):
         raise ValueError("feature_dim does not match the stored centers")
-    return model
+    return model, grid
 
 
 __all__ = [

@@ -1,11 +1,14 @@
-"""Equipment types, statuses, the 10 subcategory identifiers, and the key
-check shared by every JSON reader."""
+"""Equipment types, statuses, the 10 subcategory identifiers, the key
+check shared by every JSON reader, and the writer of every JSON artifact."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
+from pathlib import Path
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -130,3 +133,33 @@ def read_array(d: dict, key: str, what: str) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError(f"{what} {key!r} must be an array of numbers") from None
+
+
+def _create(path) -> TextIO:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_json(path, payload) -> None:
+    """payload as one line of JSON with sorted keys, plus a newline: the
+    form of every JSON artifact. Read it with `python -m json.tool FILE`.
+
+    Only json.dumps without an indent runs the C encoder; json.dump and
+    any indent go through the pure-Python one, several times slower."""
+    with _create(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def write_records(path, records: Iterable[dict]) -> int:
+    """The bytes of write_json(path, {"records": list(records)}), written
+    one record at a time, so the whole text is never held. Returns the
+    number of records."""
+    n = 0
+    with _create(path) as fh:
+        fh.write('{"records": [')
+        for rec in records:
+            fh.write((", " if n else "") + json.dumps(rec, sort_keys=True))
+            n += 1
+        fh.write("]}\n")
+    return n

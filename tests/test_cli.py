@@ -127,6 +127,28 @@ def test_extract_record_region_fields_come_from_the_region(dataset):
         assert region_fields == region.to_dict()
 
 
+def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
+    """The streamed feature file is json.dumps of the whole payload, built
+    here from the library's features."""
+    manifest, features = extract_features(
+        ExperimentConfig(manifest_path=str(dataset / "data" / "manifest.json")), feature_vector
+    )
+    records = [
+        {**region.to_dict(), "split": split, "feature": feature.to_dict()}
+        for split in ("labeled", "unlabeled", "test")
+        for region, feature in zip(getattr(manifest, split), features[split])
+    ]
+    assert len(records) == 10 * (2 + 2 + 1)
+    expected = json.dumps({"records": records}, sort_keys=True) + "\n"
+    assert (dataset / "features.json").read_text(encoding="utf-8") == expected
+
+    empty = tmp_path / "manifest.json"
+    empty.write_text(json.dumps({"images": [], "labeled": [], "unlabeled": [], "test": []}))
+    out = tmp_path / "features.json"
+    assert run_cli("extract", "--manifest", empty, "--out", out) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == json.dumps({"records": []}) + "\n"
+
+
 def test_extract_corrupt_rtm_reports_file_and_line(dataset, tmp_path, capsys):
     import shutil
 
@@ -354,7 +376,7 @@ def test_classify_posteriors_sum_to_one(separable_run):
 
 
 def test_classify_class_fields_come_from_the_subcategory(separable_run):
-    model = model_from_dict(json.loads((separable_run / "model.json").read_text()))
+    model, _ = model_from_dict(json.loads((separable_run / "model.json").read_text()))
     for line in (separable_run / "predictions.jsonl").read_text().splitlines():
         rec = json.loads(line)
         region = RegionAnnotation.from_dict(rec)
@@ -513,6 +535,93 @@ def test_classify_rejects_mixed_grids(separable_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert "[0.0, 120.0] x 128" in err and "[10.0, 120.0] x 128" in err
+    assert not out.exists()
+
+
+def test_classify_rejects_a_model_trained_on_another_grid(dataset, tmp_path, capsys):
+    """Same 128 points, shifted t_lo: the model's grid is not the features'."""
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--features", dataset / "features.json", "--out", model) == EXIT_OK
+    assert json.loads(model.read_text())["grid"] == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 128}
+    records = json.loads((dataset / "features.json").read_text())["records"]
+    for rec in records:
+        assert rec["feature"]["t_lo"] == -20.0
+        rec["feature"]["t_lo"] = 0.0
+    feats = tmp_path / "shifted.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    code = run_cli("classify", "--model", model, "--features", feats, "--out", out)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"feature file {feats} is on grid [0.0, 120.0] x 128 points" in err
+    assert f"model {model} was trained on grid [-20.0, 120.0] x 128 points" in err
+    assert not out.exists()
+
+
+def test_classify_model_without_a_grid_asks_to_retrain(separable_run, tmp_path, capsys):
+    doc = json.loads((separable_run / "model.json").read_text())
+    del doc["grid"]
+    model = tmp_path / "old_model.json"
+    model.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    code = run_cli(
+        "classify", "--model", model, "--features", separable_run / "features.json", "--out", out
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "model needs key(s): 'grid'" in err and "re-run train" in err
+    assert not out.exists()
+
+
+def test_indented_feature_file_classifies_to_the_same_bytes(separable_run, tmp_path):
+    """A feature file written with indent=2, as earlier versions did."""
+    records = json.loads((separable_run / "features.json").read_text())
+    feats = tmp_path / "indented.json"
+    feats.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    assert run_cli(
+        "classify", "--model", separable_run / "model.json", "--features", feats, "--out", out
+    ) == EXIT_OK
+    assert out.read_bytes() == (separable_run / "predictions.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "classify"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (("values", 7), None, "record 5: feature 'values' must be finite numbers"),
+        (("values", 7), -1e-300, "record 5: density values must be non-negative"),
+        (("values",), "short", "record 5: feature 'values' has shape (127,), but its grid has 128"),
+        (("bandwidth",), "auto", "record 5: feature 'bandwidth' must be a number, got 'auto'"),
+        (
+            ("t_lo",), 10.0,
+            "record 5 has grid [10.0, 120.0] x 128 points,"
+            " but the first one has grid [0.0, 120.0] x 128 points",
+        ),
+    ],
+    ids=["null", "negative", "short", "string-bandwidth", "mixed-grids"],
+)
+def test_bulk_feature_reader_names_the_record(
+    separable_run, tmp_path, capsys, command, key, value, message
+):
+    records = json.loads((separable_run / "features.json").read_text())["records"]
+    feature = records[5]["feature"]
+    assert records[5]["split"] == "labeled"
+    if value == "short":
+        feature["values"] = feature["values"][:-1]
+    elif len(key) == 2:
+        feature[key[0]][key[1]] = value
+    else:
+        feature[key[0]] = value
+    feats = tmp_path / "bad.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    args = ["--model", separable_run / "model.json"] if command == "classify" else []
+    code = run_cli(command, "--features", feats, "--out", out, *args)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"feature file {feats}: {message}" in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from thermofault.density import (
     interval_probability,
     kde_at,
     kde_values,
+    read_features,
     silverman_bandwidth,
 )
 from thermofault.harness import (
@@ -660,10 +662,27 @@ def test_pdf_feature_serialization_round_trip():
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
     doc = feat.to_dict()
     assert set(doc) == {"t_lo", "t_hi", "n_points", "values", "bandwidth"}
-    back = PdfFeature.from_dict(doc)
-    assert back.grid == feat.grid
-    assert back.bandwidth == feat.bandwidth
-    assert (back.values == feat.values).all()
+    grid, values, bandwidths = read_features([doc])
+    assert grid == feat.grid
+    assert bandwidths.tolist() == [feat.bandwidth]
+    assert (values[0] == feat.values).all()
+
+
+def test_read_features_equals_each_feature_read_alone():
+    """The bulk reader against the features it reads, one at a time: the
+    same grid, the same value bytes row by row, the same bandwidths."""
+    grid = FeatureGrid(-20.0, 120.0, 16)
+    rng = np.random.Generator(np.random.PCG64(4))
+    feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
+    docs = json.loads(json.dumps([f.to_dict() for f in feats]))
+    docs[2]["t_lo"], docs[3]["n_points"] = -20, 16.0  # other JSON spellings of the grid
+    got_grid, values, bandwidths = read_features(docs)
+    assert got_grid == grid
+    assert values.shape == (6, 16)
+    for row, f in zip(values, feats):
+        assert row.tobytes() == f.values.tobytes()
+    assert bandwidths.tolist() == [f.bandwidth for f in feats]
+    assert read_features([])[0] is None
 
 
 def test_feature_grid_dict_round_trip():
@@ -681,8 +700,8 @@ def test_feature_grid_scalar_of_the_wrong_json_type_names_its_key():
         with pytest.raises(ValueError, match=f"grid '{key}' must be"):
             FeatureGrid.from_dict({**good, key: bad})
     doc = feature_vector([10.0, 30.0, 31.0], FeatureGrid(**good), bandwidth=2.0).to_dict()
-    with pytest.raises(ValueError, match="feature 'bandwidth' must be a number"):
-        PdfFeature.from_dict({**doc, "bandwidth": [2.0]})
+    with pytest.raises(ValueError, match="feature 0: feature 'bandwidth' must be a number"):
+        read_features([{**doc, "bandwidth": [2.0]}])
     assert FeatureGrid.from_dict({**good, "n_points": 16.0, "t_lo": "-20"}) == FeatureGrid(**good)
 
 

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every imported name is used."""
+"""Source checks that need no linter: every imported name is used, and no
+JSON is written through Python's pure-Python encoder."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,10 @@ SOURCES = sorted(
     for p in [*(ROOT / "src" / "thermofault").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     if p.name != "__init__.py"
 )
+
+PACKAGE = sorted((ROOT / "src" / "thermofault").glob("*.py"))
+# json.dump (a stream) and any indent run the pure-Python encoder, not the C one
+SLOW_JSON = ("json.dump(", "indent=")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +53,23 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys\nfrom typing import Any, List\n__all__ = ['List']\nsys.exit(0)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Any"]
+
+
+def slow_json_writes(source: str) -> list[str]:
+    return [
+        f"line {n}: {pattern}"
+        for n, line in enumerate(source.splitlines(), 1)
+        for pattern in SLOW_JSON
+        if pattern in line
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_slow_json_writes(path):
+    assert slow_json_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_slow_json_write_is_reported():
+    assert {"cli.py", "taxonomy.py", "__init__.py"} <= {p.name for p in PACKAGE}
+    source = "json.dumps(x)\njson.dump(x, fh)\njson.dumps(x, indent=2)\n"
+    assert slow_json_writes(source) == ["line 2: json.dump(", "line 3: indent="]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from thermofault.taxonomy import (
@@ -11,6 +13,8 @@ from thermofault.taxonomy import (
     parse_equipment_type,
     parse_status,
     subcategory_from_index,
+    write_json,
+    write_records,
 )
 
 
@@ -87,3 +91,16 @@ def test_check_keys_names_unknown_and_missing_keys():
         check_keys(d, ("alpha", "seed"), "config", required=("seed",))
     with pytest.raises(ValueError, match="JSON object"):
         check_keys([1, 2], ("alpha",), "config")
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_write_records_streams_the_bytes_of_write_json(tmp_path, n):
+    records = [
+        {"b": [1.5, -0.0, 1e-300], "a": {"z": None, "y": "s\u00e9"}, "i": i} for i in range(n)
+    ]
+    assert write_records(tmp_path / "s" / "f.json", iter(records)) == n
+    write_json(tmp_path / "w" / "f.json", {"records": records})
+    text = (tmp_path / "s" / "f.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "w" / "f.json").read_text(encoding="utf-8")
+    assert text == json.dumps({"records": records}, sort_keys=True) + "\n"
+    assert text.count("\n") == 1

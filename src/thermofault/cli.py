@@ -133,9 +133,8 @@ def _load_records(path: Path) -> tuple[list[dict], FeatureGrid | None, np.ndarra
                 f"feature file {path}: record {i} has split {rec['split']!r};"
                 f" expected one of: {', '.join(SPLITS)}"
             )
-    grid, values, _ = read_features(
-        [rec["feature"] for rec in records], f"feature file {path}: record"
-    )
+    features = [rec["feature"] for rec in records]
+    grid, values = read_features(features, f"feature file {path}: record")
     return records, grid, values
 
 

@@ -316,11 +316,9 @@ class PdfFeature:
 FEATURE_KEYS = (*GRID_KEYS, "values", "bandwidth")
 
 
-def read_features(
-    docs: list, what: str = "feature"
-) -> tuple[FeatureGrid | None, np.ndarray, np.ndarray]:
-    """The one grid, the (n, n_points) values and the n bandwidths of n
-    feature dicts (the grid is None for none).
+def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None, np.ndarray]:
+    """The one grid and the (n, n_points) values of n feature dicts; for
+    no dicts, None and an empty array (no rows, no width).
 
     Each dict is checked as a PdfFeature checks its fields: it holds
     exactly FEATURE_KEYS, its scalars have the right JSON types, and its
@@ -329,13 +327,12 @@ def read_features(
     the index of the dict at fault as "{what} {i}".
     """
     if not docs:
-        return None, np.empty((0, 0)), np.empty(0)
+        return None, np.empty(0)
     grid = raw_grid = None
-    bandwidths = np.empty(len(docs))
     for i, d in enumerate(docs):
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
-            bandwidths[i] = read_scalar(d, "bandwidth", float, "feature")
+            read_scalar(d, "bandwidth", float, "feature")
             raw = (d["t_lo"], d["t_hi"], d["n_points"])
             # equal JSON values read as equal scalars, so only a new triple is parsed
             g = grid if raw == raw_grid else FeatureGrid.from_dict(d, "feature")
@@ -364,7 +361,7 @@ def read_features(
     negative = (values < 0).any(axis=1)
     if negative.any():
         raise ValueError(f"{what} {int(np.argmax(negative))}: density values must be non-negative")
-    return grid, values, bandwidths
+    return grid, values
 
 
 def _truncation_bound(raw: np.ndarray, mass: float, grid: FeatureGrid, h: float) -> float:

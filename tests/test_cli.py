@@ -419,6 +419,23 @@ def test_classify_empty_features(separable_run, tmp_path):
     assert out.read_text() == ""
 
 
+def test_classify_empty_features_through_an_embedder(separable_run, tmp_path):
+    model = tmp_path / "mlp.json"
+    assert run_cli(
+        "train", "--features", separable_run / "features.json", "--out", model,
+        "--embedder", "mlp", "--episodes", 0, "--out-dim", 6,
+    ) == EXIT_OK
+    feats = tmp_path / "empty.json"
+    feats.write_text(json.dumps({"records": []}), encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    code = run_cli(
+        "classify", "--model", model, "--features", feats, "--out", out,
+        "--embedder-file", f"{model}.embedder.json",
+    )
+    assert code == EXIT_OK
+    assert out.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "artifact, where, value, message",
     [

@@ -662,26 +662,25 @@ def test_pdf_feature_serialization_round_trip():
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
     doc = feat.to_dict()
     assert set(doc) == {"t_lo", "t_hi", "n_points", "values", "bandwidth"}
-    grid, values, bandwidths = read_features([doc])
+    assert doc["bandwidth"] == feat.bandwidth
+    grid, values = read_features([doc])
     assert grid == feat.grid
-    assert bandwidths.tolist() == [feat.bandwidth]
     assert (values[0] == feat.values).all()
 
 
-def test_read_features_equals_each_feature_read_alone():
-    """The bulk reader against the features it reads, one at a time: the
-    same grid, the same value bytes row by row, the same bandwidths."""
+def test_read_features_rows_are_the_bytes_of_each_feature():
+    """The bulk reader against the features it reads: the same grid and
+    the same value bytes, row by row."""
     grid = FeatureGrid(-20.0, 120.0, 16)
     rng = np.random.Generator(np.random.PCG64(4))
     feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
     docs = json.loads(json.dumps([f.to_dict() for f in feats]))
     docs[2]["t_lo"], docs[3]["n_points"] = -20, 16.0  # other JSON spellings of the grid
-    got_grid, values, bandwidths = read_features(docs)
+    got_grid, values = read_features(docs)
     assert got_grid == grid
     assert values.shape == (6, 16)
     for row, f in zip(values, feats):
         assert row.tobytes() == f.values.tobytes()
-    assert bandwidths.tolist() == [f.bandwidth for f in feats]
     assert read_features([])[0] is None
 
 

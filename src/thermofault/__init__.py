@@ -57,7 +57,6 @@ from .images import (
     load_manifest,
     load_thermal,
     manifest_to_dict,
-    read_rtm_header,
     save_manifest,
     save_thermal,
 )

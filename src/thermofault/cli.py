@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -36,9 +38,9 @@ from .harness import (
     sweep_table,
 )
 from .images import InputFormatError, ManifestError, RegionAnnotation
-from .prototypes import model_from_dict, model_to_dict, posterior
+from .prototypes import Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
-from .taxonomy import check_keys, write_json, write_records
+from .taxonomy import EQUIPMENT_TYPES, STATUSES, check_keys, write_json, write_records
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -157,15 +159,16 @@ def cmd_train(args) -> int:
     if not labeled:
         raise ValueError("no labeled records in the feature file")
 
+    digest = None
     if args.embedder == KIND_MLP:
         emb = fit_embedder(labeled, TrainConfig(**mlp_flags), args.seed)
         embedder_path = Path(str(args.out) + ".embedder.json")
-        write_json(embedder_path, embedder_to_dict(emb))
+        digest = _sha256(write_json(embedder_path, embedder_to_dict(emb)).encode("utf-8"))
         print(f"wrote embedder to {embedder_path}")
         labeled = list(zip((c for c, _ in labeled), embed_many(emb, [v for _, v in labeled])))
         unlabeled = embed_many(emb, unlabeled)
     model = fit_model(labeled, unlabeled, args.mode, args.alpha, args.refine_iters)
-    write_json(Path(args.out), model_to_dict(model, grid))
+    write_json(Path(args.out), model_to_dict(model, grid, digest))
     print(
         f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
         f" classes={model.n_classes}, dim={model.feature_dim})"
@@ -173,18 +176,66 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _prediction_lines(
+    regions: list[RegionAnnotation], splits: list[str], post: Posterior
+) -> Iterator[str]:
+    """Each record's prediction line, the bytes of json.dumps(line,
+    sort_keys=True) for the record's region plus "split", "predicted" and
+    "posterior" (the model's class objects with "distance" and "prob").
+
+    Every line's literal text, each class's fragment included, is one
+    %-template made once per call. A record fills in its region and its
+    numbers, which come from one json.dumps of all distances and
+    probabilities, so NaN and the infinities read as the encoder writes
+    them."""
+    k = len(post.classes)
+    text = {
+        None: "null",
+        **{split: json.dumps(split) for split in SPLITS},
+        **{v: json.dumps(v.value) for v in (*EQUIPMENT_TYPES, *STATUSES)},
+    }
+    entries = ", ".join(
+        f'{{"distance": %s, "equipment_type": {text[c.equipment_type]},'
+        f' "prob": %s, "status": {text[c.status]}}}'
+        for c in post.classes
+    )
+    template = (
+        '{"bbox": [%d, %d, %d, %d], "equipment_type": %s, "image_ref": %s,'
+        f' "posterior": [{entries}], "predicted": %s, "split": %s, "status": %s}}'
+    )
+    predicted = {c: json.dumps(c.to_dict(), sort_keys=True) for c in post.classes}
+    numbers = np.stack([post.distances, post.probs], axis=-1).reshape(-1).tolist()
+    tokens = json.dumps(numbers)[1:-1].split(", ")  # per row: distance, prob per class
+    for i, (region, split, pred) in enumerate(zip(regions, splits, post.predicted)):
+        yield template % (
+            *region.bbox,
+            text[region.equipment_type],
+            json.dumps(region.image_ref),
+            *tokens[2 * k * i : 2 * k * (i + 1)],
+            predicted[pred],
+            text[split],
+            text[region.status],
+        )
+
+
 def cmd_classify(args) -> int:
-    model, model_grid = model_from_dict(_read_json(Path(args.model)))
+    model, model_grid, model_embedder = model_from_dict(_read_json(Path(args.model)))
     records, grid, vectors = _load_records(Path(args.features))
+    regions = [RegionAnnotation.from_dict(rec) for rec in records]
     if grid is not None and grid != model_grid:
         raise ValueError(
             f"feature file {args.features} is on grid {grid}, but model {args.model}"
             f" was trained on grid {model_grid}"
         )
+    digest = None
     if args.embedder_file is not None:
-        vectors = embed_many(embedder_from_dict(_read_json(Path(args.embedder_file))), vectors)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+        data = Path(args.embedder_file).read_bytes()
+        digest = _sha256(data)
+        vectors = embed_many(embedder_from_dict(json.loads(data.decode("utf-8"))), vectors)
     if not records:  # no rows have no width to check
         vectors = vectors.reshape(0, model.feature_dim)
     if vectors.shape[1] != model.feature_dim:
@@ -193,30 +244,25 @@ def cmd_classify(args) -> int:
             f"model {args.model} takes {model.feature_dim}-wide vectors, but the features"
             f" with {source} are {vectors.shape[1]} wide"
         )
+    if digest != model_embedder:
+        trained = (
+            "without an embedder"
+            if model_embedder is None
+            else f"through the embedder with sha256 {model_embedder}"
+        )
+        given = (
+            "no --embedder-file"
+            if digest is None
+            else f"--embedder-file {args.embedder_file} with sha256 {digest}"
+        )
+        raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
     post = posterior(vectors, model)
-    class_dicts = [c.to_dict() for c in post.classes]
-    predicted_dicts = dict(zip(post.classes, class_dicts))
-    lines = [
-        json.dumps(
-            {
-                **RegionAnnotation.from_dict(rec).to_dict(),
-                "split": rec["split"],
-                "predicted": predicted_dicts[predicted],
-                "posterior": [
-                    {**c, "distance": d, "prob": p}
-                    for c, d, p in zip(class_dicts, distances, probs)
-                ],
-            },
-            sort_keys=True,
-        )
-        for rec, predicted, distances, probs in zip(
-            records, post.predicted, post.distances.tolist(), post.probs.tolist()
-        )
-    ]
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
+        for line in _prediction_lines(regions, [rec["split"] for rec in records], post):
             fh.write(line + "\n")
-    print(f"wrote {len(lines)} predictions to {args.out}")
+    print(f"wrote {len(records)} predictions to {args.out}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, PdfFeature, feature_vector
 from .embedding import Embedder, TrainConfig, embed_many, train_embedder
-from .images import DatasetManifest, extract_region, load_manifest, load_thermal
+from .images import DatasetManifest, ManifestError, extract_region, load_manifest, load_thermal
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
 from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
@@ -208,9 +208,10 @@ def extract_features(
     """The density feature of every region of cfg's dataset, per split.
 
     A synthetic dataset is generated with cfg.seed; a manifest's images are
-    read from disk. featurize is density.feature_vector as the calling front
-    end binds it, so a wrapper or patch on that front end's name applies to
-    its own extraction only.
+    read from disk, each once, and a region whose bbox leaves its image is
+    a ManifestError naming the manifest and the region. featurize is
+    density.feature_vector as the calling front end binds it, so a wrapper
+    or patch on that front end's name applies to its own extraction only.
     """
     if cfg.synth is not None:
         images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
@@ -221,6 +222,15 @@ def extract_features(
             image_id: load_thermal(path, source_id=image_id)
             for image_id, path in manifest.image_paths.items()
         }
+        for split in SPLITS:
+            for r in getattr(manifest, split):
+                img = by_id[r.image_ref]
+                x, y, w, h = r.bbox
+                if x + w > img.width or y + h > img.height:
+                    raise ManifestError(
+                        f"{cfg.manifest_path}: {split} region {r.key()}: bbox outside"
+                        f" {img.width}x{img.height} image {r.image_ref!r}"
+                    )
     features = {
         split: [
             featurize(extract_region(by_id[r.image_ref], r.bbox), cfg.grid, cfg.bandwidth)

@@ -141,14 +141,6 @@ def _parse_rtm_header(path, line: str) -> tuple[int, int]:
     return width, height
 
 
-def read_rtm_header(path) -> tuple[int, int]:
-    """Read just the width/height of an RTM file without loading pixels."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-    return _parse_rtm_header(path, first)
-
-
 def save_thermal(img: ThermalImage, path) -> None:
     """Write an RTM text file; %.17g rendering keeps the round trip exact."""
     path = Path(path)
@@ -269,11 +261,13 @@ def _region_from_dict(entry: dict, where: str) -> RegionAnnotation:
 
 
 def load_manifest(path, image_root=None) -> DatasetManifest:
-    """Load a manifest JSON file and validate regions against their images.
+    """Load a manifest JSON file and check that its images exist.
 
     Regions with a null status land in the unlabeled split regardless of
     the list they were declared in. Image paths are resolved relative to
-    image_root (default: the manifest's directory).
+    image_root (default: the manifest's directory). No image is opened
+    here: whoever loads the images checks each bbox against its image's
+    size (harness.extract_features does).
     """
     path = Path(path)
     root = Path(image_root) if image_root is not None else path.parent
@@ -294,11 +288,9 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
             raise ManifestError(f"{path}: duplicate image id {img_id!r}")
         image_paths[img_id] = root / rel
 
-    dims: dict[str, tuple[int, int]] = {}
     for img_id, img_path in image_paths.items():
         if not img_path.exists():
             raise ManifestError(f"{path}: image {img_id!r} not found at {img_path}")
-        dims[img_id] = read_rtm_header(img_path)
 
     splits: dict[str, list[RegionAnnotation]] = {"labeled": [], "unlabeled": [], "test": []}
     for name in ("labeled", "unlabeled", "test"):
@@ -308,16 +300,9 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
                 raise ManifestError(
                     f"{path}: {name}[{i}] has no status key; give null to mark it unlabeled"
                 )
-            if region.image_ref not in dims:
+            if region.image_ref not in image_paths:
                 raise ManifestError(
                     f"{path}: {name}[{i}] references unknown image {region.image_ref!r}"
-                )
-            w, h = dims[region.image_ref]
-            x, y, bw, bh = region.bbox
-            if x + bw > w or y + bh > h:
-                raise ManifestError(
-                    f"{path}: {name}[{i}] bbox {region.bbox} outside {w}x{h} image"
-                    f" {region.image_ref!r}"
                 )
             if region.status is None:
                 splits["unlabeled"].append(region)  # null status routes to unlabeled

@@ -182,29 +182,43 @@ def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> Prototyp
     )
 
 
-def model_to_dict(model: PrototypeModel, grid: FeatureGrid) -> dict:
-    """The model file: the model and the grid of the features it was fit on."""
+def model_to_dict(model: PrototypeModel, grid: FeatureGrid, embedder: str | None) -> dict:
+    """The model file: the model, the grid of the features it was fit on and
+    the sha256 of the embedder file its vectors went through (None: none)."""
     return {
         "alpha": model.alpha,
         "feature_dim": model.feature_dim,
         "grid": grid.to_dict(),
+        "embedder": embedder,
         "classes": [c.to_dict() for c in model.classes],
         "centers_labeled": model.centers_labeled.tolist(),
         "centers_refined": model.centers_refined.tolist(),
     }
 
 
-def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid]:
-    """The model and its feature grid, as model_to_dict writes them."""
-    keys = ("alpha", "feature_dim", "grid", "classes", "centers_labeled", "centers_refined")
-    if isinstance(d, dict) and "grid" not in d:
+# the keys that older model files lack, and what each holds
+_STAMPS = {
+    "grid": "the grid of the features it was trained on",
+    "embedder": "the sha256 of its embedder file, or null",
+}
+
+
+def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid, str | None]:
+    """The model, its feature grid and its embedder digest, as model_to_dict
+    writes them."""
+    keys = ("alpha", "feature_dim", *_STAMPS, "classes", "centers_labeled", "centers_refined")
+    missing = [k for k in _STAMPS if isinstance(d, dict) and k not in d]
+    if missing:
         raise ValueError(
-            "model needs key(s): 'grid', the grid of the features it was trained on,"
-            " which older model files lack; re-run train to write it"
+            f"model needs key(s): {', '.join(f'{k!r}, {_STAMPS[k]}' for k in missing)};"
+            " older model files lack them, so re-run train to write them"
         )
     check_keys(d, keys, "model", keys)
     if not isinstance(d["classes"], list):
         raise ValueError(f"model 'classes' must be a list, got {d['classes']!r}")
+    embedder = d["embedder"]
+    if embedder is not None and not isinstance(embedder, str):
+        raise ValueError(f"model 'embedder' must be a sha256 hex digest or null, got {embedder!r}")
     grid_doc = check_keys(d["grid"], GRID_KEYS, "model grid", GRID_KEYS)
     grid = FeatureGrid.from_dict(grid_doc, "model grid")
     model = PrototypeModel(
@@ -215,7 +229,7 @@ def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid]:
     )
     if model.feature_dim != read_scalar(d, "feature_dim", int, "model"):
         raise ValueError("feature_dim does not match the stored centers")
-    return model, grid
+    return model, grid, embedder
 
 
 __all__ = [

@@ -141,14 +141,17 @@ def _create(path) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_json(path, payload) -> None:
+def write_json(path, payload) -> str:
     """payload as one line of JSON with sorted keys, plus a newline: the
     form of every JSON artifact. Read it with `python -m json.tool FILE`.
+    Returns the text written, whose UTF-8 encoding is the file's bytes.
 
     Only json.dumps without an indent runs the C encoder; json.dump and
     any indent go through the pure-Python one, several times slower."""
+    text = json.dumps(payload, sort_keys=True) + "\n"
     with _create(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(text)
+    return text
 
 
 def write_records(path, records: Iterable[dict]) -> int:

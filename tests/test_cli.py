@@ -1,15 +1,19 @@
 import dataclasses
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from thermofault.density import FeatureGrid, feature_vector
+from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _prediction_lines, main
+from thermofault.density import FeatureGrid, feature_vector, read_features
 from thermofault.embedding import TrainConfig, embedder_from_dict
 from thermofault.harness import (
+    SPLITS,
     ExperimentConfig,
     extract_features,
     fit_embedder,
@@ -17,9 +21,9 @@ from thermofault.harness import (
     run_both,
 )
 from thermofault.images import RegionAnnotation, extract_region, load_manifest, load_thermal
-from thermofault.prototypes import model_from_dict
+from thermofault.prototypes import Posterior, model_from_dict, posterior
 from thermofault.synthetic import default_synth_config, separable_synth_config
-from thermofault.taxonomy import SubcategoryId
+from thermofault.taxonomy import EQUIPMENT_TYPES, STATUSES, SUBCATEGORIES, SubcategoryId
 
 
 def run_cli(*argv):
@@ -376,7 +380,7 @@ def test_classify_posteriors_sum_to_one(separable_run):
 
 
 def test_classify_class_fields_come_from_the_subcategory(separable_run):
-    model, _ = model_from_dict(json.loads((separable_run / "model.json").read_text()))
+    model, _, _ = model_from_dict(json.loads((separable_run / "model.json").read_text()))
     for line in (separable_run / "predictions.jsonl").read_text().splitlines():
         rec = json.loads(line)
         region = RegionAnnotation.from_dict(rec)
@@ -642,6 +646,186 @@ def test_bulk_feature_reader_names_the_record(
     assert not out.exists()
 
 
+def reference_line(region, split, predicted, classes, distances, probs) -> str:
+    """A prediction line as a dict and json.dumps make it."""
+    return json.dumps(
+        {
+            **region.to_dict(),
+            "split": split,
+            "predicted": predicted.to_dict(),
+            "posterior": [
+                {**c.to_dict(), "distance": d, "prob": p}
+                for c, d, p in zip(classes, distances, probs)
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.1125369292536007e-308, 1e308, -1e308, 1.7976931348623157e308,
+]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True))
+REGIONS = st.builds(
+    RegionAnnotation,
+    st.tuples(
+        st.integers(0, 10**12), st.integers(0, 10**12),
+        st.integers(1, 10**12), st.integers(1, 10**12),
+    ),
+    st.sampled_from(EQUIPMENT_TYPES),
+    st.one_of(st.none(), st.sampled_from(STATUSES)),
+    st.text(),  # quotes, backslashes, %, non-ASCII and control characters
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prediction_lines_equal_json_dumps_of_the_record(data):
+    classes = tuple(
+        sorted(data.draw(st.sets(st.sampled_from(SUBCATEGORIES), min_size=1), label="classes"))
+    )
+    n = data.draw(st.integers(0, 4), label="n")
+    k = len(classes)
+    regions = data.draw(st.lists(REGIONS, min_size=n, max_size=n), label="regions")
+    splits = data.draw(st.lists(st.sampled_from(SPLITS), min_size=n, max_size=n), label="splits")
+    numbers = st.lists(FLOATS, min_size=n * k, max_size=n * k)
+    distances = np.array(data.draw(numbers, label="distances")).reshape(n, k)
+    probs = np.array(data.draw(numbers, label="probs")).reshape(n, k)
+    predicted = tuple(
+        data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n), label="predicted")
+    )
+    post = Posterior(classes, distances, probs, predicted)
+    want = [
+        reference_line(r, s, c, classes, d, p)
+        for r, s, c, d, p in zip(regions, splits, predicted, distances.tolist(), probs.tolist())
+    ]
+    assert list(_prediction_lines(regions, splits, post)) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_classify_infinite_distances_are_the_bytes_of_json_dumps(separable_run, tmp_path):
+    """Centers at 1e200 give Infinity distances (and NaN probabilities where
+    every distance of a row is infinite); each line keeps json.dumps's bytes."""
+    doc = json.loads((separable_run / "model.json").read_text())
+    for key in ("centers_labeled", "centers_refined"):
+        for row in doc[key][::2]:
+            row[:] = [1e200] * len(row)
+    model_path = tmp_path / "far.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    feats = separable_run / "features.json"
+    assert run_cli("classify", "--model", model_path, "--features", feats, "--out", out) == EXIT_OK
+    model, _, _ = model_from_dict(doc)
+    records = json.loads(feats.read_text())["records"]
+    _, values = read_features([r["feature"] for r in records], "record")
+    post = posterior(values, model)
+    assert np.isinf(post.distances[:, ::2]).all()
+    want = [
+        reference_line(RegionAnnotation.from_dict(rec), rec["split"], c, model.classes, d, p)
+        for rec, c, d, p in zip(
+            records, post.predicted, post.distances.tolist(), post.probs.tolist()
+        )
+    ]
+    assert out.read_text() == "".join(line + "\n" for line in want)
+    assert "Infinity" in want[0]
+
+    # every distance infinite: the probabilities are NaN
+    doc["centers_labeled"] = doc["centers_refined"] = [[1e200] * len(values[0])] * model.n_classes
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("classify", "--model", model_path, "--features", feats, "--out", out) == EXIT_OK
+    first = out.read_text().splitlines()[0]
+    c0 = model.classes[0]
+    rec = records[0]
+    region = RegionAnnotation.from_dict(rec)
+    k = model.n_classes
+    assert first == reference_line(
+        region, rec["split"], c0, model.classes, [float("inf")] * k, [float("nan")] * k
+    )
+
+
+@pytest.fixture(scope="module")
+def mlp_runs(separable_run, tmp_path_factory):
+    """Two MLP models of the same shape, trained with --seed 1 and --seed 2."""
+    root = tmp_path_factory.mktemp("mlp")
+    for seed in (1, 2):
+        assert run_cli(
+            "train", "--features", separable_run / "features.json",
+            "--out", root / f"seed{seed}.json",
+            "--embedder", "mlp", "--episodes", 3, "--out-dim", 6, "--seed", seed,
+        ) == EXIT_OK
+    return root
+
+
+def test_train_stamps_the_model_with_its_embedder_digest(separable_run, mlp_runs):
+    embedder = Path(f"{mlp_runs / 'seed1.json'}.embedder.json")
+    doc = json.loads((mlp_runs / "seed1.json").read_text())
+    assert doc["embedder"] == hashlib.sha256(embedder.read_bytes()).hexdigest()
+    assert json.loads((separable_run / "model.json").read_text())["embedder"] is None
+
+
+def test_classify_rejects_an_embedder_the_model_was_not_trained_through(
+    separable_run, mlp_runs, tmp_path, capsys
+):
+    """An embedder of the same shape trained with another seed used to
+    classify silently; now the two digests are named and classify exits 1."""
+    model, feats, out = mlp_runs / "seed1.json", separable_run / "features.json", tmp_path / "p"
+    own = Path(f"{model}.embedder.json")
+    other = Path(f"{mlp_runs / 'seed2.json'}.embedder.json")
+    own_digest = hashlib.sha256(own.read_bytes()).hexdigest()
+    other_digest = hashlib.sha256(other.read_bytes()).hexdigest()
+    assert own_digest != other_digest
+    args = ("classify", "--model", model, "--features", feats, "--out", out)
+    assert run_cli(*args, "--embedder-file", own) == EXIT_OK
+    out.unlink()
+    capsys.readouterr()
+    assert run_cli(*args, "--embedder-file", other) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert own_digest in err and other_digest in err and str(other) in err
+    assert not out.exists()
+
+
+def test_classify_embedder_stamp_mismatches_exit_1(separable_run, tmp_path, capsys):
+    """With the widths equal (an MLP to 128 dims): an embedder given for a
+    model trained without one, and no embedder for a model trained through
+    one, are both rejected."""
+    feats, out = separable_run / "features.json", tmp_path / "p.jsonl"
+    mlp = tmp_path / "mlp.json"
+    assert run_cli(
+        "train", "--features", feats, "--out", mlp,
+        "--embedder", "mlp", "--episodes", 0, "--out-dim", 128,
+    ) == EXIT_OK
+    embedder = f"{mlp}.embedder.json"
+    digest = json.loads(mlp.read_text())["embedder"]
+    capsys.readouterr()
+    for model, extra, words in (
+        (separable_run / "model.json", ["--embedder-file", embedder], ("without an embedder",)),
+        (mlp, [], (digest, "no --embedder-file")),
+    ):
+        code = run_cli("classify", "--model", model, "--features", feats, "--out", out, *extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert str(model) in err and all(w in err for w in words), err
+        assert not out.exists()
+
+
+def test_classify_model_without_an_embedder_stamp_asks_to_retrain(
+    separable_run, tmp_path, capsys
+):
+    doc = json.loads((separable_run / "model.json").read_text())
+    del doc["embedder"]
+    model = tmp_path / "old_model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    code = run_cli(
+        "classify", "--model", model, "--features", separable_run / "features.json", "--out", out
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "model needs key(s): 'embedder'" in err and "re-run train" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- eval
 
 def test_eval_both_writes_reports_and_compare(dataset, tmp_path):
@@ -813,6 +997,35 @@ def test_eval_repeats_both_modes_is_the_seed_study(dataset, tmp_path, capsys):
 
 
 # ------------------------------------------------------------ determinism
+
+def test_chain_artifacts_are_the_encoders_canonical_form(dataset, tmp_path):
+    """synth -> extract -> train (weak, supervised, mlp) -> classify of each:
+    every JSON file is json.dumps(doc, sort_keys=True) plus a newline and every
+    prediction line is json.dumps(json.loads(line), sort_keys=True), so a
+    line built by hand cannot drift from the encoder's form."""
+    feats = dataset / "features.json"
+    for name, extra in (
+        ("weak", []),
+        ("supervised", ["--mode", "supervised"]),
+        ("mlp", ["--embedder", "mlp", "--episodes", 5, "--seed", 5]),
+    ):
+        model = tmp_path / f"{name}.json"
+        assert run_cli("train", "--features", feats, "--out", model, *extra) == EXIT_OK
+        embedder = ["--embedder-file", f"{model}.embedder.json"] if name == "mlp" else []
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(
+            "classify", "--model", model, "--features", feats, "--out", out, *embedder
+        ) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(json.loads(feats.read_text())["records"])
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+    files = [dataset / "data" / "manifest.json", feats, *tmp_path.glob("*.json")]
+    assert len(files) == 6
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
+
 
 def test_full_chain_determinism_and_speed(tmp_path):
     """synth -> extract -> train -> classify -> eval twice; identical bytes."""

@@ -296,21 +296,40 @@ def per_episode_training(labeled, cfg, seed):
         (2, [1, 3, 5, 2, 1], 7, 5, 3),  # two classes only ever in the support
         (3, [4, 1, 9], 16, 8, 8),
         (4, [3, 2, 6, 1, 2, 8, 1], 1, 3, 1),
+        (5, [5, 5, 3, 5, 5], 4, 3, 2),  # equal sizes split by a 3: runs of 2, 1 and 4 draws
+        (6, [4, 9, 9, 3, 3, 3, 4], 2, 3, 2),
+        (7, [20000, 20000], 1, 2, 1),  # runs longer than one block of _DRAW_BLOCK indices
     ],
 )
 def test_train_embedder_bit_equals_per_episode_loop(seed, sizes, g, hidden, out_dim):
+    """Class k, in sorted class order, has sizes[k] vectors, so training draws
+    from the sizes in the order given. Each case also runs 1 and 0 episodes."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    classes = [SUBCATEGORIES[int(i)] for i in rng.permutation(len(SUBCATEGORIES))]
     labeled = [
-        (classes[k], rng.normal(k, 1.0, size=g)) for k, n in enumerate(sizes) for _ in range(n)
+        (SUBCATEGORIES[k], rng.normal(k, 1.0, size=g))
+        for k, n in enumerate(sizes)
+        for _ in range(n)
     ]
     labeled = [labeled[i] for i in rng.permutation(len(labeled))]  # unsorted, interleaved
-    cfg = TrainConfig(hidden=hidden, out_dim=out_dim, episodes=30, lr=0.1)
-    result = train_embedder(labeled, cfg, seed=seed)
-    ref, ref_losses = per_episode_training(labeled, cfg, seed)
-    for name in ("W1", "b1", "W2", "b2"):
-        assert getattr(result.embedder, name).tobytes() == getattr(ref, name).tobytes()
-    assert result.losses.tobytes() == ref_losses.tobytes()
+    for episodes in (30, 1, 0):
+        cfg = TrainConfig(hidden=hidden, out_dim=out_dim, episodes=episodes, lr=0.1)
+        result = train_embedder(labeled, cfg, seed=seed)
+        ref, ref_losses = per_episode_training(labeled, cfg, seed)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(result.embedder, name).tobytes() == getattr(ref, name).tobytes()
+        assert result.losses.tobytes() == ref_losses.tobytes()
+        assert result.losses.shape == (episodes,)
+
+
+@pytest.mark.parametrize("n, m", [(15, 2000), (2, 3), (9, 1), (3, 0)])
+def test_permuted_rows_are_successive_permutations(n, m):
+    """The fact train_embedder's up-front draws rest on, checked on the
+    installed numpy: Generator.permuted along axis 1 gives the rows of m
+    successive permutation(n) calls and leaves the generator in their state."""
+    one, many = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, 1]))) for _ in "ab")
+    rows = np.array([one.permutation(n) for _ in range(m)]).reshape(m, n)
+    assert (many.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1) == rows).all()
+    assert many.bit_generator.state == one.bit_generator.state
 
 
 # ------------------------------------------------------------ serialization

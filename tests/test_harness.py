@@ -1,8 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from thermofault.density import feature_vector
 from thermofault.harness import (
     MODE_SUPERVISED,
     MODE_WEAK,
@@ -12,6 +14,7 @@ from thermofault.harness import (
     compare,
     compare_table,
     config_hash,
+    extract_features,
     report_table,
     report_to_dict,
     run_both,
@@ -20,6 +23,7 @@ from thermofault.harness import (
     sweep_table,
 )
 from thermofault.embedding import TrainConfig
+from thermofault.images import ManifestError, ThermalImage, load_manifest, save_thermal
 from thermofault.synthetic import default_synth_config, separable_synth_config
 from thermofault.taxonomy import EquipmentType
 
@@ -331,3 +335,26 @@ def test_report_table_layout(small_reports):
     assert lines[1].split() == ["equipment", "normal", "fault", "average"]
     assert len(lines) == 2 + 5 + 1
     assert lines[-1].startswith("entirety")
+
+
+def test_extract_features_bbox_outside_image_names_manifest_and_region(tmp_path):
+    """The bbox check runs on the image extract loads, not in load_manifest,
+    which opens no image."""
+    save_thermal(ThermalImage(3, 3, np.full((3, 3), 20.0), "imgA"), tmp_path / "imgA.rtm")
+    doc = {
+        "images": [{"id": "imgA", "path": "imgA.rtm"}],
+        "labeled": [
+            {"image_ref": "imgA", "bbox": [0, 0, 2, 2], "equipment_type": "bushing",
+             "status": "normal"},
+            {"image_ref": "imgA", "bbox": [1, 1, 3, 3], "equipment_type": "bushing",
+             "status": "fault"},
+        ],
+    }
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(doc))
+    assert len(load_manifest(mpath).labeled) == 2
+    with pytest.raises(ManifestError) as exc:
+        extract_features(ExperimentConfig(manifest_path=str(mpath)), feature_vector)
+    assert str(exc.value) == (
+        f"{mpath}: labeled region ('imgA', (1, 1, 3, 3)): bbox outside 3x3 image 'imgA'"
+    )

@@ -16,7 +16,6 @@ from thermofault.images import (
     load_manifest,
     load_thermal,
     manifest_to_dict,
-    read_rtm_header,
     save_manifest,
     save_thermal,
 )
@@ -190,12 +189,6 @@ def test_long_row_then_short_row_rejected(tmp_path):
     assert "row has 4 values, expected 3" in str(exc.value)
 
 
-def test_read_rtm_header(tmp_path):
-    path = tmp_path / "h.rtm"
-    save_thermal(make_image(np.zeros((3, 4))), path)
-    assert read_rtm_header(path) == (4, 3)
-
-
 def test_thermal_image_invariants():
     with pytest.raises(ValueError):
         ThermalImage(2, 2, np.zeros((2, 3)), "bad-shape")
@@ -354,22 +347,6 @@ def test_load_manifest_rejects_status_in_unlabeled(tmp_path):
     mpath.write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
         load_manifest(mpath)
-
-
-def test_load_manifest_bbox_outside_image(tmp_path):
-    _write_rtm(tmp_path, "imgA", w=3, h=3)
-    doc = {
-        "images": [{"id": "imgA", "path": "imgA.rtm"}],
-        "labeled": [
-            {"image_ref": "imgA", "bbox": [1, 1, 3, 3], "equipment_type": "bushing",
-             "status": "fault"}
-        ],
-    }
-    mpath = tmp_path / "manifest.json"
-    mpath.write_text(json.dumps(doc))
-    with pytest.raises(ManifestError) as exc:
-        load_manifest(mpath)
-    assert "outside" in str(exc.value)
 
 
 def test_load_manifest_unknown_image(tmp_path):

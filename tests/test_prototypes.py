@@ -206,7 +206,7 @@ def test_near_tie_is_decided_by_squared_distances(tmp_path):
     assert classify_many([v], model)[0] == TRANSFORMER_FAULT
 
     model_path, feats, out = tmp_path / "model.json", tmp_path / "f.json", tmp_path / "p.jsonl"
-    model_doc = model_to_dict(model, FeatureGrid(0.0, 1.0, 2))
+    model_doc = model_to_dict(model, FeatureGrid(0.0, 1.0, 2), None)
     model_path.write_text(json.dumps(model_doc), encoding="utf-8")
     feature = {"t_lo": 0.0, "t_hi": 1.0, "n_points": 2, "values": [0.0, 0.0], "bandwidth": 1.0}
     record = {
@@ -418,14 +418,18 @@ def test_model_serialization_round_trip():
     rng = np.random.Generator(np.random.PCG64(10))
     model = build_model([(sub, rng.normal(size=6)) for sub in SUBCATEGORIES], alpha=0.25)
     model = refine_centers(model, rng.normal(size=(12, 6)))
-    doc = model_to_dict(model, DEFAULT_GRID)
+    digest = "0" * 64
+    doc = model_to_dict(model, DEFAULT_GRID, digest)
     assert doc["alpha"] == 0.25
     assert doc["feature_dim"] == 6
     assert doc["grid"] == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 128}
+    assert doc["embedder"] == digest
     assert len(doc["classes"]) == 10
     assert {"equipment_type", "status"} == set(doc["classes"][0])
-    back, grid = model_from_dict(doc)
+    back, grid, embedder = model_from_dict(doc)
     assert grid == DEFAULT_GRID
+    assert embedder == digest
+    assert model_from_dict(model_to_dict(model, DEFAULT_GRID, None))[2] is None
     assert back.classes == model.classes
     assert (back.centers_labeled == model.centers_labeled).all()
     assert (back.centers_refined == model.centers_refined).all()
@@ -434,7 +438,7 @@ def test_model_serialization_round_trip():
 
 def test_model_from_dict_rejects_dim_mismatch():
     model = two_class_model([0.0, 0.0], [1.0, 1.0])
-    doc = model_to_dict(model, DEFAULT_GRID)
+    doc = model_to_dict(model, DEFAULT_GRID, None)
     doc["feature_dim"] = 3
     with pytest.raises(ValueError):
         model_from_dict(doc)

@@ -189,10 +189,9 @@ def _prediction_lines(
 
     Every line's literal text, each class's fragment included, is one
     %-template made once per call. A record fills in its region and its
-    numbers, which come from one json.dumps of all distances and
+    numbers, which come from one json.dumps of the row's distances and
     probabilities, so NaN and the infinities read as the encoder writes
     them."""
-    k = len(post.classes)
     text = {
         None: "null",
         **{split: json.dumps(split) for split in SPLITS},
@@ -208,14 +207,15 @@ def _prediction_lines(
         f' "posterior": [{entries}], "predicted": %s, "split": %s, "status": %s}}'
     )
     predicted = {c: json.dumps(c.to_dict(), sort_keys=True) for c in post.classes}
-    numbers = np.stack([post.distances, post.probs], axis=-1).reshape(-1).tolist()
-    tokens = json.dumps(numbers)[1:-1].split(", ")  # per row: distance, prob per class
-    for i, (region, split, pred) in enumerate(zip(regions, splits, post.predicted)):
+    # per row, the distance and the probability of each class in turn
+    shape = (len(post.predicted), 2 * len(post.classes))
+    numbers = np.stack([post.distances, post.probs], axis=-1).reshape(shape)
+    for region, split, pred, row in zip(regions, splits, post.predicted, numbers):
         yield template % (
             *region.bbox,
             text[region.equipment_type],
             json.dumps(region.image_ref),
-            *tokens[2 * k * i : 2 * k * (i + 1)],
+            *json.dumps(row.tolist())[1:-1].split(", "),
             predicted[pred],
             text[split],
             text[region.status],

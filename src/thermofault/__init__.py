@@ -4,14 +4,15 @@ Regions of radiometric images are summarized by the kernel density
 estimate of their pixel temperatures on a fixed grid, then classified
 against per-subcategory prototype centers, optionally refined with
 unlabeled regions (weak supervision).
+
+The package re-exports the names of the README's library example and of
+the acceptance tests; every other name is imported from its module
+(thermofault.images.RegionAnnotation, say).
 """
 
 from .density import (
-    DEFAULT_GRID,
     FeatureGrid,
     KdeEstimator,
-    PdfFeature,
-    TemperatureHistogram,
     anchored_histogram,
     feature_vector,
     histogram,
@@ -20,77 +21,10 @@ from .density import (
     kde_values,
     silverman_bandwidth,
 )
-from .embedding import (
-    Embedder,
-    Episode,
-    TrainConfig,
-    TrainResult,
-    embed_many,
-    embedder_from_dict,
-    embedder_to_dict,
-    init_mlp,
-    proto_loss,
-    train_embedder,
-)
-from .harness import (
-    EvalReport,
-    ExperimentConfig,
-    RowAccuracy,
-    compare,
-    compare_table,
-    config_hash,
-    report_table,
-    report_to_dict,
-    run_both,
-    run_experiment,
-    sweep,
-    sweep_table,
-)
-from .images import (
-    DatasetManifest,
-    InputFormatError,
-    ManifestError,
-    RegionAnnotation,
-    RtmFormatError,
-    ThermalImage,
-    extract_region,
-    load_manifest,
-    load_thermal,
-    manifest_to_dict,
-    save_manifest,
-    save_thermal,
-)
-from .prototypes import (
-    Posterior,
-    PrototypeModel,
-    build_model,
-    classify_many,
-    compute_centers,
-    model_from_dict,
-    model_to_dict,
-    posterior,
-    refine_centers,
-)
-from .synthetic import (
-    RegionTempModel,
-    SynthConfig,
-    case_study_config,
-    default_models,
-    default_synth_config,
-    separable_synth_config,
-    synthesize,
-    write_dataset,
-)
-from .taxonomy import (
-    EQUIPMENT_TYPES,
-    STATUSES,
-    SUBCATEGORIES,
-    EquipmentType,
-    Status,
-    SubcategoryId,
-    parse_equipment_type,
-    parse_status,
-    subcategory_from_index,
-)
+from .embedding import Episode, TrainConfig, init_mlp, proto_loss
+from .harness import ExperimentConfig, run_both
+from .images import extract_region
+from .prototypes import build_model, classify_many, posterior, refine_centers
+from .synthetic import synthesize
 
 __version__ = "0.1.0"

@@ -37,10 +37,19 @@ from .harness import (
     sweep,
     sweep_table,
 )
-from .images import InputFormatError, ManifestError, RegionAnnotation
+from .images import ManifestError, RegionAnnotation
 from .prototypes import Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
-from .taxonomy import EQUIPMENT_TYPES, STATUSES, check_keys, write_json, write_records
+from .taxonomy import (
+    EQUIPMENT_TYPES,
+    STATUSES,
+    InputFormatError,
+    check_keys,
+    read_json,
+    write_json,
+    write_records,
+    write_text,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -56,19 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-
-
-def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _given(args, *names) -> dict:
     """The flags among names that were given on the command line."""
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
@@ -76,7 +72,7 @@ def _given(args, *names) -> dict:
 
 def cmd_synth(args) -> int:
     if args.config is not None:
-        cfg = SynthConfig.from_dict(_read_json(Path(args.config)))
+        cfg = SynthConfig.from_dict(read_json(args.config))
     else:
         cfg = default_synth_config()
     cfg = dataclasses.replace(cfg, **_given(args, "seed"))
@@ -124,7 +120,7 @@ def cmd_extract(args) -> int:
 def _load_records(path: Path) -> tuple[list[dict], FeatureGrid | None, np.ndarray]:
     """The records of a feature file, their one grid (None for no records)
     and their feature values, one row per record."""
-    payload = _read_json(path)
+    payload = read_json(path)
     records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
         raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
@@ -223,7 +219,7 @@ def _prediction_lines(
 
 
 def cmd_classify(args) -> int:
-    model, model_grid, model_embedder = model_from_dict(_read_json(Path(args.model)))
+    model, model_grid, model_embedder = model_from_dict(read_json(args.model))
     records, grid, vectors = _load_records(Path(args.features))
     regions = [RegionAnnotation.from_dict(rec) for rec in records]
     if grid is not None and grid != model_grid:
@@ -235,7 +231,7 @@ def cmd_classify(args) -> int:
     if args.embedder_file is not None:
         data = Path(args.embedder_file).read_bytes()
         digest = _sha256(data)
-        vectors = embed_many(embedder_from_dict(json.loads(data.decode("utf-8"))), vectors)
+        vectors = embed_many(embedder_from_dict(read_json(args.embedder_file, data)), vectors)
     if not records:  # no rows have no width to check
         vectors = vectors.reshape(0, model.feature_dim)
     if vectors.shape[1] != model.feature_dim:
@@ -268,7 +264,7 @@ def cmd_classify(args) -> int:
 
 def _eval_config(args) -> ExperimentConfig:
     if args.config is not None:
-        cfg = ExperimentConfig.from_dict(_read_json(Path(args.config)))
+        cfg = ExperimentConfig.from_dict(read_json(args.config))
     else:
         cfg = ExperimentConfig(synth=default_synth_config())
     return dataclasses.replace(cfg, **_given(args, "seed", "alpha", "repeats"))
@@ -284,7 +280,7 @@ def cmd_eval(args) -> int:
 
     def emit(name: str, report) -> None:
         write_json(out_dir / f"{name}.json", report_to_dict(report))
-        _write_text(out_dir / f"{name}.txt", report_table(report))
+        write_text(out_dir / f"{name}.txt", report_table(report))
 
     if args.sweep is not None:
         values = [float(v) for v in args.values.split(",")]
@@ -293,7 +289,7 @@ def cmd_eval(args) -> int:
             tag = f"{v:g}".replace(".", "p").replace("-", "m")
             emit(f"report_sweep_{args.sweep}_{tag}", rep)
         table = sweep_table(args.sweep, values, reports)
-        _write_text(out_dir / f"sweep_{args.sweep}.txt", table)
+        write_text(out_dir / f"sweep_{args.sweep}.txt", table)
         print(table)
         return EXIT_OK
 
@@ -309,7 +305,7 @@ def cmd_eval(args) -> int:
         tables = [report_table(rep) for rep in runs[0]]
         if args.mode == "both":
             tables.append(compare_table(compare(*runs[0])))
-            _write_text(out_dir / "compare.txt", tables[-1])
+            write_text(out_dir / "compare.txt", tables[-1])
         print("\n".join(tables))
         return EXIT_OK
 
@@ -323,7 +319,7 @@ def cmd_eval(args) -> int:
         )
     else:
         summary = f"mean overall accuracy over {len(runs)} seeds: {accs[0].mean():.3f}"
-    _write_text(out_dir / f"summary_{args.mode}.txt", summary)
+    write_text(out_dir / f"summary_{args.mode}.txt", summary)
     print(summary)
     return EXIT_OK
 
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
-    except (InputFormatError, OSError, json.JSONDecodeError) as exc:
+    except (InputFormatError, OSError) as exc:
         if isinstance(exc, ManifestError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -129,21 +129,10 @@ def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: flo
     return _cumulative_below(h, theta_prime) - _cumulative_below(h, theta)
 
 
-class _SortedSamples(np.ndarray):
-    """A read-only float64 vector that _sorted_finite has sorted and checked.
-
-    feature_vector makes one as a view at each of its calls to
-    silverman_bandwidth and KdeEstimator, so a region is sorted and checked
-    once; both unwrap it before any arithmetic. numpy keeps the subclass on
-    slices and ufunc results (x[::-1], -x, x + c), which are neither sorted
-    nor checked: never pass an array derived from one to _sorted_finite.
-    """
-
-
 def _sorted_finite(samples, what: str) -> np.ndarray:
-    """samples as a sorted, read-only float64 vector; raises unless all finite."""
-    if isinstance(samples, _SortedSamples):
-        return samples.view(np.ndarray)
+    """samples as a sorted, read-only float64 vector; raises unless all
+    finite. silverman_bandwidth and KdeEstimator each sort their samples,
+    so a feature_vector region is sorted twice."""
     x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     # sorting puts -inf first and +inf, then NaN, last
     if x.size and not (math.isfinite(x[0]) and math.isfinite(x[-1])):
@@ -375,7 +364,9 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     """KDE of the samples evaluated on the grid and renormalized to unit mass.
 
     bandwidth may be a positive float or "auto" (Silverman's rule; a lone
-    sample falls back to the floor value).
+    sample falls back to the floor value). The samples go as given to
+    silverman_bandwidth and KdeEstimator, which each sort and check them;
+    only where Silverman's rule is not used are they checked here.
 
     The KDE is evaluated at KERNEL_SUPPORT. Each grid value then differs
     from the UNDERFLOW_SUPPORT one by at most D = e**-72 / (h sqrt(2 pi)),
@@ -386,16 +377,17 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") 
     m is 0), the KDE is evaluated again at UNDERFLOW_SUPPORT, which gives
     the full sum's bytes.
     """
-    x = _sorted_finite(samples, "samples")
-    if x.size == 0:
-        raise ValueError("feature extraction requires at least one sample")
-    if bandwidth == "auto":
-        w = silverman_bandwidth(x.view(_SortedSamples)) if x.size >= 2 else BANDWIDTH_FLOOR
+    x = np.asarray(samples, dtype=np.float64).reshape(-1)
+    if bandwidth == "auto" and x.size >= 2:
+        w = silverman_bandwidth(x)
     else:
-        w = float(bandwidth)
+        x = _sorted_finite(x, "samples")
+        if x.size == 0:
+            raise ValueError("feature extraction requires at least one sample")
+        w = BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth)
         if w <= 0:
             raise ValueError("bandwidth must be positive")
-    est = KdeEstimator(x.view(_SortedSamples), w)
+    est = KdeEstimator(x, w)
     raw = kde_values(est, grid.points())
     mass = float(raw.sum() * grid.step)
     if mass <= 0.0 or _truncation_bound(raw, mass, grid, w) > TRUNCATION_TOLERANCE:

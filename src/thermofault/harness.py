@@ -21,7 +21,14 @@ import numpy as np
 
 from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, PdfFeature, feature_vector
 from .embedding import Embedder, TrainConfig, embed_many, train_embedder
-from .images import DatasetManifest, ManifestError, extract_region, load_manifest, load_thermal
+from .images import (
+    SPLITS,
+    DatasetManifest,
+    ManifestError,
+    extract_region,
+    load_manifest,
+    load_thermal,
+)
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
 from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
@@ -30,7 +37,6 @@ MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
 ENTIRETY_LABEL = "entirety"
 
-SPLITS = ("labeled", "unlabeled", "test")
 SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
 # The kind that configs and `train --embedder` give for no embedder; every
 # report's config_hash hashes {"kind": NO_EMBEDDER_KIND}.
@@ -207,37 +213,42 @@ def extract_features(
 ) -> tuple[DatasetManifest, dict[str, list[PdfFeature]]]:
     """The density feature of every region of cfg's dataset, per split.
 
-    A synthetic dataset is generated with cfg.seed; a manifest's images are
-    read from disk, each once, and a region whose bbox leaves its image is
-    a ManifestError naming the manifest and the region. featurize is
-    density.feature_vector as the calling front end binds it, so a wrapper
-    or patch on that front end's name applies to its own extraction only.
+    A synthetic dataset is generated with cfg.seed. A manifest's images are
+    read from disk one at a time, in manifest order: each is loaded, the
+    bboxes of its regions are checked against it (a region whose bbox
+    leaves its image is a ManifestError naming the manifest and the
+    region), their features are computed, and the image is dropped. Of
+    several faulty images or regions, the first met in that order is
+    reported. featurize is density.feature_vector as the calling front end
+    binds it, so a wrapper or patch on that front end's name applies to
+    its own extraction only.
     """
     if cfg.synth is not None:
         images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
-        by_id = {img.source_id: img for img in images}
+        loaded = ((img.source_id, img) for img in images)
     else:
         manifest = load_manifest(Path(cfg.manifest_path))
-        by_id = {
-            image_id: load_thermal(path, source_id=image_id)
+        loaded = (
+            (image_id, load_thermal(path, source_id=image_id))
             for image_id, path in manifest.image_paths.items()
-        }
-        for split in SPLITS:
-            for r in getattr(manifest, split):
-                img = by_id[r.image_ref]
-                x, y, w, h = r.bbox
-                if x + w > img.width or y + h > img.height:
-                    raise ManifestError(
-                        f"{cfg.manifest_path}: {split} region {r.key()}: bbox outside"
-                        f" {img.width}x{img.height} image {r.image_ref!r}"
-                    )
-    features = {
-        split: [
-            featurize(extract_region(by_id[r.image_ref], r.bbox), cfg.grid, cfg.bandwidth)
-            for r in getattr(manifest, split)
-        ]
-        for split in SPLITS
-    }
+        )
+    regions_of: dict[str, list] = {}
+    for split in SPLITS:
+        for i, r in enumerate(getattr(manifest, split)):
+            regions_of.setdefault(r.image_ref, []).append((split, i, r))
+    features = {split: [None] * len(getattr(manifest, split)) for split in SPLITS}
+    for image_id, img in loaded:
+        regions = regions_of.get(image_id, [])
+        for split, _, r in regions:
+            x, y, w, h = r.bbox
+            if x + w > img.width or y + h > img.height:
+                raise ManifestError(
+                    f"{cfg.manifest_path}: {split} region {r.key()}: bbox outside"
+                    f" {img.width}x{img.height} image {r.image_ref!r}"
+                )
+        for split, i, r in regions:
+            features[split][i] = featurize(extract_region(img, r.bbox), cfg.grid, cfg.bandwidth)
+        del img  # dropped before the next image is read
     return manifest, features
 
 

@@ -8,7 +8,6 @@ are written with 17 significant digits so a save/load round trip is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,20 +15,18 @@ import numpy as np
 
 from .taxonomy import (
     EquipmentType,
+    InputFormatError,
     Status,
     SubcategoryId,
     check_keys,
     parse_equipment_type,
     parse_status,
+    read_json,
     read_scalar,
     write_json,
 )
 
 BBox = tuple[int, int, int, int]
-
-
-class InputFormatError(Exception):
-    """A problem with the content of an input file (RTM or manifest)."""
 
 
 class RtmFormatError(InputFormatError):
@@ -78,10 +75,14 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
     """Read an RTM text file into a ThermalImage.
 
     Raises RtmFormatError (with line/column position) for a malformed
-    header, a row of the wrong length, or a non-numeric / non-finite cell.
+    header, a row of the wrong length, or a non-numeric / non-finite cell,
+    and (naming only the file) for a file that is not UTF-8.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -212,6 +213,9 @@ class RegionAnnotation:
         )
 
 
+SPLITS = ("labeled", "unlabeled", "test")
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Labeled / unlabeled / test region splits plus image id -> path map."""
@@ -222,9 +226,8 @@ class DatasetManifest:
     image_paths: dict[str, Path] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "labeled", tuple(self.labeled))
-        object.__setattr__(self, "unlabeled", tuple(self.unlabeled))
-        object.__setattr__(self, "test", tuple(self.test))
+        for name in SPLITS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, split in (("labeled", self.labeled), ("test", self.test)):
             for region in split:
                 if region.status is None:
@@ -233,12 +236,8 @@ class DatasetManifest:
             if region.status is not None:
                 raise ManifestError(f"unlabeled region {region.key()} carries a status")
         seen: dict[tuple, str] = {}
-        for name, split in (
-            ("labeled", self.labeled),
-            ("unlabeled", self.unlabeled),
-            ("test", self.test),
-        ):
-            for region in split:
+        for name in SPLITS:
+            for region in getattr(self, name):
                 k = region.key()
                 if k in seen:
                     raise ManifestError(
@@ -271,10 +270,7 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
     """
     path = Path(path)
     root = Path(image_root) if image_root is not None else path.parent
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be a JSON object")
 
@@ -292,8 +288,8 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
         if not img_path.exists():
             raise ManifestError(f"{path}: image {img_id!r} not found at {img_path}")
 
-    splits: dict[str, list[RegionAnnotation]] = {"labeled": [], "unlabeled": [], "test": []}
-    for name in ("labeled", "unlabeled", "test"):
+    splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLITS}
+    for name in SPLITS:
         for i, entry in enumerate(doc.get(name, [])):
             region = _region_from_dict(entry, f"{path}: {name}[{i}]")
             if name != "unlabeled" and "status" not in entry:
@@ -312,9 +308,7 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
                         f"{path}: unlabeled[{i}] carries a status; drop it or move the region"
                     )
                 splits[name].append(region)
-    return DatasetManifest(
-        tuple(splits["labeled"]), tuple(splits["unlabeled"]), tuple(splits["test"]), image_paths
-    )
+    return DatasetManifest(*(splits[name] for name in SPLITS), image_paths)
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
@@ -322,9 +316,7 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
         "images": [
             {"id": img_id, "path": str(p)} for img_id, p in sorted(manifest.image_paths.items())
         ],
-        "labeled": [r.to_dict() for r in manifest.labeled],
-        "unlabeled": [r.to_dict() for r in manifest.unlabeled],
-        "test": [r.to_dict() for r in manifest.test],
+        **{name: [r.to_dict() for r in getattr(manifest, name)] for name in SPLITS},
     }
 
 

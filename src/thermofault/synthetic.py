@@ -15,11 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .images import DatasetManifest, RegionAnnotation, ThermalImage, save_manifest, save_thermal
+from .images import (
+    SPLITS,
+    DatasetManifest,
+    RegionAnnotation,
+    ThermalImage,
+    save_manifest,
+    save_thermal,
+)
 from .taxonomy import SUBCATEGORIES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
-
-SPLIT_NAMES = ("labeled", "unlabeled", "test")
-
 
 @dataclass(frozen=True)
 class RegionTempModel:
@@ -74,7 +78,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in SPLIT_NAMES:
+        for name in SPLITS:
             if name not in self.counts:
                 raise ValueError(f"counts must include {name!r}")
             if self.counts[name] < 0:
@@ -134,7 +138,7 @@ class SynthConfig:
                 models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(
                     model, where
                 )
-        counts = check_keys(d["counts"], SPLIT_NAMES, "synth counts")
+        counts = check_keys(d["counts"], SPLITS, "synth counts")
         background = check_keys(d.get("background", {}), ("mean", "std"), "synth background")
         return cls(
             models=models,
@@ -272,13 +276,13 @@ def synthesize(cfg: SynthConfig) -> tuple[list[ThermalImage], DatasetManifest]:
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     images: list[ThermalImage] = []
-    splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLIT_NAMES}
+    splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLITS}
     image_paths: dict[str, Path] = {}
 
     for subcat in cfg.subcategories():
         model = cfg.models[subcat]
         session_offset = rng.normal(0.0, model.scene_offset_std)
-        for split in SPLIT_NAMES:
+        for split in SPLITS:
             for i in range(cfg.counts[split]):
                 if split == "labeled":
                     offset = session_offset
@@ -305,10 +309,7 @@ def synthesize(cfg: SynthConfig) -> tuple[list[ThermalImage], DatasetManifest]:
                     )
                 )
 
-    manifest = DatasetManifest(
-        tuple(splits["labeled"]), tuple(splits["unlabeled"]), tuple(splits["test"]), image_paths
-    )
-    return images, manifest
+    return images, DatasetManifest(*(splits[name] for name in SPLITS), image_paths)
 
 
 def write_dataset(images: list[ThermalImage], manifest: DatasetManifest, out_dir) -> Path:

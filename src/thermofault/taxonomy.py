@@ -1,5 +1,6 @@
-"""Equipment types, statuses, the 10 subcategory identifiers, the key
-check shared by every JSON reader, and the writer of every JSON artifact."""
+"""Equipment types, statuses, the 10 subcategory identifiers, the reader
+of every JSON input, the key check shared by every JSON parser, and the
+writer of every text and JSON artifact."""
 
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
+
+
+class InputFormatError(Exception):
+    """A problem with the content of an input file: an RTM file, a manifest,
+    or a JSON file that is not UTF-8 JSON."""
 
 
 class EquipmentType(Enum):
@@ -65,12 +71,6 @@ class SubcategoryId:
 SUBCATEGORIES: tuple[SubcategoryId, ...] = tuple(
     SubcategoryId(t, s) for t in EQUIPMENT_TYPES for s in STATUSES
 )
-
-
-def subcategory_from_index(m: int) -> SubcategoryId:
-    if not 0 <= m < len(SUBCATEGORIES):
-        raise ValueError(f"subcategory index {m} out of range 0..{len(SUBCATEGORIES) - 1}")
-    return SUBCATEGORIES[m]
 
 
 def parse_equipment_type(name: str) -> EquipmentType:
@@ -135,23 +135,41 @@ def read_array(d: dict, key: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} {key!r} must be an array of numbers") from None
 
 
+def read_json(path, data: bytes | None = None):
+    """The JSON document in the file at path, decoded from data if the
+    caller has already read the file's bytes. A file that is not UTF-8
+    JSON (truncated, say) is an InputFormatError naming the path."""
+    try:
+        return json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+
+
 def _create(path) -> TextIO:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_json(path, payload) -> str:
-    """payload as one line of JSON with sorted keys, plus a newline: the
-    form of every JSON artifact. Read it with `python -m json.tool FILE`.
-    Returns the text written, whose UTF-8 encoding is the file's bytes.
-
-    Only json.dumps without an indent runs the C encoder; json.dump and
-    any indent go through the pure-Python one, several times slower."""
-    text = json.dumps(payload, sort_keys=True) + "\n"
+def write_text(path, text: str) -> str:
+    """text, ending in a newline (one is added if it lacks one), written to
+    path as UTF-8 with parent directories made. Returns the text written,
+    whose UTF-8 encoding is the file's bytes."""
+    if not text.endswith("\n"):
+        text += "\n"
     with _create(path) as fh:
         fh.write(text)
     return text
+
+
+def write_json(path, payload) -> str:
+    """payload as one line of JSON with sorted keys, plus a newline: the
+    form of every JSON artifact. Read it with `python -m json.tool FILE`.
+    Returns the text written, as write_text does.
+
+    Only json.dumps without an indent runs the C encoder; json.dump and
+    any indent go through the pure-Python one, several times slower."""
+    return write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def write_records(path, records: Iterable[dict]) -> int:

@@ -177,6 +177,53 @@ def test_extract_missing_manifest_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_extract_rtm_that_is_not_utf8_is_io_error_naming_the_file(dataset, tmp_path, capsys):
+    import shutil
+
+    shutil.copytree(dataset / "data", tmp_path / "data")
+    victim = next(p for p in sorted((tmp_path / "data").glob("*.rtm")))
+    victim.write_bytes(b"\xff" + victim.read_bytes())
+    code = run_cli("extract", "--manifest", tmp_path / "data" / "manifest.json", "--out", tmp_path / "f.json")
+    assert code == EXIT_IO
+    assert f"{victim}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+CORRUPT_JSON_INPUTS = {  # input kind -> (a valid JSON file to corrupt, the command that reads it)
+    "synth config": ("{ds}/synth.json", ["synth", "--config", "{bad}", "--out", "{out}"]),
+    "eval config": ("{ds}/synth.json", ["eval", "--config", "{bad}", "--out", "{out}"]),
+    "manifest": ("{ds}/data/manifest.json", ["extract", "--manifest", "{bad}", "--out", "{out}"]),
+    "feature file": ("{ds}/features.json", ["train", "--features", "{bad}", "--out", "{out}"]),
+    "model": (
+        "{sep}/model.json",
+        ["classify", "--model", "{bad}", "--features", "{sep}/features.json", "--out", "{out}"],
+    ),
+    "embedder": (
+        "{mlp}/seed1.json.embedder.json",
+        [
+            "classify", "--model", "{mlp}/seed1.json", "--features", "{sep}/features.json",
+            "--embedder-file", "{bad}", "--out", "{out}",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("how", ["truncated", "not UTF-8"])
+@pytest.mark.parametrize("kind", list(CORRUPT_JSON_INPUTS))
+def test_a_corrupt_json_input_is_io_error_naming_the_file(
+    dataset, separable_run, mlp_runs, tmp_path, capsys, kind, how
+):
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    names = {"ds": dataset, "sep": separable_run, "mlp": mlp_runs, "bad": bad, "out": out}
+    source, argv = CORRUPT_JSON_INPUTS[kind]
+    data = Path(source.format(**names)).read_bytes()
+    bad.write_bytes(data[: len(data) // 2] if how == "truncated" else b"\xff" + data)
+    code = run_cli(*(arg.format(**names) for arg in argv))
+    assert code == EXIT_IO
+    assert f"error: {bad}: not valid UTF-8 JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys):
     doc = json.loads((dataset / "data" / "manifest.json").read_text())
     doc["labeled"][0]["bbox"] = [0, 0, 999, 999]

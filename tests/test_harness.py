@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,3 +359,40 @@ def test_extract_features_bbox_outside_image_names_manifest_and_region(tmp_path)
     assert str(exc.value) == (
         f"{mpath}: labeled region ('imgA', (1, 1, 3, 3)): bbox outside 3x3 image 'imgA'"
     )
+
+
+def test_extract_features_holds_one_image_at_a_time(tmp_path):
+    """Each image is dropped before the next is read, so the traced peak of
+    extracting 8 frames exceeds that of 2 frames by less than one frame's
+    temperatures (holding every frame, it grows by six)."""
+    width, height = 160, 120
+    rng = np.random.default_rng(0)
+
+    def peak(n: int) -> int:
+        root = tmp_path / str(n)
+        root.mkdir()
+        for i in range(n):
+            temps = rng.normal(20.0, 2.0, (height, width))
+            save_thermal(ThermalImage(width, height, temps, f"f{i}"), root / f"f{i}.rtm")
+        doc = {
+            "images": [{"id": f"f{i}", "path": f"f{i}.rtm"} for i in range(n)],
+            "labeled": [
+                {"image_ref": f"f{i}", "bbox": [10 * j, 5, 8, 8], "equipment_type": "bushing",
+                 "status": "normal"}
+                for i in range(n)
+                for j in range(2)
+            ],
+        }
+        (root / "manifest.json").write_text(json.dumps(doc))
+        cfg = ExperimentConfig(manifest_path=str(root / "manifest.json"))
+        tracemalloc.start()
+        try:
+            _, features = extract_features(cfg, feature_vector)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(features["labeled"]) == 2 * n
+        return traced
+
+    small = peak(2)
+    assert peak(8) - small < width * height * 8

@@ -1,7 +1,9 @@
-"""Source checks that need no linter: every imported name is used, and no
-JSON is written through Python's pure-Python encoder."""
+"""Source checks that need no linter: every imported name is used, no
+JSON is written through Python's pure-Python encoder, and every name the
+README's library example imports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,22 @@ def test_a_slow_json_write_is_reported():
     assert {"cli.py", "taxonomy.py", "__init__.py"} <= {p.name for p in PACKAGE}
     source = "json.dumps(x)\njson.dump(x, fh)\njson.dumps(x, indent=2)\n"
     assert slow_json_writes(source) == ["line 2: json.dump(", "line 3: indent="]
+
+
+def readme_library_imports() -> list[tuple[str, str]]:
+    """(module, name) of each name the README's "Library use" example imports."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def test_readme_library_imports_resolve():
+    imports = readme_library_imports()
+    assert ("thermofault", "run_both") in imports
+    missing = [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

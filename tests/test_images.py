@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thermofault.images import (
     DatasetManifest,
+    InputFormatError,
     ManifestError,
     RegionAnnotation,
     RtmFormatError,
@@ -376,5 +377,7 @@ def test_load_manifest_missing_image_file(tmp_path):
 def test_load_manifest_invalid_json(tmp_path):
     mpath = tmp_path / "manifest.json"
     mpath.write_text("{nope")
-    with pytest.raises(ManifestError):
+    # a file-format fault (exit 2), not a manifest's content (exit 1)
+    with pytest.raises(InputFormatError, match="manifest.json: not valid UTF-8 JSON") as err:
         load_manifest(mpath)
+    assert not isinstance(err.value, ManifestError)

@@ -12,7 +12,6 @@ from thermofault.taxonomy import (
     check_keys,
     parse_equipment_type,
     parse_status,
-    subcategory_from_index,
     write_json,
     write_records,
 )
@@ -39,15 +38,6 @@ def test_index_formula():
         t = EQUIPMENT_TYPES.index(subcat.equipment_type)
         s = STATUSES.index(subcat.status)
         assert subcat.index == 2 * t + s
-
-
-def test_index_round_trip():
-    for m in range(10):
-        assert subcategory_from_index(m).index == m
-    with pytest.raises(ValueError):
-        subcategory_from_index(10)
-    with pytest.raises(ValueError):
-        subcategory_from_index(-1)
 
 
 def test_sorting_follows_index():

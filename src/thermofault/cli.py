@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector, read_features
+from .density import DEFAULT_GRID, FeatureGrid, feature_vector, read_features
 from .embedding import KIND_MLP, TrainConfig, embed_many, embedder_from_dict, embedder_to_dict
 from .harness import (
     MODE_SUPERVISED,
@@ -94,8 +94,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _region_record(region: RegionAnnotation, split: str, feature: PdfFeature) -> dict:
-    return {**region.to_dict(), "split": split, "feature": feature.to_dict()}
+def _region_record(region: RegionAnnotation, split: str, grid: FeatureGrid, values, bandwidth):
+    feature = {**grid.to_dict(), "values": values.tolist(), "bandwidth": float(bandwidth)}
+    return {**region.to_dict(), "split": split, "feature": feature}
 
 
 def cmd_extract(args) -> int:
@@ -108,9 +109,9 @@ def cmd_extract(args) -> int:
     n = write_records(
         Path(args.out),
         (
-            _region_record(region, split, feature)
+            _region_record(region, split, cfg.grid, row, bandwidth)
             for split in SPLITS
-            for region, feature in zip(getattr(manifest, split), features[split])
+            for region, row, bandwidth in zip(getattr(manifest, split), *features[split])
         ),
     )
     print(f"wrote {n} feature records to {args.out}")

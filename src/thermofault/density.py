@@ -25,7 +25,7 @@ UNDERFLOW_SUPPORT = 39.0
 # Largest bound on the cut's effect that feature_vector accepts.
 TRUNCATION_TOLERANCE = 2.0**-60
 # Kernel terms per block in kde_values; bounds one call's temporaries.
-KDE_BLOCK_TERMS = 1 << 20
+KDE_BLOCK_TERMS = 1 << 15
 _MAX_BINS = 50_000_000
 
 DEFAULT_BIN_ORIGIN = 0.0
@@ -130,12 +130,13 @@ def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: flo
 
 
 def _sorted_finite(samples, what: str) -> np.ndarray:
-    """samples as a sorted, read-only float64 vector; raises unless all
-    finite. silverman_bandwidth and KdeEstimator each sort their samples,
-    so a feature_vector region is sorted twice."""
-    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
-    # sorting puts -inf first and +inf, then NaN, last
-    if x.size and not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+    """samples as a sorted, read-only float64 vector (a 2-D stack: each row
+    sorted); raises unless all finite. silverman_bandwidth and KdeEstimator
+    each sort their samples, so a feature_vector region is sorted twice."""
+    x = np.asarray(samples, dtype=np.float64)
+    x = np.sort(x if x.ndim == 2 else x.reshape(-1), axis=-1)
+    # sorting puts -inf first and +inf, then NaN, last: check each row's ends
+    if not all(map(math.isfinite, x[..., :: max(x.shape[-1] - 1, 1)].reshape(-1).tolist())):
         raise ValueError(f"{what} must be finite")
     x.flags.writeable = False
     return x
@@ -143,88 +144,102 @@ def _sorted_finite(samples, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KdeEstimator:
-    """Gaussian kernel density estimator with a fixed bandwidth (degrees C)."""
+    """Gaussian KDE with a fixed bandwidth (degrees C); R of them for (R, n) samples."""
 
     samples: np.ndarray
-    bandwidth: float
+    bandwidth: float | np.ndarray
 
     def __post_init__(self):
         # canonical order: permuted inputs give bit-identical densities
         x = _sorted_finite(self.samples, "KDE samples")
         if x.size == 0:
             raise ValueError("KDE requires at least one sample")
-        if self.bandwidth <= 0:
+        h = np.asarray(self.bandwidth, dtype=np.float64).reshape(-1).tolist()
+        if len(h) != (len(x) if x.ndim == 2 else 1):
+            raise ValueError(f"{len(h)} bandwidths for samples of shape {x.shape}")
+        if min(h) <= 0:
             raise ValueError("bandwidth must be positive")
         object.__setattr__(self, "samples", x)
 
     @property
-    def n_samples(self) -> int:
+    def n_samples(self) -> int:  # over all rows of a stack
         return int(self.samples.size)
 
 
 def kde_values(est: KdeEstimator, points, support: float = KERNEL_SUPPORT) -> np.ndarray:
-    """Density estimate at each query point: mean kernel value / bandwidth.
+    """Density estimate at each query point: mean kernel value / bandwidth;
+    a stacked estimator gives one row per sample set.
 
     The kernel is cut at support bandwidths: a term whose exponent is below
     -support**2/2 is 0.0 and skips np.exp. Points more than support + 1
-    bandwidths outside the sample range get 0.0 unevaluated; the margin
+    bandwidths outside a set's sample range get 0.0 unevaluated; the margin
     covers rounding, so the cull drops no term that the cut keeps. The
-    rest sum whole kernel rows in blocks, bit-identical to the full
-    (points x samples) sum with the same cut: each term takes the full
-    formula's steps in its order.
+    live (set, point) pairs sum whole kernel rows in blocks, bit-identical
+    to the full (points x samples) sum with the same cut: each term takes
+    the full formula's steps in its order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
-    x, h = est.samples, est.bandwidth
+    x = est.samples.reshape(-1, est.samples.shape[-1])
+    h = np.asarray(est.bandwidth, dtype=np.float64).reshape(-1, 1)
     reach = (support + 1.0) * h
     cut = -0.5 * support * support
     # "not outside" keeps NaN points live, so they still give NaN
-    live = np.flatnonzero(~((pts < x[0] - reach) | (pts > x[-1] + reach)))
-    k = np.zeros(pts.size)
-    rows = max(1, KDE_BLOCK_TERMS // x.size)
-    for i in range(0, live.size, rows):
-        idx = live[i : i + rows]
-        t = pts[idx, None] - x[None, :]
-        t /= h
+    rows, cols = np.nonzero(~((pts < x[:, :1] - reach) | (pts > x[:, -1:] + reach)))
+    k = np.zeros((len(x), pts.size))
+    step = max(1, KDE_BLOCK_TERMS // x.shape[1])
+    for i in range(0, rows.size, step):
+        r, c = rows[i : i + step], cols[i : i + step]
+        if r[0] == r[-1]:  # a block of one set broadcasts its samples
+            j, t = r[0], pts[c, None] - x[r[0]]
+        else:  # the block's sets are gathered once, into its terms
+            j, t = r, x[r]
+            np.subtract(pts[c, None], t, out=t)
+        t /= h[j]
         np.square(t, out=t)
         t *= -0.5
         zero = t < cut  # False for NaN, which np.exp keeps
         np.exp(t, out=t, where=~zero)
         np.copyto(t, 0.0, where=zero)
-        k[idx] = t.sum(axis=1) / SQRT_2PI
-    return k / (est.n_samples * h)
+        k[r, c] = t.sum(axis=1) / SQRT_2PI
+    k /= x.shape[1] * h
+    return k if est.samples.ndim == 2 else k[0]
 
 
 def kde_at(est: KdeEstimator, x: float) -> float:
     return float(kde_values(est, [x])[0])
 
 
-def silverman_bandwidth(samples) -> float:
-    """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5).
+def silverman_bandwidth(samples):
+    """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5), per row of a 2-D stack.
 
     Uses the sample standard deviation (n-1 denominator) with an
     interquartile-range guard, floored at 1e-6 so degenerate inputs
     (all samples identical) still yield a usable bandwidth.
     """
     x = _sorted_finite(samples, "samples")  # sorted: order-independent sums
-    n = x.size
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("bandwidth selection requires at least 2 samples")
+    rows = x.reshape(-1, n)
     # np.std(x, ddof=1), reduction for reduction
-    d = x - x.sum() / n
+    d = rows - rows.sum(axis=1, keepdims=True) / n
     np.square(d, out=d)
-    sd = math.sqrt(d.sum() / (n - 1))
-    scale = min(sd, (_sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)) / 1.34)
-    return max(1.06 * scale * n ** (-0.2), BANDWIDTH_FLOOR)
+    shrink, q1, q3 = n ** (-0.2), _sorted_quantile(rows, 0.25), _sorted_quantile(rows, 0.75)
+    w = [
+        max(1.06 * min(math.sqrt(ss / (n - 1)), (b - a) / 1.34) * shrink, BANDWIDTH_FLOOR)
+        for ss, a, b in zip(d.sum(axis=1).tolist(), q1, q3)
+    ]
+    return np.array(w) if x.ndim == 2 else w[0]
 
 
-def _sorted_quantile(x: np.ndarray, q: float) -> float:
-    """np.percentile(x, 100 * q) of sorted x, 0 <= q < 1: numpy's linear rule, bit for bit."""
-    v = (x.size - 1) * q
+def _sorted_quantile(x: np.ndarray, q: float) -> list[float]:
+    """np.percentile(row, 100 * q) of each sorted row of x, 0 <= q < 1, bit for bit."""
+    x = x.reshape(-1, x.shape[-1])
+    v = (x.shape[1] - 1) * q
     i = int(v)
     g = v - i
-    a, b = float(x[i]), float(x[i + 1])
-    d = b - a
-    return b - d * (1 - g) if g >= 0.5 else a + d * g
+    pairs = zip(x[:, i].tolist(), x[:, i + 1].tolist())
+    return [b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g for a, b in pairs]
 
 
 @dataclass(frozen=True)
@@ -275,6 +290,14 @@ DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
 GRID_KEYS = ("t_lo", "t_hi", "n_points")
 
 
+def _checked(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():  # a JSON null reads as NaN
+        raise ValueError("feature 'values' must be finite numbers")
+    if (values < 0).any():
+        raise ValueError("density values must be non-negative")
+    return values
+
+
 @dataclass(frozen=True)
 class PdfFeature:
     """Density evaluated on a grid, renormalized to unit mass."""
@@ -287,11 +310,7 @@ class PdfFeature:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values length must match the grid")
-        if not np.isfinite(values).all():  # a JSON null reads as NaN
-            raise ValueError("feature 'values' must be finite numbers")
-        if (values < 0).any():
-            raise ValueError("density values must be non-negative")
-        values.flags.writeable = False
+        _checked(values).flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def to_dict(self) -> dict:
@@ -353,55 +372,66 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
     return grid, values
 
 
-def _truncation_bound(raw: np.ndarray, mass: float, grid: FeatureGrid, h: float) -> float:
-    """Bound on how far the KERNEL_SUPPORT feature raw / mass is from the
-    UNDERFLOW_SUPPORT one, for mass > 0; see feature_vector."""
+def _truncation_bound(peak: float, mass: float, grid: FeatureGrid, h: float) -> float:
+    """Bound on how far the KERNEL_SUPPORT feature raw / mass, peak = max(raw),
+    is from the UNDERFLOW_SUPPORT one, for mass > 0; see feature_vector."""
     d = math.exp(-0.5 * KERNEL_SUPPORT * KERNEL_SUPPORT) / (h * SQRT_2PI)
-    return d / mass * max(1.0, grid.n_points * grid.step * float(raw.max()) / mass)
+    return d / mass * max(1.0, grid.n_points * grid.step * peak / mass)
 
 
-def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto") -> PdfFeature:
+def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     """KDE of the samples evaluated on the grid and renormalized to unit mass.
 
-    bandwidth may be a positive float or "auto" (Silverman's rule; a lone
-    sample falls back to the floor value). The samples go as given to
-    silverman_bandwidth and KdeEstimator, which each sort and check them;
-    only where Silverman's rule is not used are they checked here.
+    A 2-D (R, n) stack of R regions gives their (R, n_points) values and
+    (R,) bandwidths, the bytes each region gets alone. bandwidth may be a
+    positive float or "auto" (Silverman's rule; a lone sample falls back to
+    the floor value). The samples go as given to silverman_bandwidth and
+    KdeEstimator, which each sort and check them; only where Silverman's
+    rule is not used are they checked here.
 
     The KDE is evaluated at KERNEL_SUPPORT. Each grid value then differs
     from the UNDERFLOW_SUPPORT one by at most D = e**-72 / (h sqrt(2 pi)),
     and the mass m by at most n_points * step * D, so the feature moves by
     at most (D / m) * max(1, n_points * step * max(raw) / m): a bound on
     the exact sums, which float rounding can exceed only where a cut term
-    tips a rounding tie. Where that bound exceeds TRUNCATION_TOLERANCE (or
-    m is 0), the KDE is evaluated again at UNDERFLOW_SUPPORT, which gives
-    the full sum's bytes.
+    tips a rounding tie. The regions where that bound exceeds
+    TRUNCATION_TOLERANCE (or m is 0) are evaluated again at
+    UNDERFLOW_SUPPORT, which gives the full sum's bytes.
     """
-    x = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if bandwidth == "auto" and x.size >= 2:
+    x = np.asarray(samples, dtype=np.float64)
+    stack = x.ndim == 2
+    x = x if stack else x.reshape(1, -1)
+    if bandwidth == "auto" and x.shape[1] >= 2:
         w = silverman_bandwidth(x)
     else:
         x = _sorted_finite(x, "samples")
         if x.size == 0:
             raise ValueError("feature extraction requires at least one sample")
-        w = BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth)
-        if w <= 0:
+        w = np.full(len(x), BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth))
+        if w[0] <= 0:
             raise ValueError("bandwidth must be positive")
     est = KdeEstimator(x, w)
     raw = kde_values(est, grid.points())
-    mass = float(raw.sum() * grid.step)
-    if mass <= 0.0 or _truncation_bound(raw, mass, grid, w) > TRUNCATION_TOLERANCE:
-        raw = kde_values(est, grid.points(), support=UNDERFLOW_SUPPORT)
-        mass = float(raw.sum() * grid.step)
-    if mass <= 0.0:
-        lo, hi = est.samples[0], est.samples[-1]
+    mass = raw.sum(axis=1) * grid.step
+    rows = enumerate(zip(mass.tolist(), raw.max(axis=1).tolist(), w.tolist()))
+    redo = [
+        i for i, (m, peak, h) in rows
+        if m <= 0.0 or _truncation_bound(peak, m, grid, h) > TRUNCATION_TOLERANCE
+    ]
+    if redo:
+        full = KdeEstimator(est.samples[redo], w[redo])
+        raw[redo] = kde_values(full, grid.points(), support=UNDERFLOW_SUPPORT)
+        mass[redo] = raw[redo].sum(axis=1) * grid.step
+    for i in (i for i in redo if mass[i] <= 0.0):
+        lo, hi, h = est.samples[i, 0], est.samples[i, -1], float(w[i])
         if lo <= grid.t_hi and grid.t_lo <= hi:  # the grid overlaps the samples
             raise ValueError(
-                f"bandwidth {w!r} is too small for the feature grid step {grid.step!r}:"
+                f"bandwidth {h!r} is too small for the feature grid step {grid.step!r}:"
                 f" the density of the samples [{lo}, {hi}] is 0 at every grid point"
             )
         raise ValueError(
             f"feature grid [{grid.t_lo}, {grid.t_hi}] does not overlap the sample range"
             f" [{lo}, {hi}]"
         )
-    return PdfFeature(grid=grid, values=raw / mass, bandwidth=w)
+    values = raw / mass[:, None]
+    return (_checked(values), w) if stack else PdfFeature(grid, values[0], float(w[0]))

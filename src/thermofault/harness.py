@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, PdfFeature, feature_vector
+from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, feature_vector
 from .embedding import Embedder, TrainConfig, embed_many, train_embedder
 from .images import (
     SPLITS,
@@ -41,6 +41,8 @@ SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
 # The kind that configs and `train --embedder` give for no embedder; every
 # report's config_hash hashes {"kind": NO_EMBEDDER_KIND}.
 NO_EMBEDDER_KIND = "identity"
+# Pixels that extract_features holds before it computes their features.
+STACK_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -209,20 +211,23 @@ class _PreparedData:
 
 
 def extract_features(
-    cfg: ExperimentConfig, featurize: Callable[..., PdfFeature]
-) -> tuple[DatasetManifest, dict[str, list[PdfFeature]]]:
-    """The density feature of every region of cfg's dataset, per split.
+    cfg: ExperimentConfig, featurize: Callable
+) -> tuple[DatasetManifest, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The (regions, n_points) feature values and (regions,) bandwidths of
+    cfg's dataset, per split in manifest order.
 
     A synthetic dataset is generated with cfg.seed. A manifest's images are
-    read from disk one at a time, in manifest order: each is loaded, the
-    bboxes of its regions are checked against it (a region whose bbox
-    leaves its image is a ManifestError naming the manifest and the
-    region), their features are computed, and the image is dropped. Of
-    several faulty images or regions, the first met in that order is
-    reported. featurize is density.feature_vector as the calling front end
-    binds it, so a wrapper or patch on that front end's name applies to
-    its own extraction only.
+    read one at a time, in manifest order: each region's bbox is checked
+    against its image (a ManifestError names the manifest and the region),
+    its pixels are copied, and the image is dropped. Once the copies hold
+    STACK_SAMPLES pixels, and at the end, each pixel count's stack is one
+    featurize call; a stack that fails is computed again region by region,
+    to name the first region at fault, so a later image's bbox may be
+    reported first. featurize is density.feature_vector as the calling
+    front end binds it, so a wrapper or patch on that front end's name
+    applies to its own extraction only.
     """
+    source = cfg.manifest_path or f"synthetic seed {cfg.seed}"
     if cfg.synth is not None:
         images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
         loaded = ((img.source_id, img) for img in images)
@@ -236,19 +241,40 @@ def extract_features(
     for split in SPLITS:
         for i, r in enumerate(getattr(manifest, split)):
             regions_of.setdefault(r.image_ref, []).append((split, i, r))
-    features = {split: [None] * len(getattr(manifest, split)) for split in SPLITS}
+    sizes = {split: len(getattr(manifest, split)) for split in SPLITS}
+    features = {s: (np.empty((n, cfg.grid.n_points)), np.empty(n)) for s, n in sizes.items()}
+    pending: dict[int, list] = {}  # pixel count -> [(split, i, region, pixels)]
+
+    def compute_pending() -> None:
+        for where in pending.values():
+            stack = np.array([pixels for *_, pixels in where])
+            try:
+                values, bandwidths = featurize(stack, cfg.grid, cfg.bandwidth)
+            except ValueError:
+                for split, _, r, pixels in where:  # name the first region at fault
+                    try:
+                        featurize(pixels, cfg.grid, cfg.bandwidth)
+                    except ValueError as exc:
+                        raise ValueError(f"{source}: {split} region {r.key()}: {exc}") from None
+                raise
+            for (split, i, _, _), v, w in zip(where, values, bandwidths):
+                features[split][0][i], features[split][1][i] = v, w
+        pending.clear()
+
     for image_id, img in loaded:
-        regions = regions_of.get(image_id, [])
-        for split, _, r in regions:
+        for split, i, r in regions_of.get(image_id, []):
             x, y, w, h = r.bbox
             if x + w > img.width or y + h > img.height:
                 raise ManifestError(
-                    f"{cfg.manifest_path}: {split} region {r.key()}: bbox outside"
+                    f"{source}: {split} region {r.key()}: bbox outside"
                     f" {img.width}x{img.height} image {r.image_ref!r}"
                 )
-        for split, i, r in regions:
-            features[split][i] = featurize(extract_region(img, r.bbox), cfg.grid, cfg.bandwidth)
+            pixels = extract_region(img, r.bbox)
+            pending.setdefault(pixels.size, []).append((split, i, r, pixels))
         del img  # dropped before the next image is read
+        if sum(size * len(where) for size, where in pending.items()) >= STACK_SAMPLES:
+            compute_pending()
+    compute_pending()
     return manifest, features
 
 
@@ -290,7 +316,7 @@ def fit_model(
 def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
     """Extract the feature vectors of every region, embedded if cfg has an embedder."""
     manifest, features = extract_features(cfg, feature_vector)
-    vectors = {split: [f.values for f in features[split]] for split in SPLITS}
+    vectors = {split: features[split][0] for split in SPLITS}
     emb = fit_embedder(
         [(r.subcategory, v) for r, v in zip(manifest.labeled, vectors["labeled"])],
         cfg.embedder,
@@ -300,7 +326,7 @@ def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
         vectors = {split: embed_many(emb, vectors[split]) for split in SPLITS}
     return _PreparedData(
         labeled=tuple(zip((r.subcategory for r in manifest.labeled), vectors["labeled"])),
-        unlabeled=np.asarray(vectors["unlabeled"], dtype=np.float64),
+        unlabeled=vectors["unlabeled"],
         test=tuple(zip((r.subcategory for r in manifest.test), vectors["test"])),
     )
 

@@ -27,6 +27,8 @@ from .taxonomy import (
 )
 
 BBox = tuple[int, int, int, int]
+# Cells of the rows that load_thermal reads and converts at a time.
+RTM_BLOCK_CELLS = 1 << 15
 
 
 class RtmFormatError(InputFormatError):
@@ -80,52 +82,59 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise RtmFormatError(path, "empty file", row=1)
-    width, height = _parse_rtm_header(path, lines[0])
-    rows = lines[1:]
-    if len(rows) != height:
-        raise RtmFormatError(
-            path, f"expected {height} data rows, found {len(rows)}", row=len(lines)
-        )
-    temps = None
-    # numpy converts each cell as float() does; the row check keeps a long
-    # row and a short row from passing as a right-sized total
-    if all(line.count(",") == width - 1 for line in rows):
-        try:
-            temps = np.array(",".join(rows).split(","), dtype=np.float64).reshape(height, width)
-        except ValueError:
-            pass  # the cell loop names the bad cell
-    if temps is None or not np.isfinite(temps).all():
-        temps = _parse_rtm_cells(path, rows, width)
+        with open(path, encoding="utf-8") as fh:
+            n_lines = sum(1 for _ in fh)  # a non-UTF-8 byte, then the row count, come first
+            fh.seek(0)
+            lines = (line[:-1] if line.endswith("\n") else line for line in fh)
+            if not n_lines:
+                raise RtmFormatError(path, "empty file", row=1)
+            width, height = _parse_rtm_header(path, next(lines))
+            if n_lines - 1 != height:
+                raise RtmFormatError(
+                    path, f"expected {height} data rows, found {n_lines - 1}", row=n_lines
+                )
+            temps = np.empty((height, width), dtype=np.float64)
+            step = max(1, RTM_BLOCK_CELLS // width)
+            for start in range(0, height, step):
+                rows = [next(lines) for _ in range(min(step, height - start))]
+                block = temps[start : start + len(rows)]
+                # numpy converts each cell as float() does; the row check keeps
+                # a long row and a short row from passing as a right-sized block
+                ok = all(line.count(",") == width - 1 for line in rows)
+                try:
+                    if ok:
+                        cells = np.array(",".join(rows).split(","), dtype=np.float64)
+                        block[:] = cells.reshape(-1, width)
+                except ValueError:
+                    ok = False  # the cell loop names the bad cell
+                if not ok or not np.isfinite(block).all():
+                    block[:] = _parse_rtm_cells(path, rows, width, start + 2)
+    except UnicodeDecodeError:
+        try:  # decoded whole, the error names the byte's offset in the file
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
+        raise
     return ThermalImage(width, height, temps, source_id or path.stem)
 
 
-def _parse_rtm_cells(path, rows: list[str], width: int) -> np.ndarray:
+def _parse_rtm_cells(path, rows: list[str], width: int, first_line: int) -> np.ndarray:
     """Cell-by-cell parse that reports the line and column of the first bad cell."""
     temps = np.empty((len(rows), width), dtype=np.float64)
-    for r, line in enumerate(rows, start=1):
+    for r, line in enumerate(rows, start=first_line):
         cells = line.split(",")
         if len(cells) != width:
-            raise RtmFormatError(
-                path, f"row has {len(cells)} values, expected {width}", row=r + 1
-            )
+            raise RtmFormatError(path, f"row has {len(cells)} values, expected {width}", row=r)
         for c, cell in enumerate(cells):
             try:
                 value = float(cell)
             except ValueError:
                 raise RtmFormatError(
-                    path, f"non-numeric cell {cell.strip()!r}", row=r + 1, col=c + 1
+                    path, f"non-numeric cell {cell.strip()!r}", row=r, col=c + 1
                 ) from None
             if not np.isfinite(value):
-                raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r + 1, col=c + 1)
-            temps[r - 1, c] = value
+                raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r, col=c + 1)
+            temps[r - first_line, c] = value
     return temps
 
 

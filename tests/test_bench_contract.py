@@ -77,6 +77,32 @@ def test_feature_vector_calls_the_traced_kde_functions():
     ]
 
 
+def test_a_stacked_feature_vector_call_nests_its_kde_layers():
+    """A 2-D stack is one feature_vector span over one silverman_bandwidth
+    span and its kde_values spans, and the kde_values hook counts grid
+    points x stack pixels, so the traced per-layer numbers of stacked and
+    one-region calls compare."""
+    from thermofault import density
+
+    stack = np.random.default_rng(1).normal(30.0, 2.0, (5, 64))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        values, bandwidths = density.feature_vector(stack)
+    finally:
+        tracer.uninstall()
+    assert values.shape == (5, density.DEFAULT_GRID.n_points) and bandwidths.shape == (5,)
+    root = [i for i, s in enumerate(tracer.spans) if s.parent == -1]
+    assert [tracer.spans[i].name for i in root] == ["density.feature_vector"]
+    assert tracer.spans[root[0]].counts["pixels"] == stack.size
+    children = [s for s in tracer.spans if s.parent == root[0]]
+    names = [s.name for s in children]
+    assert names.count("density.silverman_bandwidth") == 1
+    kde = [s for s in children if s.name == "density.kde_values"]
+    assert kde and len(names) == 1 + len(kde)
+    assert kde[0].counts["kernel_evals"] == density.DEFAULT_GRID.n_points * stack.size
+
+
 def test_batch_labels_that_differ_from_the_reference_fail_the_run(monkeypatch):
     """The benchmark's reference label check sees what ``classify`` writes:
     a scorer that rotates every label by one class fails the run there,

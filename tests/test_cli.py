@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _prediction_lines, main
-from thermofault.density import FeatureGrid, feature_vector, read_features
+from thermofault.density import FeatureGrid, PdfFeature, feature_vector, read_features
 from thermofault.embedding import TrainConfig, embedder_from_dict
 from thermofault.harness import (
     SPLITS,
@@ -20,7 +20,14 @@ from thermofault.harness import (
     report_to_dict,
     run_both,
 )
-from thermofault.images import RegionAnnotation, extract_region, load_manifest, load_thermal
+from thermofault.images import (
+    RegionAnnotation,
+    ThermalImage,
+    extract_region,
+    load_manifest,
+    load_thermal,
+    save_thermal,
+)
 from thermofault.prototypes import Posterior, model_from_dict, posterior
 from thermofault.synthetic import default_synth_config, separable_synth_config
 from thermofault.taxonomy import EQUIPMENT_TYPES, STATUSES, SUBCATEGORIES, SubcategoryId
@@ -133,14 +140,13 @@ def test_extract_record_region_fields_come_from_the_region(dataset):
 
 def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
     """The streamed feature file is json.dumps of the whole payload, built
-    here from the library's features."""
-    manifest, features = extract_features(
-        ExperimentConfig(manifest_path=str(dataset / "data" / "manifest.json")), feature_vector
-    )
+    here from the library's features, each serialized as a PdfFeature."""
+    cfg = ExperimentConfig(manifest_path=str(dataset / "data" / "manifest.json"))
+    manifest, features = extract_features(cfg, feature_vector)
     records = [
-        {**region.to_dict(), "split": split, "feature": feature.to_dict()}
+        {**region.to_dict(), "split": split, "feature": PdfFeature(cfg.grid, row, w).to_dict()}
         for split in ("labeled", "unlabeled", "test")
-        for region, feature in zip(getattr(manifest, split), features[split])
+        for region, row, w in zip(getattr(manifest, split), *features[split])
     ]
     assert len(records) == 10 * (2 + 2 + 1)
     expected = json.dumps({"records": records}, sort_keys=True) + "\n"
@@ -254,6 +260,39 @@ def test_extract_one_pixel_region_names_bandwidth_and_grid_step(dataset, tmp_pat
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("company", [False, True])
+def test_extract_feature_error_names_the_manifest_and_region(tmp_path, capsys, company):
+    """A constant 8x8 region at 25.0 C has no density on the grid. The error
+    names the manifest, split, image and bbox of that region; with company,
+    it shares its stack with an equal-size region before it and one after
+    it, of its own image and of another."""
+    temps = np.random.default_rng(0).normal(30.0, 2.0, (16, 16))
+    temps[8:, 8:] = 25.0
+    for name in ("imgA", "imgB"):
+        save_thermal(ThermalImage(16, 16, temps, name), tmp_path / f"{name}.rtm")
+
+    def region(image, x, y, status):
+        return {"image_ref": image, "bbox": [x, y, 8, 8], "equipment_type": "bushing",
+                "status": status}
+
+    doc = {
+        "images": [{"id": name, "path": f"{name}.rtm"} for name in ("imgA", "imgB")],
+        "labeled": [region("imgA", 0, 0, "normal"), region("imgB", 0, 0, "normal")]
+        if company else [],
+        "unlabeled": [region("imgA", 8, 8, None)],
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "f.json"
+    assert run_cli("extract", "--manifest", manifest, "--out", out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: unlabeled region ('imgA', (8, 8, 8, 8)): bandwidth 1e-06 is too"
+        f" small for the feature grid step {FeatureGrid(-20.0, 120.0, 128).step!r}: the density"
+        " of the samples [25.0, 25.0] is 0 at every grid point\n"
+    )
+    assert not out.exists()
+
+
 def test_invalid_flag_usage_error_touches_nothing(dataset, tmp_path, capsys):
     out = tmp_path / "model.json"
     code = run_cli(
@@ -336,7 +375,7 @@ def test_train_mlp_matches_harness_embedder(dataset, tmp_path):
         embedder=TrainConfig(episodes=20),
     )
     manifest, features = extract_features(cfg, feature_vector)
-    labeled = [(r.subcategory, f.values) for r, f in zip(manifest.labeled, features["labeled"])]
+    labeled = list(zip((r.subcategory for r in manifest.labeled), features["labeled"][0]))
     harness_emb = fit_embedder(labeled, cfg.embedder, cfg.seed)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name

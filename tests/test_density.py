@@ -16,7 +16,6 @@ from thermofault.density import (
     UNDERFLOW_SUPPORT,
     FeatureGrid,
     KdeEstimator,
-    PdfFeature,
     _sorted_quantile,
     anchored_histogram,
     feature_vector,
@@ -372,6 +371,8 @@ def test_kde_estimator_validation():
         KdeEstimator([1.0], 0.0)
     with pytest.raises(ValueError):
         KdeEstimator([np.inf], 1.0)
+    with pytest.raises(ValueError, match=r"2 bandwidths for samples of shape \(3, 4\)"):
+        KdeEstimator(np.ones((3, 4)), [1.0, 2.0])  # a stack needs one per row
 
 
 # --------------------------------------------------------------- bandwidth
@@ -520,14 +521,14 @@ def test_feature_vector_bit_identical_to_full_grid_formula():
         manifest, features = extract_features(cfg, feature_vector)
         images, _ = synthesize(default_synth_config(seed=seed))
         by_id = {img.source_id: img for img in images}
-        for split, feats in features.items():
+        for split, (values, bandwidths) in features.items():
             regions = getattr(manifest, split)
-            assert len(feats) == len(regions) > 0
-            for region, feat in zip(regions, feats):
+            assert len(values) == len(bandwidths) == len(regions) > 0
+            for region, row, got_w in zip(regions, values, bandwidths):
                 x = np.sort(extract_region(by_id[region.image_ref], region.bbox))
                 w = silverman_reference(x) if bandwidth == "auto" else bandwidth
-                assert feat.bandwidth == w
-                assert feat.values.tobytes() == reference_values(x, w, grid).tobytes()
+                assert got_w == w
+                assert row.tobytes() == reference_values(x, w, grid).tobytes()
 
 
 def test_kernel_support_constants():
@@ -609,11 +610,11 @@ def test_near_uniform_region_falls_back_to_the_full_support(side, spread, cut_ma
     assert feat.values.tobytes() == full_support_values(x, w, grid).tobytes()
 
 
-def full_support_feature(samples, grid, bandwidth):
+def full_support_feature(stack, grid, bandwidth):
     """A featurize for extract_features with no term of the kernel cut."""
-    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
-    w = silverman_reference(x) if bandwidth == "auto" else bandwidth
-    return PdfFeature(grid, full_support_values(x, w, grid), w)
+    rows = np.sort(np.asarray(stack, dtype=np.float64), axis=1)
+    ws = [silverman_reference(x) if bandwidth == "auto" else bandwidth for x in rows]
+    return np.stack([full_support_values(x, w, grid) for x, w in zip(rows, ws)]), np.array(ws)
 
 
 def test_posterior_labels_from_truncated_features_equal_full_support_ones():
@@ -626,17 +627,14 @@ def test_posterior_labels_from_truncated_features_equal_full_support_ones():
         manifest, cut = extract_features(cfg, feature_vector)
         _, full = extract_features(cfg, full_support_feature)
         for split in SPLITS:
-            pairs = zip(cut[split], full[split])
-            changed += sum(int((a.values != b.values).sum()) for a, b in pairs)
+            changed += int((cut[split][0] != full[split][0]).sum())
         for mode in (MODE_SUPERVISED, MODE_WEAK):
             labels = []
             for feats in (cut, full):
-                labeled = [
-                    (r.subcategory, f.values) for r, f in zip(manifest.labeled, feats["labeled"])
-                ]
-                unlabeled = np.array([f.values for f in feats["unlabeled"]])
+                labeled = list(zip((r.subcategory for r in manifest.labeled), feats["labeled"][0]))
+                unlabeled = feats["unlabeled"][0]
                 model = fit_model(labeled, unlabeled, mode, cfg.alpha, cfg.refine_iters)
-                vectors = np.array([f.values for split in SPLITS for f in feats[split]])
+                vectors = np.concatenate([feats[split][0] for split in SPLITS])
                 labels.append(posterior(vectors, model).predicted)
             assert labels[0] == labels[1]
     assert changed > 50_000  # of 256,000

@@ -359,7 +359,7 @@ def test_identity_pipeline_bit_equal_to_raw():
     cfg = ExperimentConfig(synth=dataclasses.replace(default_synth_config(seed=14), counts=counts))
     data = prepare_features(cfg)  # cfg.embedder is None
     manifest, features = extract_features(cfg, feature_vector)
-    raw = {split: np.stack([f.values for f in features[split]]) for split in SPLITS}
+    raw = {split: features[split][0] for split in SPLITS}
     assert np.stack([v for _, v in data.labeled]).tobytes() == raw["labeled"].tobytes()
     assert data.unlabeled.tobytes() == raw["unlabeled"].tobytes()
     assert np.stack([v for _, v in data.test]).tobytes() == raw["test"].tobytes()

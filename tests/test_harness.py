@@ -391,7 +391,7 @@ def test_extract_features_holds_one_image_at_a_time(tmp_path):
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(features["labeled"]) == 2 * n
+        assert len(features["labeled"][0]) == 2 * n
         return traced
 
     small = peak(2)

@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermofault import images
 from thermofault.images import (
     DatasetManifest,
     InputFormatError,
@@ -381,3 +385,68 @@ def test_load_manifest_invalid_json(tmp_path):
     with pytest.raises(InputFormatError, match="manifest.json: not valid UTF-8 JSON") as err:
         load_manifest(mpath)
     assert not isinstance(err.value, ManifestError)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9), st.data())
+def test_load_thermal_in_blocks_of_rows_matches_float_cell_loop(w, h, block_cells, data):
+    """Rows parsed a few at a time give the bytes, or the first bad cell's
+    line and column, of the whole-file float() loop."""
+    rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(h)]
+    want, bad = parse_cells_with_float(rows)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(images, "RTM_BLOCK_CELLS", block_cells)
+        path = Path(tmp) / "cells.rtm"
+        path.write_text(f"{w},{h}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        if bad is None:
+            assert load_thermal(path).temps.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(RtmFormatError) as exc:
+                load_thermal(path)
+            assert (exc.value.row, exc.value.col) == bad
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # a bad cell in the first block, but the row count is wrong
+        (b"2,5\n1,x\n3,4\n5,6\n7,8\n", ", line 5: expected 5 data rows, found 4"),
+        (b"2,2\n1,x\n3,4\n5,6\n7,8\n", ", line 5: expected 2 data rows, found 4"),
+        # a bad cell past the first block
+        (b"2,4\n1,2\n3,4\n5,6\n7,inf\n", ", line 5, column 2: non-finite cell 'inf'"),
+        (b"2,4\n1,2\n3,4\n5,6,7\n8,9\n", ", line 4: row has 3 values, expected 2"),
+        # a byte that is not UTF-8 past a bad header or a bad first cell
+        (b"2;4\n1,2\n3,4\n5,6\n7,\xff\n", None),
+        (b"2,4\n1,x\n3,4\n5,6\n7,\xff\n", None),
+    ],
+)
+def test_rtm_errors_across_blocks_keep_their_order(tmp_path, monkeypatch, text, where):
+    """With two rows per block, the error is the one the whole file gives:
+    a non-UTF-8 byte (at its offset in the file) first, then a wrong row
+    count, then the first bad row."""
+    monkeypatch.setattr(images, "RTM_BLOCK_CELLS", 4)
+    path = tmp_path / "blocks.rtm"
+    path.write_bytes(text)
+    if where is None:
+        with pytest.raises(UnicodeDecodeError) as decode:
+            text.decode("utf-8")
+        where = f": not UTF-8 text ({decode.value})"
+    with pytest.raises(RtmFormatError) as exc:
+        load_thermal(path)
+    assert str(exc.value) == f"{path}{where}"
+
+
+def test_load_thermal_peak_memory_is_bounded(tmp_path):
+    """Loading a 640x480 frame allocates at most 4x its temperatures: the
+    file's text is never held whole, nor are all its cells as strings."""
+    temps = np.random.default_rng(0).normal(30.0, 5.0, (480, 640))
+    path = tmp_path / "frame.rtm"
+    save_thermal(make_image(temps), path)
+    tracemalloc.start()
+    try:
+        img = load_thermal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.temps.tobytes() == temps.tobytes()
+    assert peak <= 4 * temps.nbytes, f"peak {peak / temps.nbytes:.1f}x the array"

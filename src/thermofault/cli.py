@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, feature_vector, read_features
+from .density import DEFAULT_GRID, FeatureGrid, feature_dict, feature_vector, read_features
 from .embedding import KIND_MLP, TrainConfig, embed_many, embedder_from_dict, embedder_to_dict
 from .harness import (
     MODE_SUPERVISED,
@@ -95,8 +95,7 @@ def cmd_synth(args) -> int:
 
 
 def _region_record(region: RegionAnnotation, split: str, grid: FeatureGrid, values, bandwidth):
-    feature = {**grid.to_dict(), "values": values.tolist(), "bandwidth": float(bandwidth)}
-    return {**region.to_dict(), "split": split, "feature": feature}
+    return {**region.to_dict(), "split": split, "feature": feature_dict(grid, values, bandwidth)}
 
 
 def cmd_extract(args) -> int:

@@ -135,8 +135,8 @@ def _sorted_finite(samples, what: str) -> np.ndarray:
     each sort their samples, so a feature_vector region is sorted twice."""
     x = np.asarray(samples, dtype=np.float64)
     x = np.sort(x if x.ndim == 2 else x.reshape(-1), axis=-1)
-    # sorting puts -inf first and +inf, then NaN, last: check each row's ends
-    if not all(map(math.isfinite, x[..., :: max(x.shape[-1] - 1, 1)].reshape(-1).tolist())):
+    ends = x[..., :: max(x.shape[-1] - 1, 1)]  # sorting puts -inf first and +inf, then NaN, last
+    if not all(map(math.isfinite, (ends if x.ndim == 1 else ends.reshape(-1)).tolist())):
         raise ValueError(f"{what} must be finite")
     x.flags.writeable = False
     return x
@@ -154,10 +154,10 @@ class KdeEstimator:
         x = _sorted_finite(self.samples, "KDE samples")
         if x.size == 0:
             raise ValueError("KDE requires at least one sample")
-        h = np.asarray(self.bandwidth, dtype=np.float64).reshape(-1).tolist()
-        if len(h) != (len(x) if x.ndim == 2 else 1):
-            raise ValueError(f"{len(h)} bandwidths for samples of shape {x.shape}")
-        if min(h) <= 0:
+        h = self.bandwidth
+        if x.ndim == 2 and np.shape(h) != x.shape[:1]:
+            raise ValueError(f"{np.size(h)} bandwidths for samples of shape {x.shape}")
+        if not (h if x.ndim == 1 else np.min(h)) > 0:
             raise ValueError("bandwidth must be positive")
         object.__setattr__(self, "samples", x)
 
@@ -166,43 +166,49 @@ class KdeEstimator:
         return int(self.samples.size)
 
 
+def _kernel_sums(t: np.ndarray, h, cut: float) -> np.ndarray:
+    """Row sums of the kernel terms of differences t (overwritten), cut below cut."""
+    t /= h
+    np.square(t, out=t)
+    t *= -0.5
+    zero = t < cut  # False for NaN, which np.exp keeps
+    np.exp(t, out=t, where=~zero)
+    np.copyto(t, 0.0, where=zero)
+    return t.sum(axis=1) / SQRT_2PI
+
+
 def kde_values(est: KdeEstimator, points, support: float = KERNEL_SUPPORT) -> np.ndarray:
-    """Density estimate at each query point: mean kernel value / bandwidth;
-    a stacked estimator gives one row per sample set.
+    """Density at each query point (a row per set of a stack): mean kernel value / bandwidth.
 
     The kernel is cut at support bandwidths: a term whose exponent is below
     -support**2/2 is 0.0 and skips np.exp. Points more than support + 1
     bandwidths outside a set's sample range get 0.0 unevaluated; the margin
     covers rounding, so the cull drops no term that the cut keeps. The
-    live (set, point) pairs sum whole kernel rows in blocks, bit-identical
-    to the full (points x samples) sum with the same cut: each term takes
-    the full formula's steps in its order.
+    rest sum whole kernel rows in blocks (of a stack: the live (set, point)
+    pairs), bit-identical to the full (points x samples) sum with the same
+    cut: each term takes the full formula's steps in its order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
-    x = est.samples.reshape(-1, est.samples.shape[-1])
-    h = np.asarray(est.bandwidth, dtype=np.float64).reshape(-1, 1)
+    x, h, cut = est.samples, est.bandwidth, -0.5 * support * support
+    step = max(1, KDE_BLOCK_TERMS // x.shape[-1])
+    if x.ndim == 1:
+        reach = (support + 1.0) * h
+        # "not outside" keeps NaN points live, so they still give NaN
+        live = np.flatnonzero(~((pts < x[0] - reach) | (pts > x[-1] + reach)))
+        k = np.zeros(pts.size)
+        for i in range(0, live.size, step):
+            idx = live[i : i + step]
+            k[idx] = _kernel_sums(pts[idx, None] - x, h, cut)
+        return k / (x.size * h)
+    h = np.asarray(h, dtype=np.float64)[:, None]
     reach = (support + 1.0) * h
-    cut = -0.5 * support * support
-    # "not outside" keeps NaN points live, so they still give NaN
     rows, cols = np.nonzero(~((pts < x[:, :1] - reach) | (pts > x[:, -1:] + reach)))
     k = np.zeros((len(x), pts.size))
-    step = max(1, KDE_BLOCK_TERMS // x.shape[1])
     for i in range(0, rows.size, step):
         r, c = rows[i : i + step], cols[i : i + step]
-        if r[0] == r[-1]:  # a block of one set broadcasts its samples
-            j, t = r[0], pts[c, None] - x[r[0]]
-        else:  # the block's sets are gathered once, into its terms
-            j, t = r, x[r]
-            np.subtract(pts[c, None], t, out=t)
-        t /= h[j]
-        np.square(t, out=t)
-        t *= -0.5
-        zero = t < cut  # False for NaN, which np.exp keeps
-        np.exp(t, out=t, where=~zero)
-        np.copyto(t, 0.0, where=zero)
-        k[r, c] = t.sum(axis=1) / SQRT_2PI
-    k /= x.shape[1] * h
-    return k if est.samples.ndim == 2 else k[0]
+        t = x[r]  # the block's sets, gathered once into its terms
+        k[r, c] = _kernel_sums(np.subtract(pts[c, None], t, out=t), h[r], cut)
+    return k / (x.shape[1] * h)
 
 
 def kde_at(est: KdeEstimator, x: float) -> float:
@@ -220,26 +226,24 @@ def silverman_bandwidth(samples):
     n = x.shape[-1]
     if n < 2:
         raise ValueError("bandwidth selection requires at least 2 samples")
-    rows = x.reshape(-1, n)
     # np.std(x, ddof=1), reduction for reduction
-    d = rows - rows.sum(axis=1, keepdims=True) / n
+    d = x - (x.sum(axis=-1) / n)[..., None]
     np.square(d, out=d)
-    shrink, q1, q3 = n ** (-0.2), _sorted_quantile(rows, 0.25), _sorted_quantile(rows, 0.75)
-    w = [
-        max(1.06 * min(math.sqrt(ss / (n - 1)), (b - a) / 1.34) * shrink, BANDWIDTH_FLOOR)
-        for ss, a, b in zip(d.sum(axis=1).tolist(), q1, q3)
-    ]
-    return np.array(w) if x.ndim == 2 else w[0]
+    var = d.sum(axis=-1) / (n - 1)
+    iqr = _sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)
+    if x.ndim == 1:
+        return max(1.06 * min(math.sqrt(var), iqr / 1.34) * n ** (-0.2), BANDWIDTH_FLOOR)
+    return np.maximum(1.06 * np.minimum(np.sqrt(var), iqr / 1.34) * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def _sorted_quantile(x: np.ndarray, q: float) -> list[float]:
-    """np.percentile(row, 100 * q) of each sorted row of x, 0 <= q < 1, bit for bit."""
-    x = x.reshape(-1, x.shape[-1])
-    v = (x.shape[1] - 1) * q
+def _sorted_quantile(x: np.ndarray, q: float):
+    """np.percentile(x, 100 * q, axis=-1) of sorted x, 0 <= q < 1: numpy's rule, bit for bit."""
+    v = (x.shape[-1] - 1) * q
     i = int(v)
     g = v - i
-    pairs = zip(x[:, i].tolist(), x[:, i + 1].tolist())
-    return [b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g for a, b in pairs]
+    a, b = x.T[i : i + 2].tolist() if x.ndim == 1 else x.T[i : i + 2]  # floats, or columns
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 @dataclass(frozen=True)
@@ -314,14 +318,15 @@ class PdfFeature:
         object.__setattr__(self, "values", values)
 
     def to_dict(self) -> dict:
-        return {
-            **self.grid.to_dict(),
-            "values": self.values.tolist(),
-            "bandwidth": self.bandwidth,
-        }
+        return feature_dict(self.grid, self.values, self.bandwidth)
 
 
 FEATURE_KEYS = (*GRID_KEYS, "values", "bandwidth")
+
+
+def feature_dict(grid: FeatureGrid, values: np.ndarray, bandwidth: float) -> dict:
+    """The JSON form of one feature, with the FEATURE_KEYS that read_features reads."""
+    return {**grid.to_dict(), "values": values.tolist(), "bandwidth": float(bandwidth)}
 
 
 def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None, np.ndarray]:
@@ -383,11 +388,12 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     """KDE of the samples evaluated on the grid and renormalized to unit mass.
 
     A 2-D (R, n) stack of R regions gives their (R, n_points) values and
-    (R,) bandwidths, the bytes each region gets alone. bandwidth may be a
-    positive float or "auto" (Silverman's rule; a lone sample falls back to
-    the floor value). The samples go as given to silverman_bandwidth and
-    KdeEstimator, which each sort and check them; only where Silverman's
-    rule is not used are they checked here.
+    (R,) bandwidths, the bytes each gets alone; a stack of one is computed
+    as a 1-D call, cheaper than a stack's per-pair bookkeeping. bandwidth
+    may be a positive float or "auto" (Silverman's rule; a lone sample
+    falls back to the floor value). The samples go as given to
+    silverman_bandwidth and KdeEstimator, which each sort and check them;
+    only where Silverman's rule is not used are they checked here.
 
     The KDE is evaluated at KERNEL_SUPPORT. Each grid value then differs
     from the UNDERFLOW_SUPPORT one by at most D = e**-72 / (h sqrt(2 pi)),
@@ -400,18 +406,28 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     """
     x = np.asarray(samples, dtype=np.float64)
     stack = x.ndim == 2
-    x = x if stack else x.reshape(1, -1)
-    if bandwidth == "auto" and x.shape[1] >= 2:
+    x = x if stack and len(x) > 1 else x.reshape(-1)
+    if bandwidth == "auto" and x.shape[-1] >= 2:
         w = silverman_bandwidth(x)
     else:
         x = _sorted_finite(x, "samples")
         if x.size == 0:
             raise ValueError("feature extraction requires at least one sample")
-        w = np.full(len(x), BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth))
-        if w[0] <= 0:
+        w = BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth)
+        if w <= 0:
             raise ValueError("bandwidth must be positive")
+        w = np.full(len(x), w) if x.ndim == 2 else w
     est = KdeEstimator(x, w)
     raw = kde_values(est, grid.points())
+    if x.ndim == 1:  # one region: numbers, not the rows' lists
+        mass = float(raw.sum() * grid.step)
+        if mass <= 0.0 or _truncation_bound(raw.max(), mass, grid, w) > TRUNCATION_TOLERANCE:
+            raw = kde_values(est, grid.points(), support=UNDERFLOW_SUPPORT)
+            mass = float(raw.sum() * grid.step)
+        if mass <= 0.0:
+            raise _no_mass_error(est.samples, w, grid)
+        values = raw / mass
+        return (_checked(values[None]), np.array([w])) if stack else PdfFeature(grid, values, w)
     mass = raw.sum(axis=1) * grid.step
     rows = enumerate(zip(mass.tolist(), raw.max(axis=1).tolist(), w.tolist()))
     redo = [
@@ -423,15 +439,18 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
         raw[redo] = kde_values(full, grid.points(), support=UNDERFLOW_SUPPORT)
         mass[redo] = raw[redo].sum(axis=1) * grid.step
     for i in (i for i in redo if mass[i] <= 0.0):
-        lo, hi, h = est.samples[i, 0], est.samples[i, -1], float(w[i])
-        if lo <= grid.t_hi and grid.t_lo <= hi:  # the grid overlaps the samples
-            raise ValueError(
-                f"bandwidth {h!r} is too small for the feature grid step {grid.step!r}:"
-                f" the density of the samples [{lo}, {hi}] is 0 at every grid point"
-            )
-        raise ValueError(
-            f"feature grid [{grid.t_lo}, {grid.t_hi}] does not overlap the sample range"
-            f" [{lo}, {hi}]"
+        raise _no_mass_error(est.samples[i], float(w[i]), grid)
+    return _checked(raw / mass[:, None]), w
+
+
+def _no_mass_error(x: np.ndarray, h: float, grid: FeatureGrid) -> ValueError:
+    """The error for sorted samples x whose density is 0 at every grid point."""
+    lo, hi = x[0], x[-1]
+    if lo <= grid.t_hi and grid.t_lo <= hi:  # the grid overlaps the samples
+        return ValueError(
+            f"bandwidth {h!r} is too small for the feature grid step {grid.step!r}:"
+            f" the density of the samples [{lo}, {hi}] is 0 at every grid point"
         )
-    values = raw / mass[:, None]
-    return (_checked(values), w) if stack else PdfFeature(grid, values[0], float(w[0]))
+    return ValueError(
+        f"feature grid [{grid.t_lo}, {grid.t_hi}] does not overlap the sample range [{lo}, {hi}]"
+    )

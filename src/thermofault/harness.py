@@ -220,12 +220,12 @@ def extract_features(
     read one at a time, in manifest order: each region's bbox is checked
     against its image (a ManifestError names the manifest and the region),
     its pixels are copied, and the image is dropped. Once the copies hold
-    STACK_SAMPLES pixels, and at the end, each pixel count's stack is one
-    featurize call; a stack that fails is computed again region by region,
-    to name the first region at fault, so a later image's bbox may be
-    reported first. featurize is density.feature_vector as the calling
-    front end binds it, so a wrapper or patch on that front end's name
-    applies to its own extraction only.
+    STACK_SAMPLES pixels, and at the end, the regions of each pixel count
+    are one featurize call. If one fails, the held regions are computed
+    again one by one, in image order, to name the first at fault; so a bad
+    bbox of a later image may be reported before it. featurize is
+    density.feature_vector as the calling front end binds it, so a wrapper
+    or patch on that front end's name applies to its own extraction only.
     """
     source = cfg.manifest_path or f"synthetic seed {cfg.seed}"
     if cfg.synth is not None:
@@ -243,24 +243,28 @@ def extract_features(
             regions_of.setdefault(r.image_ref, []).append((split, i, r))
     sizes = {split: len(getattr(manifest, split)) for split in SPLITS}
     features = {s: (np.empty((n, cfg.grid.n_points)), np.empty(n)) for s, n in sizes.items()}
-    pending: dict[int, list] = {}  # pixel count -> [(split, i, region, pixels)]
+    pending: list = []  # (split, i, region, pixels), in image order
 
     def compute_pending() -> None:
-        for where in pending.values():
-            stack = np.array([pixels for *_, pixels in where])
-            try:
+        stacks: dict[int, list] = {}  # pixel count -> its pending regions
+        for p in pending:
+            stacks.setdefault(p[3].size, []).append(p)
+        try:
+            for where in stacks.values():
+                stack = np.array([p[3] for p in where])
                 values, bandwidths = featurize(stack, cfg.grid, cfg.bandwidth)
-            except ValueError:
-                for split, _, r, pixels in where:  # name the first region at fault
-                    try:
-                        featurize(pixels, cfg.grid, cfg.bandwidth)
-                    except ValueError as exc:
-                        raise ValueError(f"{source}: {split} region {r.key()}: {exc}") from None
-                raise
-            for (split, i, _, _), v, w in zip(where, values, bandwidths):
-                features[split][0][i], features[split][1][i] = v, w
+                for (split, i, _, _), v, w in zip(where, values, bandwidths):
+                    features[split][0][i], features[split][1][i] = v, w
+        except ValueError:
+            for split, _, r, pixels in pending:  # name the first region at fault
+                try:
+                    featurize(pixels, cfg.grid, cfg.bandwidth)
+                except ValueError as exc:
+                    raise ValueError(f"{source}: {split} region {r.key()}: {exc}") from None
+            raise
         pending.clear()
 
+    held = 0  # pixels in pending
     for image_id, img in loaded:
         for split, i, r in regions_of.get(image_id, []):
             x, y, w, h = r.bbox
@@ -269,11 +273,12 @@ def extract_features(
                     f"{source}: {split} region {r.key()}: bbox outside"
                     f" {img.width}x{img.height} image {r.image_ref!r}"
                 )
-            pixels = extract_region(img, r.bbox)
-            pending.setdefault(pixels.size, []).append((split, i, r, pixels))
+            pending.append((split, i, r, extract_region(img, r.bbox)))
+            held += w * h
         del img  # dropped before the next image is read
-        if sum(size * len(where) for size, where in pending.items()) >= STACK_SAMPLES:
+        if held >= STACK_SAMPLES:
             compute_pending()
+            held = 0
     compute_pending()
     return manifest, features
 

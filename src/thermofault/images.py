@@ -8,6 +8,7 @@ are written with 17 significant digits so a save/load round trip is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from .taxonomy import (
 )
 
 BBox = tuple[int, int, int, int]
-# Cells of the rows that load_thermal reads and converts at a time.
-RTM_BLOCK_CELLS = 1 << 15
+# Characters of lines that load_thermal reads and converts at a time.
+RTM_BLOCK_CHARS = 1 << 18
 
 
 class RtmFormatError(InputFormatError):
@@ -78,48 +79,51 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
 
     Raises RtmFormatError (with line/column position) for a malformed
     header, a row of the wrong length, or a non-numeric / non-finite cell,
-    and (naming only the file) for a file that is not UTF-8.
+    and (naming only the file) for a file that is not UTF-8. Lines are read
+    and converted about RTM_BLOCK_CHARS characters at a time; the error is
+    the whole file's first of: not UTF-8, header, row count, bad row.
     """
     path = Path(path)
+    parts, height, n = [], 0, 0
     try:
         with open(path, encoding="utf-8") as fh:
-            n_lines = sum(1 for _ in fh)  # a non-UTF-8 byte, then the row count, come first
-            fh.seek(0)
-            lines = (line[:-1] if line.endswith("\n") else line for line in fh)
-            if not n_lines:
-                raise RtmFormatError(path, "empty file", row=1)
-            width, height = _parse_rtm_header(path, next(lines))
-            if n_lines - 1 != height:
-                raise RtmFormatError(
-                    path, f"expected {height} data rows, found {n_lines - 1}", row=n_lines
-                )
-            temps = np.empty((height, width), dtype=np.float64)
-            step = max(1, RTM_BLOCK_CELLS // width)
-            for start in range(0, height, step):
-                rows = [next(lines) for _ in range(min(step, height - start))]
-                block = temps[start : start + len(rows)]
-                # numpy converts each cell as float() does; the row check keeps
-                # a long row and a short row from passing as a right-sized block
-                ok = all(line.count(",") == width - 1 for line in rows)
-                try:
-                    if ok:
-                        cells = np.array(",".join(rows).split(","), dtype=np.float64)
-                        block[:] = cells.reshape(-1, width)
-                except ValueError:
-                    ok = False  # the cell loop names the bad cell
-                if not ok or not np.isfinite(block).all():
-                    block[:] = _parse_rtm_cells(path, rows, width, start + 2)
+            blocks = iter(lambda: fh.readlines(RTM_BLOCK_CHARS), [])
+            try:
+                lines = next(blocks, [])
+                if not lines:
+                    raise RtmFormatError(path, "empty file", row=1)
+                width, height = _parse_rtm_header(path, lines[0].rstrip("\n"))
+                for rows in itertools.chain([lines[1:]], blocks):
+                    n += len(rows)
+                    if n <= height:  # rows past the header's height are only counted
+                        parts.append(_parse_rtm_rows(path, rows, width, n - len(rows) + 2))
+            except RtmFormatError:
+                n += sum(map(len, blocks))  # reads the rest: a non-UTF-8 byte comes first
+                if n == height or not height:
+                    raise
     except UnicodeDecodeError:
         try:  # decoded whole, the error names the byte's offset in the file
             path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
         raise
+    if n != height:
+        raise RtmFormatError(path, f"expected {height} data rows, found {n}", row=n + 1)
+    temps = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return ThermalImage(width, height, temps, source_id or path.stem)
 
 
-def _parse_rtm_cells(path, rows: list[str], width: int, first_line: int) -> np.ndarray:
-    """Cell-by-cell parse that reports the line and column of the first bad cell."""
+def _parse_rtm_rows(path, rows: list[str], width: int, first_line: int) -> np.ndarray:
+    """The temperatures of rows, the first at line first_line; a bad cell is named by position."""
+    # numpy converts each cell as float() does (newlines stripped); the row
+    # check keeps a long row and a short row from passing as a right-sized block
+    if all(line.count(",") == width - 1 for line in rows):
+        try:
+            temps = np.array(",".join(rows).split(","), dtype=np.float64).reshape(-1, width)
+            if np.isfinite(temps).all():
+                return temps
+        except ValueError:
+            pass  # the cell loop names the bad cell
     temps = np.empty((len(rows), width), dtype=np.float64)
     for r, line in enumerate(rows, start=first_line):
         cells = line.split(",")

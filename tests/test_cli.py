@@ -293,6 +293,38 @@ def test_extract_feature_error_names_the_manifest_and_region(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_extract_feature_error_is_the_first_in_image_order(tmp_path, capsys):
+    """imgA holds an 8x8 region that works and a constant 10x10 one that
+    fails; imgB holds a constant 8x8 one. The 8x8 stack is computed first
+    and fails on imgB's region, but the error names imgA's 10x10 region,
+    the first failing region in image order."""
+    rng = np.random.default_rng(0)
+    temps = {"imgA": rng.normal(30.0, 2.0, (16, 16)), "imgB": rng.normal(30.0, 2.0, (16, 16))}
+    temps["imgA"][6:, 6:] = 25.0
+    temps["imgB"][8:, 8:] = 25.0
+    for name, t in temps.items():
+        save_thermal(ThermalImage(16, 16, t, name), tmp_path / f"{name}.rtm")
+
+    def region(image, x, y, size):
+        return {"image_ref": image, "bbox": [x, y, size, size], "equipment_type": "bushing",
+                "status": "normal"}
+
+    doc = {
+        "images": [{"id": name, "path": f"{name}.rtm"} for name in ("imgA", "imgB")],
+        "labeled": [region("imgA", 0, 0, 8), region("imgB", 8, 8, 8), region("imgA", 6, 6, 10)],
+    }
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "f.json"
+    assert run_cli("extract", "--manifest", manifest, "--out", out) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: labeled region ('imgA', (6, 6, 10, 10)): bandwidth 1e-06 is too"
+        f" small for the feature grid step {FeatureGrid(-20.0, 120.0, 128).step!r}: the density"
+        " of the samples [25.0, 25.0] is 0 at every grid point\n"
+    )
+    assert not out.exists()
+
+
 def test_invalid_flag_usage_error_touches_nothing(dataset, tmp_path, capsys):
     out = tmp_path / "model.json"
     code = run_cli(

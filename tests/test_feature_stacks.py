@@ -118,6 +118,27 @@ def test_a_row_that_falls_back_to_the_full_support_keeps_its_bytes(monkeypatch):
         assert_same_bytes(got, one_at_a_time(x))
 
 
+def test_a_stack_of_one_region_is_computed_as_a_one_region_call(monkeypatch):
+    """A (1, n) stack, as a region whose pixel count no other region shares
+    gives, takes the 1-D path (kde_values gets 1-D samples, the fallback
+    too) and returns that call's bytes as a one-row stack."""
+    with stack_check("stacks of one"):
+        ndims = []
+        original = density.kde_values
+
+        def recording(est, points, support=KERNEL_SUPPORT):
+            ndims.append(est.samples.ndim)
+            return original(est, points, support)
+
+        monkeypatch.setattr(density, "kde_values", recording)
+        rows = [default_regions(0)[0], near_uniform_region(0)]
+        got = [feature_vector(row[None]) for row in rows]
+        assert ndims == [1, 1, 1]  # the near-uniform region falls back
+        monkeypatch.undo()
+        for row, (values, bandwidths) in zip(rows, got):
+            assert_same_bytes((values, bandwidths), one_at_a_time([row]))
+
+
 @pytest.mark.parametrize("bad", ["constant", "nan"])
 def test_a_stack_with_a_failing_row_raises_that_rows_error(bad):
     """A constant row has no density on the grid; a NaN row is not finite.

@@ -388,14 +388,14 @@ def test_load_manifest_invalid_json(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9), st.data())
-def test_load_thermal_in_blocks_of_rows_matches_float_cell_loop(w, h, block_cells, data):
-    """Rows parsed a few at a time give the bytes, or the first bad cell's
-    line and column, of the whole-file float() loop."""
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 40), st.data())
+def test_load_thermal_in_blocks_matches_float_cell_loop(w, h, block_chars, data):
+    """A file read a few characters at a time gives the bytes, or the first
+    bad cell's line and column, of the whole-file float() loop."""
     rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(h)]
     want, bad = parse_cells_with_float(rows)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(images, "RTM_BLOCK_CELLS", block_cells)
+        mp.setattr(images, "RTM_BLOCK_CHARS", block_chars)
         path = Path(tmp) / "cells.rtm"
         path.write_text(f"{w},{h}\n" + "\n".join(rows) + "\n", encoding="utf-8")
         if bad is None:
@@ -421,10 +421,10 @@ def test_load_thermal_in_blocks_of_rows_matches_float_cell_loop(w, h, block_cell
     ],
 )
 def test_rtm_errors_across_blocks_keep_their_order(tmp_path, monkeypatch, text, where):
-    """With two rows per block, the error is the one the whole file gives:
+    """With eight characters per block, the error is the one the whole file gives:
     a non-UTF-8 byte (at its offset in the file) first, then a wrong row
     count, then the first bad row."""
-    monkeypatch.setattr(images, "RTM_BLOCK_CELLS", 4)
+    monkeypatch.setattr(images, "RTM_BLOCK_CHARS", 8)
     path = tmp_path / "blocks.rtm"
     path.write_bytes(text)
     if where is None:

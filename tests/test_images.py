@@ -415,9 +415,12 @@ def test_load_thermal_in_blocks_matches_float_cell_loop(w, h, block_chars, data)
         # a bad cell past the first block
         (b"2,4\n1,2\n3,4\n5,6\n7,inf\n", ", line 5, column 2: non-finite cell 'inf'"),
         (b"2,4\n1,2\n3,4\n5,6,7\n8,9\n", ", line 4: row has 3 values, expected 2"),
-        # a byte that is not UTF-8 past a bad header or a bad first cell
+        # a byte that is not UTF-8 past a bad header or a bad first cell,
+        # within the file's first decoded chunk and far past it
         (b"2;4\n1,2\n3,4\n5,6\n7,\xff\n", None),
         (b"2,4\n1,x\n3,4\n5,6\n7,\xff\n", None),
+        pytest.param(b"2;5000\n" + b"1,2\n" * 4999 + b"7,\xff\n", None, id="late-byte-header"),
+        pytest.param(b"2,5000\n1,x\n" + b"1,2\n" * 4998 + b"7,\xff\n", None, id="late-byte-cell"),
     ],
 )
 def test_rtm_errors_across_blocks_keep_their_order(tmp_path, monkeypatch, text, where):

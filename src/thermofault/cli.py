@@ -37,7 +37,7 @@ from .harness import (
     sweep,
     sweep_table,
 )
-from .images import ManifestError, RegionAnnotation
+from .images import RegionAnnotation
 from .prototypes import Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
 from .taxonomy import (
@@ -45,6 +45,7 @@ from .taxonomy import (
     STATUSES,
     InputFormatError,
     check_keys,
+    create_text,
     read_json,
     write_json,
     write_records,
@@ -253,9 +254,7 @@ def cmd_classify(args) -> int:
         )
         raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
     post = posterior(vectors, model)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with create_text(args.out) as fh:
         for line in _prediction_lines(regions, [rec["split"] for rec in records], post):
             fh.write(line + "\n")
     print(f"wrote {len(records)} predictions to {args.out}")
@@ -388,9 +387,6 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
     except (InputFormatError, OSError) as exc:
-        if isinstance(exc, ManifestError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:

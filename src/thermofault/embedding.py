@@ -218,37 +218,6 @@ class TrainResult:
     losses: np.ndarray = field(repr=False)
 
 
-# At most this many indices are shuffled in one permuted call (512 KiB).
-_DRAW_BLOCK = 1 << 16
-
-
-def _draw_pairs(rng: np.random.Generator, sizes: list[int], episodes: int) -> np.ndarray:
-    """rng.permutation(n)[:2] for each n in sizes, episode after episode, as
-    an (episodes, len(sizes), 2) array.
-
-    Generator.permuted along axis 1 shuffles one row after another exactly
-    as successive permutation calls do, so each run of equal consecutive
-    sizes takes one call (in blocks of at most _DRAW_BLOCK indices), and
-    the rows and the generator's final state are those of the calls made
-    one by one (the tests check this on the installed numpy). A run of one
-    row calls permutation, which is cheaper there.
-    """
-    flat = np.tile(np.asarray(sizes, dtype=np.intp), episodes)
-    pairs = np.empty((flat.size, 2), dtype=np.intp)
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    for lo, end in zip(starts.tolist(), [*starts[1:].tolist(), flat.size]):
-        n = int(flat[lo])
-        step = max(1, _DRAW_BLOCK // n)
-        for a in range(lo, end, step):
-            b = min(a + step, end)
-            if b - a == 1:
-                pairs[a] = rng.permutation(n)[:2]
-            else:
-                rows = rng.permuted(np.broadcast_to(np.arange(n), (b - a, n)), axis=1)
-                pairs[a:b] = rows[:, :2]
-    return pairs.reshape(episodes, len(sizes), 2)
-
-
 def train_embedder(
     labeled: Iterable[tuple[SubcategoryId, np.ndarray]], cfg: TrainConfig, seed: int
 ) -> TrainResult:
@@ -256,10 +225,12 @@ def train_embedder(
 
     Each episode draws, per class in sorted order, one support and one
     query vector without replacement (classes with a single vector join
-    the support only). Every episode's draws are made before the first
-    step, from the same generator stream as one draw per episode and
-    class (see _draw_pairs), so the result is the same. Deterministic for
-    a fixed seed; episodes = 0 returns the seeded initialization untouched.
+    the support only): one of the n(n-1) ordered pairs of distinct rows of
+    a class of n, uniformly. Every episode's draws are one integers call
+    made before the first step; an array of bounds takes the generator
+    stream as the same calls one episode and class at a time would, so the
+    result is the same. Deterministic for a fixed seed; episodes = 0
+    returns the seeded initialization untouched.
     """
     buckets: dict[SubcategoryId, list[np.ndarray]] = {}
     for subcat, vec in labeled:
@@ -281,11 +252,14 @@ def train_embedder(
     vectors = np.stack([v for c in classes for v in buckets[c]])
     starts = np.cumsum([0, *sizes[:-1]])
     lab = _labels(np.arange(len(classes)), np.array(rich))
-    pairs = _draw_pairs(rng, [sizes[k] for k in rich], cfg.episodes)
+    # per episode and class in rich, one of its n(n-1) ordered pairs of distinct rows
+    n = np.array([sizes[k] for k in rich])
+    s, q = np.divmod(rng.integers(0, n * (n - 1), size=(cfg.episodes, n.size)), n - 1)
+    q += q >= s  # the query skips the support row
     # a class with one vector always supports with it
     supports = np.tile(starts, (cfg.episodes, 1))
-    supports[:, rich] += pairs[:, :, 0]
-    queries = starts[rich] + pairs[:, :, 1]
+    supports[:, rich] += s
+    queries = starts[rich] + q
     losses = []
     for support, query in zip(supports, queries):
         loss, grads = _proto_loss(e, vectors[support], vectors[query], lab)

@@ -25,6 +25,7 @@ from .taxonomy import (
     read_json,
     read_scalar,
     write_json,
+    write_text,
 )
 
 BBox = tuple[int, int, int, int]
@@ -47,8 +48,8 @@ class RtmFormatError(InputFormatError):
         super().__init__(f"{where}: {message}")
 
 
-class ManifestError(InputFormatError):
-    """Malformed or inconsistent dataset manifest."""
+class ManifestError(ValueError):
+    """Malformed or inconsistent dataset manifest: a validation error."""
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,10 @@ def _parse_rtm_header(path, line: str) -> tuple[int, int]:
 
 def save_thermal(img: ThermalImage, path) -> None:
     """Write an RTM text file; %.17g rendering keeps the round trip exact."""
-    path = Path(path)
     row_format = ",".join(["%.17g"] * img.width)
     rows = [f"{img.width},{img.height}"]
     rows.extend(row_format % tuple(row) for row in img.temps.tolist())
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(rows))
 
 
 def extract_region(img: ThermalImage, bbox: BBox) -> np.ndarray:
@@ -272,17 +272,16 @@ def _region_from_dict(entry: dict, where: str) -> RegionAnnotation:
         raise ManifestError(f"{where}: {exc}") from None
 
 
-def load_manifest(path, image_root=None) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """Load a manifest JSON file and check that its images exist.
 
     Regions with a null status land in the unlabeled split regardless of
     the list they were declared in. Image paths are resolved relative to
-    image_root (default: the manifest's directory). No image is opened
-    here: whoever loads the images checks each bbox against its image's
-    size (harness.extract_features does).
+    the manifest's directory. No image is opened here: whoever loads the
+    images checks each bbox against its image's size
+    (harness.extract_features does).
     """
     path = Path(path)
-    root = Path(image_root) if image_root is not None else path.parent
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be a JSON object")
@@ -295,7 +294,7 @@ def load_manifest(path, image_root=None) -> DatasetManifest:
             raise ManifestError(f"{path}: image entries need 'id' and 'path'") from None
         if img_id in image_paths:
             raise ManifestError(f"{path}: duplicate image id {img_id!r}")
-        image_paths[img_id] = root / rel
+        image_paths[img_id] = path.parent / rel
 
     for img_id, img_path in image_paths.items():
         if not img_path.exists():

@@ -315,7 +315,6 @@ def synthesize(cfg: SynthConfig) -> tuple[list[ThermalImage], DatasetManifest]:
 def write_dataset(images: list[ThermalImage], manifest: DatasetManifest, out_dir) -> Path:
     """Write RTM files plus manifest.json under out_dir; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for img in images:
         save_thermal(img, out_dir / manifest.image_paths[img.source_id])
     manifest_path = out_dir / "manifest.json"

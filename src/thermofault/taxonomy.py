@@ -145,7 +145,9 @@ def read_json(path, data: bytes | None = None):
         raise InputFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
 
 
-def _create(path) -> TextIO:
+def create_text(path) -> TextIO:
+    """path opened for writing text: UTF-8, "\\n" newlines, parent
+    directories made. Every artifact file is created here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
@@ -157,7 +159,7 @@ def write_text(path, text: str) -> str:
     whose UTF-8 encoding is the file's bytes."""
     if not text.endswith("\n"):
         text += "\n"
-    with _create(path) as fh:
+    with create_text(path) as fh:
         fh.write(text)
     return text
 
@@ -177,7 +179,7 @@ def write_records(path, records: Iterable[dict]) -> int:
     one record at a time, so the whole text is never held. Returns the
     number of records."""
     n = 0
-    with _create(path) as fh:
+    with create_text(path) as fh:
         fh.write('{"records": [')
         for rec in records:
             fh.write((", " if n else "") + json.dumps(rec, sort_keys=True))

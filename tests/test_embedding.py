@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from thermofault import embedding
 from thermofault.density import feature_vector
 from thermofault.embedding import (
     Embedder,
@@ -276,7 +277,8 @@ def per_episode_training(labeled, cfg, seed):
         for c in sorted(buckets):
             vs = buckets[c]
             if len(vs) >= 2:
-                i, j = rng.permutation(len(vs))[:2]
+                i, j = divmod(int(rng.integers(0, len(vs) * (len(vs) - 1))), len(vs) - 1)
+                j += j >= i
                 support.append((c, vs[i]))
                 query.append((c, vs[j]))
             else:
@@ -296,9 +298,9 @@ def per_episode_training(labeled, cfg, seed):
         (2, [1, 3, 5, 2, 1], 7, 5, 3),  # two classes only ever in the support
         (3, [4, 1, 9], 16, 8, 8),
         (4, [3, 2, 6, 1, 2, 8, 1], 1, 3, 1),
-        (5, [5, 5, 3, 5, 5], 4, 3, 2),  # equal sizes split by a 3: runs of 2, 1 and 4 draws
+        (5, [5, 5, 3, 5, 5], 4, 3, 2),
         (6, [4, 9, 9, 3, 3, 3, 4], 2, 3, 2),
-        (7, [20000, 20000], 1, 2, 1),  # runs longer than one block of _DRAW_BLOCK indices
+        (7, [20000, 20000], 1, 2, 1),  # n(n-1) near 4e8
     ],
 )
 def test_train_embedder_bit_equals_per_episode_loop(seed, sizes, g, hidden, out_dim):
@@ -321,15 +323,27 @@ def test_train_embedder_bit_equals_per_episode_loop(seed, sizes, g, hidden, out_
         assert result.losses.shape == (episodes,)
 
 
-@pytest.mark.parametrize("n, m", [(15, 2000), (2, 3), (9, 1), (3, 0)])
-def test_permuted_rows_are_successive_permutations(n, m):
-    """The fact train_embedder's up-front draws rest on, checked on the
-    installed numpy: Generator.permuted along axis 1 gives the rows of m
-    successive permutation(n) calls and leaves the generator in their state."""
-    one, many = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, 1]))) for _ in "ab")
-    rows = np.array([one.permutation(n) for _ in range(m)]).reshape(m, n)
-    assert (many.permuted(np.broadcast_to(np.arange(n), (m, n)), axis=1) == rows).all()
-    assert many.bit_generator.state == one.bit_generator.state
+def test_drawn_pairs_are_distinct_and_cover_every_ordered_pair(monkeypatch):
+    """Without replacement, checked apart from the reference loop: vector i
+    of each class is [i], so each episode's support and query rows read as
+    row numbers. Over 400 episodes of classes of 2 and 3 rows, support and
+    query always differ and every ordered pair of distinct rows is drawn."""
+    drawn = {A: set(), B: set()}
+
+    def record(e, xs, xq, lab):
+        for k, c in enumerate((A, B)):
+            i, j = int(xs[k, 0]), int(xq[k, 0])
+            assert i != j
+            drawn[c].add((i, j))
+        return 0.0, {name: np.zeros_like(getattr(e, name)) for name in ("W1", "b1", "W2", "b2")}
+
+    labeled = [(A, np.array([float(i)])) for i in range(2)]
+    labeled += [(B, np.array([float(i)])) for i in range(3)]
+    cfg = TrainConfig(hidden=2, out_dim=1, episodes=400, lr=0.1)
+    monkeypatch.setattr(embedding, "_proto_loss", record)
+    train_embedder(labeled, cfg, seed=0)
+    assert drawn[A] == {(0, 1), (1, 0)}
+    assert drawn[B] == {(i, j) for i in range(3) for j in range(3) if i != j}
 
 
 # ------------------------------------------------------------ serialization

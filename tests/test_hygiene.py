@@ -1,6 +1,7 @@
 """Source checks that need no linter: every imported name is used, no
-JSON is written through Python's pure-Python encoder, and every name the
-README's library example imports exists."""
+JSON is written through Python's pure-Python encoder, only taxonomy.py
+creates files, and every name the README's library example imports
+exists."""
 
 import ast
 import importlib
@@ -75,6 +76,60 @@ def test_a_slow_json_write_is_reported():
     assert {"cli.py", "taxonomy.py", "__init__.py"} <= {p.name for p in PACKAGE}
     source = "json.dumps(x)\njson.dump(x, fh)\njson.dumps(x, indent=2)\n"
     assert slow_json_writes(source) == ["line 2: json.dump(", "line 3: indent="]
+
+
+# Path methods that write a file or make a directory
+WRITE_METHODS = ("write_text", "write_bytes", "mkdir")
+READ_MODE = set("rbt")
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file: open or .open with a mode other than reading
+    (a mode that is not a constant counts), or a Path's write methods."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in WRITE_METHODS:
+            found.append((node.lineno, f".{func.attr}("))
+        elif isinstance(func, ast.Name) and func.id == "open" or (
+            isinstance(func, ast.Attribute) and func.attr == "open"
+        ):
+            at = 1 if isinstance(func, ast.Name) else 0  # Path.open takes no path
+            mode = [*node.args[at : at + 1], *(k.value for k in node.keywords if k.arg == "mode")]
+            if mode and not (
+                isinstance(mode[0], ast.Constant) and set(mode[0].value) <= READ_MODE
+            ):
+                found.append((node.lineno, f"open(..., {ast.unparse(mode[0])})"))
+    return [f"line {n}: {call}" for n, call in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "taxonomy.py"], ids=lambda p: p.name
+)
+def test_only_taxonomy_writes_files(path):
+    """taxonomy.create_text makes every artifact: UTF-8, "\\n" newlines,
+    parent directories made."""
+    assert file_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_file_write_is_reported():
+    taxonomy = (ROOT / "src" / "thermofault" / "taxonomy.py").read_text(encoding="utf-8")
+    assert file_writes(taxonomy) != []
+    source = (
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='r')\nPath(p).open()\n"
+        "p.mkdir(parents=True)\nopen(p, 'w', encoding='ascii')\nopen(p, mode=m)\n"
+        "p.open('ab')\np.write_text(t)\nwrite_text(p, t)\np.write_bytes(b)\n"
+    )
+    assert file_writes(source) == [
+        "line 5: .mkdir(",
+        "line 6: open(..., 'w')",
+        "line 7: open(..., m)",
+        "line 8: open(..., 'ab')",
+        "line 9: .write_text(",
+        "line 11: .write_bytes(",
+    ]
 
 
 def readme_library_imports() -> list[tuple[str, str]]:

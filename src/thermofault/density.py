@@ -414,8 +414,8 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
         if x.size == 0:
             raise ValueError("feature extraction requires at least one sample")
         w = BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth)
-        if w <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < w < math.inf:
+            raise ValueError(f'bandwidth must be "auto" or a positive finite number, got {w!r}')
         w = np.full(len(x), w) if x.ndim == 2 else w
     est = KdeEstimator(x, w)
     raw = kde_values(est, grid.points())

@@ -68,9 +68,9 @@ class ExperimentConfig:
             raise ValueError("refine_iters must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.bandwidth != "auto":
-            if not isinstance(self.bandwidth, (int, float)) or self.bandwidth <= 0:
-                raise ValueError('bandwidth must be "auto" or a positive number')
+        h = self.bandwidth
+        if h != "auto" and not (isinstance(h, (int, float)) and 0 < h < np.inf):
+            raise ValueError(f'bandwidth must be "auto" or a positive finite number, got {h!r}')
 
     def to_dict(self) -> dict:
         if self.synth is not None:

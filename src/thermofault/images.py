@@ -9,6 +9,7 @@ are written with 17 significant digits so a save/load round trip is exact.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +30,6 @@ from .taxonomy import (
 )
 
 BBox = tuple[int, int, int, int]
-# Characters of lines that load_thermal reads and converts at a time.
-RTM_BLOCK_CHARS = 1 << 18
 
 
 class RtmFormatError(InputFormatError):
@@ -80,53 +79,48 @@ def load_thermal(path, source_id: str | None = None) -> ThermalImage:
 
     Raises RtmFormatError (with line/column position) for a malformed
     header, a row of the wrong length, or a non-numeric / non-finite cell,
-    and (naming only the file) for a file that is not UTF-8. Lines are read
-    and converted about RTM_BLOCK_CHARS characters at a time; the error is
-    the whole file's first of: not UTF-8, header, row count, bad row.
+    and (naming only the file) for a file that is not UTF-8. numpy's C
+    reader converts the rows; any file it does not read as exactly height
+    rows of width finite values goes through _load_thermal_exact, which
+    gives the image or the error of a float() loop over the whole file.
     """
     path = Path(path)
-    parts, height, n = [], 0, 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            blocks = iter(lambda: fh.readlines(RTM_BLOCK_CHARS), [])
-            try:
-                lines = next(blocks, [])
-                if not lines:
-                    raise RtmFormatError(path, "empty file", row=1)
-                width, height = _parse_rtm_header(path, lines[0].rstrip("\n"))
-                for rows in itertools.chain([lines[1:]], blocks):
-                    n += len(rows)
-                    if n <= height:  # rows past the header's height are only counted
-                        parts.append(_parse_rtm_rows(path, rows, width, n - len(rows) + 2))
-            except RtmFormatError:
-                n += sum(map(len, blocks))  # reads the rest: a non-UTF-8 byte comes first
-                if n == height or not height:
-                    raise
-    except UnicodeDecodeError:
-        try:  # decoded whole, the error names the byte's offset in the file
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
-        raise
-    if n != height:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            width, height = _parse_rtm_header(path, fh.readline().rstrip("\n"))
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            seen = itertools.count()  # then next(seen) is the number of lines read
+            # loadtxt skips blank lines, and a line with \x1c-\x1f is left out
+            # (numpy strips those around a number, float() does not): either
+            # leaves fewer rows than lines, which the shape check rejects
+            lines = (
+                line for line, _ in zip(fh, seen)
+                if not ("\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line)
+            )
+            temps = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if next(seen) == height:
+            return ThermalImage(width, height, temps, source_id or path.stem)
+    except (ValueError, RtmFormatError):  # UnicodeDecodeError is a ValueError
+        pass
+    return _load_thermal_exact(path, source_id)
+
+
+def _load_thermal_exact(path: Path, source_id: str | None) -> ThermalImage:
+    """load_thermal by float() on each cell of the whole decoded file. The
+    error is the file's first of: not UTF-8, header, row count, bad row."""
+    try:  # decoded whole, the error names the byte's offset in the file
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RtmFormatError(path, f"not UTF-8 text ({exc})") from None
+    if not text:
+        raise RtmFormatError(path, "empty file", row=1)
+    # the lines of a file opened as text; str.splitlines would split at more characters
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    width, height = _parse_rtm_header(path, lines[0])
+    if (n := len(lines) - 1) != height:
         raise RtmFormatError(path, f"expected {height} data rows, found {n}", row=n + 1)
-    temps = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return ThermalImage(width, height, temps, source_id or path.stem)
-
-
-def _parse_rtm_rows(path, rows: list[str], width: int, first_line: int) -> np.ndarray:
-    """The temperatures of rows, the first at line first_line; a bad cell is named by position."""
-    # numpy converts each cell as float() does (newlines stripped); the row
-    # check keeps a long row and a short row from passing as a right-sized block
-    if all(line.count(",") == width - 1 for line in rows):
-        try:
-            temps = np.array(",".join(rows).split(","), dtype=np.float64).reshape(-1, width)
-            if np.isfinite(temps).all():
-                return temps
-        except ValueError:
-            pass  # the cell loop names the bad cell
-    temps = np.empty((len(rows), width), dtype=np.float64)
-    for r, line in enumerate(rows, start=first_line):
+    temps = np.empty((height, width), dtype=np.float64)
+    for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != width:
             raise RtmFormatError(path, f"row has {len(cells)} values, expected {width}", row=r)
@@ -139,16 +133,13 @@ def _parse_rtm_rows(path, rows: list[str], width: int, first_line: int) -> np.nd
                 ) from None
             if not np.isfinite(value):
                 raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r, col=c + 1)
-            temps[r - first_line, c] = value
-    return temps
+            temps[r - 2, c] = value
+    return ThermalImage(width, height, temps, source_id or path.stem)
 
 
 def _parse_rtm_header(path, line: str) -> tuple[int, int]:
-    parts = line.split(",")
-    if len(parts) != 2:
-        raise RtmFormatError(path, f"header must be 'width,height', got {line!r}", row=1)
-    try:
-        width, height = int(parts[0]), int(parts[1])
+    try:  # a count of parts other than 2 fails the unpacking
+        width, height = map(int, line.split(","))
     except ValueError:
         raise RtmFormatError(path, f"header must be 'width,height', got {line!r}", row=1) from None
     if width < 1 or height < 1:
@@ -265,26 +256,25 @@ class DatasetManifest:
                 )
 
 
-def _region_from_dict(entry: dict, where: str) -> RegionAnnotation:
-    try:
-        return RegionAnnotation.from_dict(entry)
-    except (ValueError, TypeError) as exc:
-        raise ManifestError(f"{where}: {exc}") from None
-
-
 def load_manifest(path) -> DatasetManifest:
     """Load a manifest JSON file and check that its images exist.
 
-    Regions with a null status land in the unlabeled split regardless of
-    the list they were declared in. Image paths are resolved relative to
-    the manifest's directory. No image is opened here: whoever loads the
-    images checks each bbox against its image's size
-    (harness.extract_features does).
+    The top level holds at most "images" and the SPLITS, each a list; any
+    other key is a ManifestError. Regions with a null status land in the
+    unlabeled split regardless of the list they were declared in. Image
+    paths are resolved relative to the manifest's directory. No image is
+    opened here: whoever loads the images checks each bbox against its
+    image's size (harness.extract_features does).
     """
     path = Path(path)
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: top level must be a JSON object")
+    try:  # a misspelled split must fail, not read as an empty one
+        check_keys(doc, ("images", *SPLITS), "manifest")
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+    for key, value in doc.items():
+        if not isinstance(value, list):
+            raise ManifestError(f"{path}: manifest {key!r} must be a list, got {value!r}")
 
     image_paths: dict[str, Path] = {}
     for entry in doc.get("images", []):
@@ -303,7 +293,10 @@ def load_manifest(path) -> DatasetManifest:
     splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLITS}
     for name in SPLITS:
         for i, entry in enumerate(doc.get(name, [])):
-            region = _region_from_dict(entry, f"{path}: {name}[{i}]")
+            try:
+                region = RegionAnnotation.from_dict(entry)
+            except (ValueError, TypeError) as exc:
+                raise ManifestError(f"{path}: {name}[{i}]: {exc}") from None
             if name != "unlabeled" and "status" not in entry:
                 raise ManifestError(
                     f"{path}: {name}[{i}] has no status key; give null to mark it unlabeled"

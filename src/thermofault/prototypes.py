@@ -97,11 +97,17 @@ def sq_dists(x, centers: np.ndarray) -> np.ndarray:
     The direct difference, unlike the |x|^2 - 2 x.c + |c|^2 expansion, has
     no cancellation, and a row gets the same bits alone as in a batch. One
     center at a time keeps the temporaries at (n, dim), not (n, k, dim).
+    A row with a distance that is not finite is a ValueError naming it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != centers.shape[1]:
         raise ValueError(f"vectors must be (n, {centers.shape[1]}), got shape {x.shape}")
-    return np.stack([np.square(x - c).sum(axis=1) for c in centers], axis=1)
+    with np.errstate(over="ignore"):
+        sq = np.stack([np.square(x - c).sum(axis=1) for c in centers], axis=1)
+    bad = np.flatnonzero(~np.isfinite(sq).all(axis=1))
+    if bad.size:  # values of about 1e154 and more overflow the square
+        raise ValueError(f"vector row {bad[0]}: a squared distance to a center is not finite")
+    return sq
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,47 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
     code = run_cli("extract", "--manifest", bad, "--out", tmp_path / "f.json")
     assert code == EXIT_VALIDATION
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("test", False, "manifest 'test' must be a list, got False"),
+        ("images", None, "manifest 'images' must be a list, got None"),
+        ("labeled", -1, "manifest 'labeled' must be a list, got -1"),
+        ("unlabled", None, "unknown manifest key(s): 'unlabled'"),
+    ],
+    ids=["test-false", "images-null", "labeled-negative", "misspelled-unlabeled"],
+)
+def test_extract_manifest_top_level_keys_are_checked(
+    dataset, tmp_path, capsys, key, value, message
+):
+    """A top-level value that is not a list, or a misspelled split (which
+    would read as an empty one), exits 1 naming the manifest and the key."""
+    doc = json.loads((dataset / "data" / "manifest.json").read_text())
+    doc[key] = doc.pop("unlabeled") if key == "unlabled" else value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for p in (dataset / "data").glob("*.rtm"):
+        (tmp_path / p.name).write_bytes(p.read_bytes())
+    code = run_cli("extract", "--manifest", bad, "--out", tmp_path / "f.json")
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"{bad}: {message}" in err
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("bandwidth", ["inf", "nan"])
+def test_extract_non_finite_bandwidth_fails(dataset, tmp_path, capsys, bandwidth):
+    out = tmp_path / "f.json"
+    code = run_cli(
+        "extract", "--manifest", dataset / "data" / "manifest.json", "--out", out,
+        "--bandwidth", bandwidth,
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f'bandwidth must be "auto" or a positive finite number, got {bandwidth}' in err
+    assert not out.exists()
 
 
 def test_extract_one_pixel_region_names_bandwidth_and_grid_step(dataset, tmp_path, capsys):
@@ -821,10 +863,9 @@ def test_prediction_lines_equal_json_dumps_of_the_record(data):
     assert list(_prediction_lines(regions, splits, post)) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_classify_infinite_distances_are_the_bytes_of_json_dumps(separable_run, tmp_path):
-    """Centers at 1e200 give Infinity distances (and NaN probabilities where
-    every distance of a row is infinite); each line keeps json.dumps's bytes."""
+def test_classify_centers_too_far_for_finite_distances_exit_1(separable_run, tmp_path, capsys):
+    """Centers at 1e200 overflow the squared distances (1e400): classify
+    exits 1 with one error line naming the row, and writes nothing."""
     doc = json.loads((separable_run / "model.json").read_text())
     for key in ("centers_labeled", "centers_refined"):
         for row in doc[key][::2]:
@@ -833,33 +874,36 @@ def test_classify_infinite_distances_are_the_bytes_of_json_dumps(separable_run, 
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "p.jsonl"
     feats = separable_run / "features.json"
-    assert run_cli("classify", "--model", model_path, "--features", feats, "--out", out) == EXIT_OK
-    model, _, _ = model_from_dict(doc)
-    records = json.loads(feats.read_text())["records"]
-    _, values = read_features([r["feature"] for r in records], "record")
-    post = posterior(values, model)
-    assert np.isinf(post.distances[:, ::2]).all()
-    want = [
-        reference_line(RegionAnnotation.from_dict(rec), rec["split"], c, model.classes, d, p)
-        for rec, c, d, p in zip(
-            records, post.predicted, post.distances.tolist(), post.probs.tolist()
-        )
-    ]
-    assert out.read_text() == "".join(line + "\n" for line in want)
-    assert "Infinity" in want[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("classify", "--model", model_path, "--features", feats, "--out", out)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.count("error:") == 1
+    assert "vector row 0: a squared distance to a center is not finite" in err
+    assert not out.exists()
 
-    # every distance infinite: the probabilities are NaN
-    doc["centers_labeled"] = doc["centers_refined"] = [[1e200] * len(values[0])] * model.n_classes
-    model_path.write_text(json.dumps(doc), encoding="utf-8")
-    assert run_cli("classify", "--model", model_path, "--features", feats, "--out", out) == EXIT_OK
-    first = out.read_text().splitlines()[0]
-    c0 = model.classes[0]
-    rec = records[0]
-    region = RegionAnnotation.from_dict(rec)
-    k = model.n_classes
-    assert first == reference_line(
-        region, rec["split"], c0, model.classes, [float("inf")] * k, [float("nan")] * k
-    )
+
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_a_feature_value_of_1e308_exits_1(separable_run, tmp_path, capsys, command):
+    """One value of 1e308 overflows the squared distances of its record:
+    train (refining on it, unlabeled) and classify (scoring it) exit 1 with
+    one error line and no RuntimeWarning."""
+    doc = json.loads((separable_run / "features.json").read_text())
+    split = "unlabeled" if command == "train" else "test"
+    row = next(i for i, r in enumerate(doc["records"]) if r["split"] == split)
+    doc["records"][row]["feature"]["values"][0] = 1e308
+    feats = tmp_path / "features.json"
+    feats.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.json"
+    model = ("--model", separable_run / "model.json") if command == "classify" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(command, "--features", feats, "--out", out, *model)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert err.count("error:") == 1 and "not finite" in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -504,6 +505,9 @@ def test_feature_vector_guards():
         feature_vector([1.0], grid, bandwidth=-1.0)
     with pytest.raises(ValueError):
         feature_vector([1e6], grid, bandwidth=0.1)  # grid far from samples
+    for h, samples in itertools.product([math.inf, math.nan], [[1.0, 2.0], [[1.0], [2.0]]]):
+        with pytest.raises(ValueError, match=f'"auto" or a positive finite number, got {h}'):
+            feature_vector(samples, grid, bandwidth=h)
 
 
 def test_feature_vector_bit_identical_to_full_grid_formula():

@@ -185,6 +185,16 @@ def test_sq_dists_bit_equals_the_broadcast_formula():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_sq_dists_names_the_first_row_whose_distances_are_not_finite():
+    """1e200 squares past the largest float; the overflow warns nothing."""
+    x = np.zeros((4, 3))
+    x[2, 1] = x[3, 0] = 1e200
+    with pytest.raises(ValueError, match="^vector row 2: a squared distance"):
+        sq_dists(x, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^vector row 0: a squared distance"):
+        sq_dists(np.zeros((1, 3)), np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+
+
 TRANSFORMER_NORMAL = SubcategoryId(EquipmentType.TRANSFORMER, Status.NORMAL)
 TRANSFORMER_FAULT = SubcategoryId(EquipmentType.TRANSFORMER, Status.FAULT)
 

@@ -183,6 +183,24 @@ def test_load_thermal_matches_float_cell_loop(tmp_path_factory, w, h, data):
         assert (exc.value.row, exc.value.col) == bad
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_load_thermal_in_blocks_matches_float_cell_loop(tmp_path_factory, w, h, end, data):
+    """A file whose lines end in \\n, \\r\\n or \\r, read line by line by numpy's
+    reader or split whole by the exact path, gives the bytes, or the first
+    bad cell's line and column, of the float() loop over its rows."""
+    rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(h)]
+    path = tmp_path_factory.mktemp("rtm") / "cells.rtm"
+    path.write_bytes(end.join([f"{w},{h}", *rows, ""]).encode("utf-8"))
+    want, bad = parse_cells_with_float(rows)
+    if bad is None:
+        assert load_thermal(path).temps.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(RtmFormatError) as exc:
+            load_thermal(path)
+        assert (exc.value.row, exc.value.col) == bad
+
+
 def test_long_row_then_short_row_rejected(tmp_path):
     """The total cell count is right; the first row is one cell too long."""
     path = tmp_path / "shifted.rtm"

@@ -129,14 +129,19 @@ def interval_probability(h: TemperatureHistogram, theta: float, theta_prime: flo
     return _cumulative_below(h, theta_prime) - _cumulative_below(h, theta)
 
 
-def _sorted_finite(samples, what: str) -> np.ndarray:
-    """samples as a sorted, read-only float64 vector (a 2-D stack: each row
-    sorted); raises unless all finite. silverman_bandwidth and KdeEstimator
-    each sort their samples, so a feature_vector region is sorted twice."""
+def _rows(samples) -> tuple[np.ndarray, bool]:
+    """The float64 samples and True for a 2-D stack of regions; any other
+    array is one region, returned as its (1, n) row and False."""
     x = np.asarray(samples, dtype=np.float64)
-    x = np.sort(x if x.ndim == 2 else x.reshape(-1), axis=-1)
-    ends = x[..., :: max(x.shape[-1] - 1, 1)]  # sorting puts -inf first and +inf, then NaN, last
-    if not all(map(math.isfinite, (ends if x.ndim == 1 else ends.reshape(-1)).tolist())):
+    return (x, True) if x.ndim == 2 else (x.reshape(1, -1), False)
+
+
+def _sorted_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """The stack x, each row sorted, read-only; raises unless all finite (a
+    feature_vector region is sorted twice: by silverman_bandwidth and KdeEstimator)."""
+    x = x.copy()  # C order: each row's sums run along memory, as for one region
+    x.sort(axis=1)  # puts -inf first and +inf, then NaN, last
+    if x.shape[1] and not all(map(math.isfinite, x[:, 0].tolist() + x[:, -1].tolist())):
         raise ValueError(f"{what} must be finite")
     x.flags.writeable = False
     return x
@@ -150,16 +155,16 @@ class KdeEstimator:
     bandwidth: float | np.ndarray
 
     def __post_init__(self):
-        # canonical order: permuted inputs give bit-identical densities
-        x = _sorted_finite(self.samples, "KDE samples")
+        x, stack = _rows(self.samples)
+        x = _sorted_finite(x, "KDE samples")  # canonical order: permuted inputs, same bits
         if x.size == 0:
             raise ValueError("KDE requires at least one sample")
-        h = self.bandwidth
-        if x.ndim == 2 and np.shape(h) != x.shape[:1]:
-            raise ValueError(f"{np.size(h)} bandwidths for samples of shape {x.shape}")
-        if not (h if x.ndim == 1 else np.min(h)) > 0:
+        h = np.asarray(self.bandwidth, dtype=np.float64)
+        if h.size != len(x):
+            raise ValueError(f"{h.size} bandwidths for samples of shape {np.shape(self.samples)}")
+        if not all(map((0.0).__lt__, h.ravel().tolist())):
             raise ValueError("bandwidth must be positive")
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", x if stack else x[0])
 
     @property
     def n_samples(self) -> int:  # over all rows of a stack
@@ -177,73 +182,76 @@ def _kernel_sums(t: np.ndarray, h, cut: float) -> np.ndarray:
     return t.sum(axis=1) / SQRT_2PI
 
 
+@np.errstate(over="ignore")  # a term past float64 squares to inf: below the cut, so 0.0
 def kde_values(est: KdeEstimator, points, support: float = KERNEL_SUPPORT) -> np.ndarray:
-    """Density at each query point (a row per set of a stack): mean kernel value / bandwidth.
+    """Density at each query point (a row per set of a 2-D stack): mean kernel value / bandwidth.
 
     The kernel is cut at support bandwidths: a term whose exponent is below
     -support**2/2 is 0.0 and skips np.exp. Points more than support + 1
     bandwidths outside a set's sample range get 0.0 unevaluated; the margin
     covers rounding, so the cull drops no term that the cut keeps. The
-    rest sum whole kernel rows in blocks (of a stack: the live (set, point)
-    pairs), bit-identical to the full (points x samples) sum with the same
-    cut: each term takes the full formula's steps in its order.
+    live (set, point) pairs sum whole kernel rows in blocks, bit-identical
+    to the full (points x samples) sum with the same cut: each term takes
+    the full formula's steps in its order.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1)
-    x, h, cut = est.samples, est.bandwidth, -0.5 * support * support
-    step = max(1, KDE_BLOCK_TERMS // x.shape[-1])
-    if x.ndim == 1:
-        reach = (support + 1.0) * h
-        # "not outside" keeps NaN points live, so they still give NaN
-        live = np.flatnonzero(~((pts < x[0] - reach) | (pts > x[-1] + reach)))
-        k = np.zeros(pts.size)
-        for i in range(0, live.size, step):
-            idx = live[i : i + step]
-            k[idx] = _kernel_sums(pts[idx, None] - x, h, cut)
-        return k / (x.size * h)
-    h = np.asarray(h, dtype=np.float64)[:, None]
-    reach = (support + 1.0) * h
+    (x, stack), cut = _rows(est.samples), -0.5 * support * support
+    h, n = np.asarray(est.bandwidth, dtype=np.float64).reshape(-1), x.shape[1]
+    reach = ((support + 1.0) * h)[:, None]
+    # "not outside" keeps NaN points live, so they still give NaN
     rows, cols = np.nonzero(~((pts < x[:, :1] - reach) | (pts > x[:, -1:] + reach)))
     k = np.zeros((len(x), pts.size))
+    step = max(1, KDE_BLOCK_TERMS // n)
     for i in range(0, rows.size, step):
         r, c = rows[i : i + step], cols[i : i + step]
-        t = x[r]  # the block's sets, gathered once into its terms
-        k[r, c] = _kernel_sums(np.subtract(pts[c, None], t, out=t), h[r], cut)
-    return k / (x.shape[1] * h)
+        if r[0] == r[-1]:  # one set: its samples broadcast, its bandwidth a number
+            hr = float(h[r[0]])
+            k[r, c] = _kernel_sums(pts[c, None] - x[r[0]], hr, cut) / (n * hr)
+        else:  # the block's sets, gathered once into its terms
+            t, hr = x[r], h[r]
+            np.subtract(pts[c, None], t, out=t)
+            k[r, c] = _kernel_sums(t, hr[:, None], cut) / (n * hr)
+    return k if stack else k[0]
 
 
 def kde_at(est: KdeEstimator, x: float) -> float:
     return float(kde_values(est, [x])[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a variance past float64 raises below
 def silverman_bandwidth(samples):
     """Rule-of-thumb bandwidth 1.06 * min(sd, IQR/1.34) * n^(-1/5), per row of a 2-D stack.
 
     Uses the sample standard deviation (n-1 denominator) with an
     interquartile-range guard, floored at 1e-6 so degenerate inputs
-    (all samples identical) still yield a usable bandwidth.
+    (all samples identical) still yield a usable bandwidth. A region whose
+    variance overflows float64 raises.
     """
-    x = _sorted_finite(samples, "samples")  # sorted: order-independent sums
-    n = x.shape[-1]
+    x, stack = _rows(samples)
+    x = _sorted_finite(x, "samples")  # sorted: order-independent sums
+    n = x.shape[1]
     if n < 2:
         raise ValueError("bandwidth selection requires at least 2 samples")
     # np.std(x, ddof=1), reduction for reduction
-    d = x - (x.sum(axis=-1) / n)[..., None]
+    d = x - x.sum(axis=1, keepdims=True) / n
     np.square(d, out=d)
-    var = d.sum(axis=-1) / (n - 1)
-    iqr = _sorted_quantile(x, 0.75) - _sorted_quantile(x, 0.25)
-    if x.ndim == 1:
-        return max(1.06 * min(math.sqrt(var), iqr / 1.34) * n ** (-0.2), BANDWIDTH_FLOOR)
-    return np.maximum(1.06 * np.minimum(np.sqrt(var), iqr / 1.34) * n ** (-0.2), BANDWIDTH_FLOOR)
+    var = (d.sum(axis=1) / (n - 1)).tolist()
+    if not all(map(math.isfinite, var)):
+        lo, hi = x[[math.isfinite(v) for v in var].index(False)][[0, -1]]
+        raise ValueError(f"the variance of the samples [{lo}, {hi}] overflows float64")
+    iqr = map(float.__sub__, _sorted_quantile(x, 0.75), _sorted_quantile(x, 0.25))
+    f = n ** (-0.2)
+    w = [max(1.06 * min(math.sqrt(v), q / 1.34) * f, BANDWIDTH_FLOOR) for v, q in zip(var, iqr)]
+    return np.array(w) if stack else w[0]
 
 
-def _sorted_quantile(x: np.ndarray, q: float):
-    """np.percentile(x, 100 * q, axis=-1) of sorted x, 0 <= q < 1: numpy's rule, bit for bit."""
-    v = (x.shape[-1] - 1) * q
+def _sorted_quantile(x: np.ndarray, q: float) -> list:
+    """np.percentile(x, 100 * q, axis=1) of row-sorted x as floats, 0 <= q < 1, bit for bit."""
+    v = (x.shape[1] - 1) * q
     i = int(v)
     g = v - i
-    a, b = x.T[i : i + 2].tolist() if x.ndim == 1 else x.T[i : i + 2]  # floats, or columns
-    d = b - a
-    return b - d * (1 - g) if g >= 0.5 else a + d * g
+    a, b = x.T[i : i + 2].tolist()
+    return [hi - (hi - lo) * (1 - g) if g >= 0.5 else lo + (hi - lo) * g for lo, hi in zip(a, b)]
 
 
 @dataclass(frozen=True)
@@ -388,8 +396,8 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     """KDE of the samples evaluated on the grid and renormalized to unit mass.
 
     A 2-D (R, n) stack of R regions gives their (R, n_points) values and
-    (R,) bandwidths, the bytes each gets alone; a stack of one is computed
-    as a 1-D call, cheaper than a stack's per-pair bookkeeping. bandwidth
+    (R,) bandwidths, the bytes each gets alone; any other array is one
+    region, computed as a one-row stack, and gives a PdfFeature. bandwidth
     may be a positive float or "auto" (Silverman's rule; a lone sample
     falls back to the floor value). The samples go as given to
     silverman_bandwidth and KdeEstimator, which each sort and check them;
@@ -404,30 +412,19 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     TRUNCATION_TOLERANCE (or m is 0) are evaluated again at
     UNDERFLOW_SUPPORT, which gives the full sum's bytes.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    stack = x.ndim == 2
-    x = x if stack and len(x) > 1 else x.reshape(-1)
-    if bandwidth == "auto" and x.shape[-1] >= 2:
+    x, stack = _rows(samples)
+    if x.size == 0:
+        raise ValueError("feature extraction requires at least one sample")
+    if bandwidth == "auto" and x.shape[1] >= 2:
         w = silverman_bandwidth(x)
     else:
         x = _sorted_finite(x, "samples")
-        if x.size == 0:
-            raise ValueError("feature extraction requires at least one sample")
         w = BANDWIDTH_FLOOR if bandwidth == "auto" else float(bandwidth)
         if not 0 < w < math.inf:
             raise ValueError(f'bandwidth must be "auto" or a positive finite number, got {w!r}')
-        w = np.full(len(x), w) if x.ndim == 2 else w
+        w = np.full(len(x), w)
     est = KdeEstimator(x, w)
     raw = kde_values(est, grid.points())
-    if x.ndim == 1:  # one region: numbers, not the rows' lists
-        mass = float(raw.sum() * grid.step)
-        if mass <= 0.0 or _truncation_bound(raw.max(), mass, grid, w) > TRUNCATION_TOLERANCE:
-            raw = kde_values(est, grid.points(), support=UNDERFLOW_SUPPORT)
-            mass = float(raw.sum() * grid.step)
-        if mass <= 0.0:
-            raise _no_mass_error(est.samples, w, grid)
-        values = raw / mass
-        return (_checked(values[None]), np.array([w])) if stack else PdfFeature(grid, values, w)
     mass = raw.sum(axis=1) * grid.step
     rows = enumerate(zip(mass.tolist(), raw.max(axis=1).tolist(), w.tolist()))
     redo = [
@@ -440,7 +437,8 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
         mass[redo] = raw[redo].sum(axis=1) * grid.step
     for i in (i for i in redo if mass[i] <= 0.0):
         raise _no_mass_error(est.samples[i], float(w[i]), grid)
-    return _checked(raw / mass[:, None]), w
+    raw /= mass[:, None]
+    return (_checked(raw), w) if stack else PdfFeature(grid, raw[0], float(w[0]))
 
 
 def _no_mass_error(x: np.ndarray, h: float, grid: FeatureGrid) -> ValueError:

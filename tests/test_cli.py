@@ -302,6 +302,44 @@ def test_extract_one_pixel_region_names_bandwidth_and_grid_step(dataset, tmp_pat
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("bandwidth", ["auto", "0.8"])
+def test_extract_a_pixel_of_1e308(dataset, tmp_path, capsys, bandwidth):
+    """One RTM cell of 1e308 in a labeled region, and no RuntimeWarning.
+    Silverman's rule squares the cell's distance from the mean past
+    float64, so "auto" exits 1 and names the region. A fixed bandwidth
+    takes no variance: the cell's kernel terms overflow, fall below the
+    cut and are 0.0, as for any cell far off the grid, so the feature file
+    is the one the same cell at 1e6 gives."""
+    import shutil
+
+    shutil.copytree(dataset / "data", tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    loaded = load_manifest(manifest)
+    region = loaded.labeled[0]
+    path = loaded.image_paths[region.image_ref]
+    img = load_thermal(path, region.image_ref)
+    x, y = region.bbox[:2]
+    runs = {}
+    for value in (1e308, 1e6):
+        temps = img.temps.copy()
+        temps[y, x] = value
+        save_thermal(ThermalImage(img.width, img.height, temps, img.source_id), path)
+        out = tmp_path / f"{value}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("extract", "--manifest", manifest, "--out", out, "--bandwidth", bandwidth)
+        runs[value] = code, capsys.readouterr().err, out
+    code, err, out = runs[1e308]
+    if bandwidth == "auto":
+        assert code == EXIT_VALIDATION and err.count("error:") == 1
+        assert f"labeled region {region.key()}: the variance of the samples [" in err
+        assert "1e+308] overflows float64" in err
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK and err == ""
+        assert out.read_bytes() == runs[1e6][2].read_bytes()
+
+
 @pytest.mark.parametrize("company", [False, True])
 def test_extract_feature_error_names_the_manifest_and_region(tmp_path, capsys, company):
     """A constant 8x8 region at 25.0 C has no density on the grid. The error

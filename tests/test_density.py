@@ -374,6 +374,13 @@ def test_kde_estimator_validation():
         KdeEstimator([np.inf], 1.0)
     with pytest.raises(ValueError, match=r"2 bandwidths for samples of shape \(3, 4\)"):
         KdeEstimator(np.ones((3, 4)), [1.0, 2.0])  # a stack needs one per row
+    # one set keeps its 1-D samples and gives 1-D densities; a stack, rows
+    est = KdeEstimator([3.0, 1.0, 2.0], 0.5)
+    assert est.samples.tolist() == [1.0, 2.0, 3.0] and est.n_samples == 3
+    assert kde_values(est, [1.0, 2.0]).shape == (2,)
+    stack = KdeEstimator([[3.0, 1.0], [2.0, 4.0]], np.array([0.5, 1.0]))
+    assert stack.samples.tolist() == [[1.0, 3.0], [2.0, 4.0]] and stack.n_samples == 4
+    assert kde_values(stack, [1.0, 2.0, 3.0]).shape == (2, 3)
 
 
 # --------------------------------------------------------------- bandwidth
@@ -430,19 +437,20 @@ def test_silverman_bandwidth_bit_equals_np_std_formula(n, seed, kind, loc, log10
 
 
 def test_sorted_quantile_bit_equals_numpy_percentile():
+    """Each row of a sorted stack of four draws per length gets the bytes of
+    np.percentile of that row alone."""
     rng = np.random.Generator(np.random.PCG64(6))
     for n in range(2, 1001):
-        draws = (
+        draws = np.sort([
             rng.normal(30.0, 4.0, n),
             rng.lognormal(0.0, 8.0, n) * rng.choice([-1.0, 1.0], n),  # inexact b - a
             rng.integers(20, 24, n).astype(np.float64),  # ties
             np.full(n, 25.3),  # constant
-        )
-        for x in draws:
-            x = np.sort(x)
-            for q in (0.25, 0.75):
-                got = np.float64(_sorted_quantile(x, q))
-                assert got.tobytes() == np.percentile(x, 100 * q).tobytes(), (n, q)
+        ], axis=1)
+        for q in (0.25, 0.75):
+            got = np.array(_sorted_quantile(draws, q))
+            want = [np.percentile(x, 100 * q) for x in draws]
+            assert got.tobytes() == np.array(want).tobytes(), (n, q)
 
 
 # ------------------------------------------------------------ feature grid
@@ -508,6 +516,16 @@ def test_feature_vector_guards():
     for h, samples in itertools.product([math.inf, math.nan], [[1.0, 2.0], [[1.0], [2.0]]]):
         with pytest.raises(ValueError, match=f'"auto" or a positive finite number, got {h}'):
             feature_vector(samples, grid, bandwidth=h)
+    # any array that is not 2-D is one region: a PdfFeature with a float
+    # bandwidth, the bytes of its one-row stack
+    x = np.array([0.2, 0.3, 0.5, 0.6])
+    values, bandwidths = feature_vector(x[None], grid)
+    for samples in (x, list(x), x.reshape(2, 1, 2)):
+        feat = feature_vector(samples, grid)
+        assert type(feat.bandwidth) is float and type(silverman_bandwidth(samples)) is float
+        assert feat.values.tobytes() == values[0].tobytes()
+        assert np.float64(feat.bandwidth).tobytes() == bandwidths.tobytes()
+    assert feature_vector([0.5], grid, bandwidth=0.1).bandwidth == 0.1
 
 
 def test_feature_vector_bit_identical_to_full_grid_formula():

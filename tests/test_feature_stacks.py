@@ -1,11 +1,13 @@
 """Reference check for stacked features: a 2-D feature_vector call gives each
 row of a stack of equal-size regions the bandwidth and values, byte for byte,
-that a separate 1-D call gives that region alone.
+of the full-grid formula of tests/test_density.py for that region alone
+(Silverman's rule from np.std and np.percentile, the unwindowed KDE on
+every grid point); so does a 1-D call, which is computed as a one-row
+stack. The other checks need no reference: a row's bytes do not depend on
+its stack (permuted rows, failing rows, a mixed-size manifest).
 
 Each test prints a single `stack check (...): PASS` / `FAIL` line, as the
-acceptance suite does (`pytest tests/test_feature_stacks.py -v -s`). The
-1-D calls are themselves checked against the full-grid formula in
-tests/test_density.py.
+acceptance suite does (`pytest tests/test_feature_stacks.py -v -s`).
 """
 
 import contextlib
@@ -32,6 +34,8 @@ from thermofault.images import (
 )
 from thermofault.synthetic import default_synth_config, synthesize
 
+from test_density import reference_values, silverman_reference
+
 
 @contextlib.contextmanager
 def stack_check(label: str):
@@ -41,6 +45,13 @@ def stack_check(label: str):
         print(f"stack check ({label}): FAIL", flush=True)
         raise
     print(f"stack check ({label}): PASS", flush=True)
+
+
+def reference(rows, grid=DEFAULT_GRID, bandwidth="auto"):
+    """The (values, bandwidths) of the full-grid formula, one row per region."""
+    xs = np.sort(np.asarray(rows, dtype=np.float64), axis=1)
+    ws = [silverman_reference(x) if bandwidth == "auto" else bandwidth for x in xs]
+    return np.array([reference_values(x, w, grid) for x, w in zip(xs, ws)]), np.array(ws)
 
 
 def one_at_a_time(rows, grid=DEFAULT_GRID, bandwidth="auto"):
@@ -72,25 +83,30 @@ def near_uniform_region(seed: int, side: int = 16, spread: float = 0.08) -> np.n
 
 
 def test_stacks_of_the_default_data_equal_one_region_calls():
-    """Seeds 0-19: the whole 400-region stack and the 32-region stacks that
-    extract_features makes; seed 0 also on a 64-point grid at a fixed
+    """Seeds 0-19: the whole 400-region stack (also in Fortran order), the
+    32-region stacks that extract_features makes and the 1-D calls each
+    give the reference's bytes; seed 0 also on a 64-point grid at a fixed
     bandwidth."""
     with stack_check("default data, seeds 0-19"):
         for seed in range(20):
             x = default_regions(seed)
-            want = one_at_a_time(x)
+            want = reference(x)
             assert_same_bytes(feature_vector(x), want)
+            assert_same_bytes(feature_vector(np.asfortranarray(x)), want)
             parts = [feature_vector(x[i : i + 32]) for i in range(0, len(x), 32)]
             assert_same_bytes(tuple(np.concatenate(p) for p in zip(*parts)), want)
+            assert_same_bytes(one_at_a_time(x), want)
         grid = FeatureGrid(-20.0, 120.0, 64)
         x = default_regions(0)
-        assert_same_bytes(feature_vector(x, grid, 0.8), one_at_a_time(x, grid, 0.8))
+        want = reference(x, grid, 0.8)
+        assert_same_bytes(feature_vector(x, grid, 0.8), want)
+        assert_same_bytes(one_at_a_time(x, grid, 0.8), want)
 
 
 def test_permuted_stacks_permute_their_rows():
     with stack_check("permuted rows"):
         x = default_regions(3)
-        want = one_at_a_time(x)
+        want = reference(x)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(x))
             got = feature_vector(x[order])
@@ -115,28 +131,21 @@ def test_a_row_that_falls_back_to_the_full_support_keeps_its_bytes(monkeypatch):
         got = feature_vector(x)
         assert calls == [(KERNEL_SUPPORT, 6), (UNDERFLOW_SUPPORT, 2)]
         monkeypatch.undo()
-        assert_same_bytes(got, one_at_a_time(x))
+        assert_same_bytes(got, reference(x))
 
 
-def test_a_stack_of_one_region_is_computed_as_a_one_region_call(monkeypatch):
+def test_a_stack_of_one_region_and_a_one_region_call_give_the_reference_bytes():
     """A (1, n) stack, as a region whose pixel count no other region shares
-    gives, takes the 1-D path (kde_values gets 1-D samples, the fallback
-    too) and returns that call's bytes as a one-row stack."""
+    gives, returns the reference's bytes as a one-row stack; a 1-D call
+    returns them as a PdfFeature with a float bandwidth. The near-uniform
+    region falls back to the full support."""
     with stack_check("stacks of one"):
-        ndims = []
-        original = density.kde_values
-
-        def recording(est, points, support=KERNEL_SUPPORT):
-            ndims.append(est.samples.ndim)
-            return original(est, points, support)
-
-        monkeypatch.setattr(density, "kde_values", recording)
-        rows = [default_regions(0)[0], near_uniform_region(0)]
-        got = [feature_vector(row[None]) for row in rows]
-        assert ndims == [1, 1, 1]  # the near-uniform region falls back
-        monkeypatch.undo()
-        for row, (values, bandwidths) in zip(rows, got):
-            assert_same_bytes((values, bandwidths), one_at_a_time([row]))
+        for row in (default_regions(0)[0], near_uniform_region(0)):
+            values, bandwidths = reference([row])
+            assert_same_bytes(feature_vector(row[None]), (values, bandwidths))
+            feat = feature_vector(row)
+            assert type(feat.bandwidth) is float and feat.values.shape == values.shape[1:]
+            assert_same_bytes((feat.values, np.array(feat.bandwidth)), (values[0], bandwidths[0]))
 
 
 @pytest.mark.parametrize("bad", ["constant", "nan"])

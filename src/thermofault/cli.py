@@ -28,8 +28,8 @@ from .harness import (
     compare,
     compare_table,
     extract_features,
-    fit_embedder,
     fit_model,
+    fit_splits,
     report_table,
     report_to_dict,
     run_both,
@@ -37,7 +37,7 @@ from .harness import (
     sweep,
     sweep_table,
 )
-from .images import RegionAnnotation
+from .images import DatasetManifest, ManifestError, RegionAnnotation
 from .prototypes import Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
 from .taxonomy import (
@@ -118,13 +118,17 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_records(path: Path) -> tuple[list[dict], FeatureGrid | None, np.ndarray]:
-    """The records of a feature file, their one grid (None for no records)
-    and their feature values, one row per record."""
+def _load_records(
+    path: Path,
+) -> tuple[list[RegionAnnotation], list[str], FeatureGrid | None, np.ndarray]:
+    """The regions and splits of a feature file's records, their one grid
+    (None for no records) and their feature values, one row per record.
+    An error names the file and, for one record's fault, the record."""
     payload = read_json(path)
     records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
         raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
+    regions = []
     for i, rec in enumerate(records):
         check_keys(rec, rec, f"feature file {path}: record", ("split", "feature"))
         if rec["split"] not in SPLITS:
@@ -132,9 +136,13 @@ def _load_records(path: Path) -> tuple[list[dict], FeatureGrid | None, np.ndarra
                 f"feature file {path}: record {i} has split {rec['split']!r};"
                 f" expected one of: {', '.join(SPLITS)}"
             )
+        try:
+            regions.append(RegionAnnotation.from_dict(rec))
+        except ValueError as exc:
+            raise ValueError(f"feature file {path}: record {i}: {exc}") from None
     features = [rec["feature"] for rec in records]
     grid, values = read_features(features, f"feature file {path}: record")
-    return records, grid, values
+    return regions, [rec["split"] for rec in records], grid, values
 
 
 def cmd_train(args) -> int:
@@ -142,29 +150,24 @@ def cmd_train(args) -> int:
     if args.embedder != KIND_MLP and mlp_flags:
         flags = ", ".join("--" + k.replace("_", "-") for k in mlp_flags)
         raise ValueError(f"{flags}: only used with --embedder mlp")
-    records, grid, values = _load_records(Path(args.features))
-    labeled = []
-    unlabeled = []
-    for rec, row in zip(records, values):
-        if rec["split"] == "labeled":
-            subcat = RegionAnnotation.from_dict(rec).subcategory
-            if subcat is None:
-                raise ValueError("labeled record without a status")
-            labeled.append((subcat, row))
-        elif rec["split"] == "unlabeled":
-            unlabeled.append(row)
-    if not labeled:
-        raise ValueError("no labeled records in the feature file")
+    regions, splits, grid, values = _load_records(Path(args.features))
+    rows = {split: [i for i, s in enumerate(splits) if s == split] for split in SPLITS}
+    try:
+        manifest = DatasetManifest(*([regions[i] for i in rows[split]] for split in SPLITS))
+    except ManifestError as exc:
+        raise ManifestError(f"feature file {args.features}: {exc}") from None
+    if not manifest.labeled:
+        raise ValueError(f"feature file {args.features}: no labeled records")
 
+    train_cfg = TrainConfig(**mlp_flags) if args.embedder == KIND_MLP else None
+    vectors = {split: values[rows[split]] for split in SPLITS}
+    emb, data = fit_splits(manifest, vectors, train_cfg, args.seed)
     digest = None
-    if args.embedder == KIND_MLP:
-        emb = fit_embedder(labeled, TrainConfig(**mlp_flags), args.seed)
+    if emb is not None:
         embedder_path = Path(str(args.out) + ".embedder.json")
         digest = _sha256(write_json(embedder_path, embedder_to_dict(emb)).encode("utf-8"))
         print(f"wrote embedder to {embedder_path}")
-        labeled = list(zip((c for c, _ in labeled), embed_many(emb, [v for _, v in labeled])))
-        unlabeled = embed_many(emb, unlabeled)
-    model = fit_model(labeled, unlabeled, args.mode, args.alpha, args.refine_iters)
+    model = fit_model(data.labeled, data.unlabeled, args.mode, args.alpha, args.refine_iters)
     write_json(Path(args.out), model_to_dict(model, grid, digest))
     print(
         f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
@@ -221,8 +224,7 @@ def _prediction_lines(
 
 def cmd_classify(args) -> int:
     model, model_grid, model_embedder = model_from_dict(read_json(args.model))
-    records, grid, vectors = _load_records(Path(args.features))
-    regions = [RegionAnnotation.from_dict(rec) for rec in records]
+    regions, splits, grid, vectors = _load_records(Path(args.features))
     if grid is not None and grid != model_grid:
         raise ValueError(
             f"feature file {args.features} is on grid {grid}, but model {args.model}"
@@ -233,7 +235,7 @@ def cmd_classify(args) -> int:
         data = Path(args.embedder_file).read_bytes()
         digest = _sha256(data)
         vectors = embed_many(embedder_from_dict(read_json(args.embedder_file, data)), vectors)
-    if not records:  # no rows have no width to check
+    if not regions:  # no rows have no width to check
         vectors = vectors.reshape(0, model.feature_dim)
     if vectors.shape[1] != model.feature_dim:
         source = f"embedder {args.embedder_file}" if args.embedder_file else "no --embedder-file"
@@ -255,9 +257,9 @@ def cmd_classify(args) -> int:
         raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
     post = posterior(vectors, model)
     with create_text(args.out) as fh:
-        for line in _prediction_lines(regions, [rec["split"] for rec in records], post):
+        for line in _prediction_lines(regions, splits, post):
             fh.write(line + "\n")
-    print(f"wrote {len(records)} predictions to {args.out}")
+    print(f"wrote {len(regions)} predictions to {args.out}")
     return EXIT_OK
 
 

@@ -288,16 +288,6 @@ def embedder_seed(seed: int) -> int:
     return int(np.random.SeedSequence([seed, 7]).generate_state(1)[0])
 
 
-def fit_embedder(
-    labeled: Sequence[tuple[SubcategoryId, np.ndarray]], train_cfg: TrainConfig | None, seed: int
-) -> Embedder | None:
-    """None without a train config, else an MLP trained on the labeled
-    vectors with embedder_seed(seed)."""
-    if train_cfg is None:
-        return None
-    return train_embedder(labeled, train_cfg, embedder_seed(seed)).embedder
-
-
 def fit_model(
     labeled: Sequence[tuple[SubcategoryId, np.ndarray]],
     unlabeled: np.ndarray,
@@ -318,30 +308,35 @@ def fit_model(
     return model
 
 
-def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
-    """Extract the feature vectors of every region, embedded if cfg has an embedder."""
-    manifest, features = extract_features(cfg, feature_vector)
-    vectors = {split: features[split][0] for split in SPLITS}
-    emb = fit_embedder(
-        [(r.subcategory, v) for r, v in zip(manifest.labeled, vectors["labeled"])],
-        cfg.embedder,
-        cfg.seed,
-    )
-    if emb is not None:
+def fit_splits(
+    manifest: DatasetManifest, vectors: dict, train_cfg: TrainConfig | None, seed: int
+) -> tuple[Embedder | None, _PreparedData]:
+    """The MLP embedder trained on the labeled rows with embedder_seed(seed)
+    (None without a train config: the rows as they are), and every split's
+    rows through it, the labeled and test rows paired with their regions'
+    classes. vectors holds each split's rows, in manifest order."""
+    labeled = [r.subcategory for r in manifest.labeled]
+    emb = None
+    if train_cfg is not None:
+        pairs = zip(labeled, vectors["labeled"])
+        emb = train_embedder(pairs, train_cfg, embedder_seed(seed)).embedder
         vectors = {split: embed_many(emb, vectors[split]) for split in SPLITS}
-    return _PreparedData(
-        labeled=tuple(zip((r.subcategory for r in manifest.labeled), vectors["labeled"])),
+    return emb, _PreparedData(
+        labeled=tuple(zip(labeled, vectors["labeled"])),
         unlabeled=vectors["unlabeled"],
         test=tuple(zip((r.subcategory for r in manifest.test), vectors["test"])),
     )
 
 
+def prepare_features(cfg: ExperimentConfig) -> _PreparedData:
+    """Extract the feature vectors of every region, embedded if cfg has an embedder."""
+    manifest, features = extract_features(cfg, feature_vector)
+    vectors = {split: features[split][0] for split in SPLITS}
+    return fit_splits(manifest, vectors, cfg.embedder, cfg.seed)[1]
+
+
 def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
     model = fit_model(data.labeled, data.unlabeled, mode, cfg.alpha, cfg.refine_iters)
-    test_classes = {subcat for subcat, _ in data.test}
-    missing = test_classes - set(model.classes)
-    if missing:
-        raise ValueError(f"test classes absent from labeled set: {sorted(missing)}")
     if not data.test:
         raise ValueError("test split is empty")
 

@@ -5,6 +5,7 @@ writer of every text and JSON artifact."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
@@ -112,16 +113,16 @@ _SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def read_scalar(d: dict, key: str, kind: type, what: str):
-    """d[key] as kind: int(d[key]) or float(d[key]), or d[key] itself if it
-    is a string for kind str. A value it cannot read that way (a list, an
-    object, null, a non-numeric string, an infinity read as an integer) is
-    a ValueError naming the key, so the CLI exits 1 on it."""
+    """d[key] if it is a value of kind's own JSON type: an integer for int,
+    a finite number for float (an integer reads as its float), a string for
+    str; true and false are none of these. Any other value (16.0 or "12"
+    for an integer, "0.5", NaN or an infinity for a number, null, a list,
+    an object) is a ValueError naming the key, so the CLI exits 1 on it."""
     value = d[key]
-    try:
-        if kind is not str or isinstance(value, str):
-            return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # NaN fails the comparison, and so does an int past the range
+    if kind is not float and type(value) is kind:  # type(True) is bool, not int
+        return value
     raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
 
 

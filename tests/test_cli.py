@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import time
 import warnings
@@ -17,7 +19,8 @@ from thermofault.harness import (
     SPLITS,
     ExperimentConfig,
     extract_features,
-    fit_embedder,
+    fit_model,
+    fit_splits,
     report_to_dict,
     run_both,
 )
@@ -31,7 +34,13 @@ from thermofault.images import (
 )
 from thermofault.prototypes import Posterior, model_from_dict, posterior
 from thermofault.synthetic import default_synth_config, separable_synth_config
-from thermofault.taxonomy import EQUIPMENT_TYPES, STATUSES, SUBCATEGORIES, SubcategoryId
+from thermofault.taxonomy import (
+    EQUIPMENT_TYPES,
+    STATUSES,
+    SUBCATEGORIES,
+    SubcategoryId,
+    write_records,
+)
 
 
 def run_cli(*argv):
@@ -245,22 +254,36 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "key, value, message",
+    "where, value, message",
     [
-        ("test", False, "manifest 'test' must be a list, got False"),
-        ("images", None, "manifest 'images' must be a list, got None"),
-        ("labeled", -1, "manifest 'labeled' must be a list, got -1"),
-        ("unlabled", None, "unknown manifest key(s): 'unlabled'"),
+        (("test",), False, "manifest 'test' must be a list, got False"),
+        (("images",), None, "manifest 'images' must be a list, got None"),
+        (("labeled",), -1, "manifest 'labeled' must be a list, got -1"),
+        (("unlabled",), None, "unknown manifest key(s): 'unlabled'"),
+        (("labeled", 0, "bbox", 0), 0.5, "labeled[0]: region bbox 0 must be an integer, got 0.5"),
+        (
+            ("labeled", 0, "bbox", 0), True,
+            "labeled[0]: region bbox 0 must be an integer, got True",
+        ),
     ],
-    ids=["test-false", "images-null", "labeled-negative", "misspelled-unlabeled"],
+    ids=[
+        "test-false", "images-null", "labeled-negative", "misspelled-unlabeled",
+        "bbox-cell-half", "bbox-cell-true",
+    ],
 )
 def test_extract_manifest_top_level_keys_are_checked(
-    dataset, tmp_path, capsys, key, value, message
+    dataset, tmp_path, capsys, where, value, message
 ):
-    """A top-level value that is not a list, or a misspelled split (which
-    would read as an empty one), exits 1 naming the manifest and the key."""
+    """A top-level value that is not a list, a misspelled split (which
+    would read as an empty one) or a bbox cell that is not a JSON integer
+    (0.5 is not read as 0, nor true as 1) exits 1 naming the manifest and
+    the key."""
     doc = json.loads((dataset / "data" / "manifest.json").read_text())
-    doc[key] = doc.pop("unlabeled") if key == "unlabled" else value
+    *path, last = where
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = doc.pop("unlabeled") if last == "unlabled" else value
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     for p in (dataset / "data").glob("*.rtm"):
@@ -469,28 +492,37 @@ def test_train_mlp_zero_episodes(dataset, tmp_path):
     assert doc["feature_dim"] == 6
 
 
-def test_train_mlp_matches_harness_embedder(dataset, tmp_path):
+@pytest.mark.parametrize(
+    "mode, flags",
+    [("weak", ()), ("supervised", ()), ("weak", ("--embedder", "mlp", "--episodes", 20))],
+    ids=["weak", "supervised", "mlp"],
+)
+def test_train_mlp_matches_harness_embedder(dataset, tmp_path, mode, flags):
+    """train's model (and embedder) are the harness's fit on extract_features
+    of the same manifest."""
     out = tmp_path / "model.json"
     code = run_cli(
-        "train",
-        "--features", dataset / "features.json",
-        "--out", out,
-        "--embedder", "mlp",
-        "--seed", 5,
-        "--episodes", 20,
+        "train", "--features", dataset / "features.json", "--out", out,
+        "--mode", mode, "--seed", 5, *flags,
     )
     assert code == EXIT_OK
-    cli_emb = embedder_from_dict(json.loads(Path(f"{out}.embedder.json").read_text()))
     cfg = ExperimentConfig(
         manifest_path=str(dataset / "data" / "manifest.json"),
         seed=5,
-        embedder=TrainConfig(episodes=20),
+        embedder=TrainConfig(episodes=20) if flags else None,
     )
     manifest, features = extract_features(cfg, feature_vector)
-    labeled = list(zip((r.subcategory for r in manifest.labeled), features["labeled"][0]))
-    harness_emb = fit_embedder(labeled, cfg.embedder, cfg.seed)
-    for name in ("W1", "b1", "W2", "b2"):
-        assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name
+    vectors = {split: features[split][0] for split in SPLITS}
+    harness_emb, data = fit_splits(manifest, vectors, cfg.embedder, cfg.seed)
+    harness_model = fit_model(data.labeled, data.unlabeled, mode, cfg.alpha, cfg.refine_iters)
+    cli_model = model_from_dict(json.loads(out.read_text()))[0]
+    assert cli_model.classes == harness_model.classes
+    for name in ("centers_labeled", "centers_refined"):
+        assert np.array_equal(getattr(cli_model, name), getattr(harness_model, name)), name
+    if flags:
+        cli_emb = embedder_from_dict(json.loads(Path(f"{out}.embedder.json").read_text()))
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name
 
 
 @pytest.mark.parametrize("split", ["labeled", "unlabeled"])
@@ -805,43 +837,144 @@ def test_indented_feature_file_classifies_to_the_same_bytes(separable_run, tmp_p
     assert out.read_bytes() == (separable_run / "predictions.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["train", "classify"])
+BOTH = ("train", "classify")
+
+
+@pytest.mark.parametrize("command", BOTH)
 @pytest.mark.parametrize(
-    "key, value, message",
+    "where, value, message, rejected_by",
     [
-        (("values", 7), None, "record 5: feature 'values' must be finite numbers"),
-        (("values", 7), -1e-300, "record 5: density values must be non-negative"),
-        (("values",), "short", "record 5: feature 'values' has shape (127,), but its grid has 128"),
-        (("bandwidth",), "auto", "record 5: feature 'bandwidth' must be a number, got 'auto'"),
         (
-            ("t_lo",), 10.0,
+            (5, "feature", "values", 7), None,
+            "record 5: feature 'values' must be finite numbers", BOTH,
+        ),
+        (
+            (5, "feature", "values", 7), -1e-300,
+            "record 5: density values must be non-negative", BOTH,
+        ),
+        (
+            (5, "feature", "values"), "short",
+            "record 5: feature 'values' has shape (127,), but its grid has 128", BOTH,
+        ),
+        (
+            (5, "feature", "bandwidth"), "auto",
+            "record 5: feature 'bandwidth' must be a number, got 'auto'", BOTH,
+        ),
+        (
+            (5, "feature", "t_lo"), 10.0,
             "record 5 has grid [10.0, 120.0] x 128 points,"
             " but the first one has grid [0.0, 120.0] x 128 points",
+            BOTH,
+        ),
+        ((65, "bbox", 0), None, "record 65: region bbox 0 must be an integer, got None", BOTH),
+        ((65, "equipment_type"), "x", "record 65: unknown equipment type 'x'", BOTH),
+        ((65, "bbox"), 5, "record 65: bbox must be a 4-element [x,y,w,h] list, got 5", BOTH),
+        # the split rules are train's: classify scores every record as it is
+        ((35, "status"), "normal", "unlabeled region {key} carries a status", ("train",)),
+        (
+            (35,), "record 5 as unlabeled",
+            "region {key} appears in both labeled and unlabeled splits", ("train",),
         ),
     ],
-    ids=["null", "negative", "short", "string-bandwidth", "mixed-grids"],
+    ids=[
+        "null", "negative", "short", "string-bandwidth", "mixed-grids", "bbox-cell-null",
+        "test-equipment-type", "test-bbox-int", "unlabeled-status", "labeled-as-unlabeled",
+    ],
 )
 def test_bulk_feature_reader_names_the_record(
-    separable_run, tmp_path, capsys, command, key, value, message
+    separable_run, tmp_path, capsys, command, where, value, message, rejected_by
 ):
     records = json.loads((separable_run / "features.json").read_text())["records"]
-    feature = records[5]["feature"]
-    assert records[5]["split"] == "labeled"
+    assert [records[i]["split"] for i in (5, 35, 65)] == ["labeled", "unlabeled", "test"]
+    *path, last = where
+    target = records
+    for k in path:
+        target = target[k]
     if value == "short":
-        feature["values"] = feature["values"][:-1]
-    elif len(key) == 2:
-        feature[key[0]][key[1]] = value
+        target[last] = target[last][:-1]
+    elif value == "record 5 as unlabeled":
+        target[last] = {**records[5], "split": "unlabeled", "status": None}
     else:
-        feature[key[0]] = value
+        target[last] = value
     feats = tmp_path / "bad.json"
     feats.write_text(json.dumps({"records": records}), encoding="utf-8")
     out = tmp_path / "out.json"
     args = ["--model", separable_run / "model.json"] if command == "classify" else []
     code = run_cli(command, "--features", feats, "--out", out, *args)
     err = capsys.readouterr().err
+    if command not in rejected_by:
+        assert code == EXIT_OK
+        return
+    if "{key}" in message:  # the edited record's region key
+        rec = records[where[0]]
+        message = message.format(key=(rec["image_ref"], tuple(rec["bbox"])))
     assert code == EXIT_VALIDATION
     assert f"feature file {feats}: {message}" in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_features(dataset, tmp_path_factory):
+    """20 of the dataset's feature records (8 unlabeled, and the 8 labeled
+    and 4 test records of 4 classes) and a model trained on them."""
+    root = tmp_path_factory.mktemp("small")
+    records = json.loads((dataset / "features.json").read_text())["records"]
+    classes = sorted({(r["equipment_type"], r["status"]) for r in records if r["status"]})[:4]
+    unlabeled = [r for r in records if r["split"] == "unlabeled"][:8]
+    of_classes = [r for r in records if (r["equipment_type"], r["status"]) in classes]
+    assert len(of_classes + unlabeled) == 20
+    write_records(root / "features.json", of_classes + unlabeled)
+    assert run_cli(
+        "train", "--features", root / "features.json", "--out", root / "model.json"
+    ) == EXIT_OK
+    return root
+
+
+def json_paths(doc, path=()):
+    """The path of every member of doc's objects and lists, at any depth,
+    except those at or inside a "values" list."""
+    members = ()
+    if isinstance(doc, (dict, list)):
+        members = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in members:
+        if key != "values":
+            yield (*path, key)
+            yield from json_paths(value, (*path, key))
+
+
+DELETE = "<delete the key>"
+LEAF_VALUES = [None, True, "x", "12", [], {}, -1, 0.5, 1e308, float("nan"), DELETE]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data):
+    """After one edit of a feature file (a value set or a key deleted),
+    train and classify each exit 0, 1 or 2 without raising, print one error
+    line on failure, and train exits 0 only if classify does: both read the
+    records the same way, and train adds the manifest's split rules."""
+    doc = json.loads((small_features / "features.json").read_text())
+    *path, last = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    value = data.draw(st.sampled_from(LEAF_VALUES), label="value")
+    target = doc
+    for key in path:
+        target = target[key]
+    if value == DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    feats = small_features / "edited.json"
+    feats.write_text(json.dumps(doc), encoding="utf-8")
+    codes = {}
+    for command, args in [("train", ()), ("classify", ("--model", small_features / "model.json"))]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes[command] = run_cli(
+                command, "--features", feats, "--out", small_features / f"{command}.out", *args
+            )
+        assert codes[command] in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+        assert err.getvalue().count("error:") == (codes[command] != EXIT_OK), err.getvalue()
+    assert codes["train"] != EXIT_OK or codes["classify"] == EXIT_OK
 
 
 def reference_line(region, split, predicted, classes, distances, probs) -> str:
@@ -1102,6 +1235,7 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
             {"counts": {"labeled": [1], "unlabeled": 1, "test": 1}},
             "synth counts 'labeled' must be an integer, got [1]",
         ),
+        ("eval", {"seed": "12"}, "experiment config 'seed' must be an integer, got '12'"),
     ],
 )
 def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):

@@ -93,12 +93,12 @@ def test_train_config_round_trip():
 
 
 def test_train_config_scalar_of_the_wrong_json_type_names_its_key():
-    for key, bad in [("hidden", [8]), ("out_dim", None), ("episodes", {}), ("lr", [0.1])]:
+    for key, bad in [
+        ("hidden", [8]), ("out_dim", None), ("episodes", {}), ("lr", [0.1]),
+        ("hidden", 8.0), ("lr", "0.5"), ("episodes", True),
+    ]:
         with pytest.raises(ValueError, match=f"mlp embedder config '{key}' must be"):
             TrainConfig.from_dict({"kind": "mlp", key: bad})
-    assert TrainConfig.from_dict({"kind": "mlp", "hidden": 8.0, "lr": "0.5"}) == TrainConfig(
-        hidden=8, lr=0.5
-    )
 
 
 @pytest.mark.parametrize("where", [(), ("data",), ("embedder",)])
@@ -122,6 +122,7 @@ def test_config_scalar_of_the_wrong_json_type_names_its_key():
     for key, bad in [
         ("alpha", [0.5]), ("seed", {"s": 1}), ("repeats", None), ("refine_iters", "x"),
         ("bandwidth", [1.0]), ("seed", float("inf")),
+        ("alpha", "0.25"), ("seed", 3.0), ("repeats", True),
     ]:
         with pytest.raises(ValueError, match=f"experiment config '{key}' must be"):
             ExperimentConfig.from_dict({**base, key: bad})
@@ -131,9 +132,6 @@ def test_config_scalar_of_the_wrong_json_type_names_its_key():
     grid = {"t_lo": 0.0, "t_hi": [1.0], "n_points": 8}
     with pytest.raises(ValueError, match="experiment grid 't_hi' must be a number"):
         ExperimentConfig.from_dict({**base, "grid": grid})
-    # what float() and int() took before still reads the same
-    cfg = ExperimentConfig.from_dict({**base, "alpha": "0.25", "seed": 3.0, "repeats": True})
-    assert (cfg.alpha, cfg.seed, cfg.repeats) == (0.25, 3, 1)
 
 
 # ------------------------------------------------------------------- rows

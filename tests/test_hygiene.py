@@ -1,7 +1,7 @@
-"""Source checks that need no linter: every imported name is used, no
-JSON is written through Python's pure-Python encoder, only taxonomy.py
-creates files, and every name the README's library example imports
-exists."""
+"""Source checks that need no linter: every imported name is used, every
+private top-level name of the package is read, no JSON is written through
+Python's pure-Python encoder, only taxonomy.py creates files, and every
+name the README's library example imports exists."""
 
 import ast
 import importlib
@@ -56,6 +56,45 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys\nfrom typing import Any, List\n__all__ = ['List']\nsys.exit(0)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Any"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names (one leading underscore) that a module binds at its
+    top level, by def, class or assignment, and that no source reads, as a
+    name or as an attribute."""
+    bound = []
+    read = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append((name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [(name, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        f"{name} line {line}: {ident}"
+        for name, line, ident in bound
+        if ident.startswith("_") and not ident.startswith("__") and ident not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_reported():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C: pass\n",
+        "b.py": "from a import _f\n_f()\nprint(x._C)\nx._B = _D = 3\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _B", "b.py line 4: _D"]
 
 
 def slow_json_writes(source: str) -> list[str]:

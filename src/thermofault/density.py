@@ -45,19 +45,6 @@ class TemperatureHistogram:
     probs: np.ndarray
     n_samples: int
 
-    def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty 1-D array")
-        if (probs < 0).any() or (probs > 1).any():
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
     @property
     def n_bins(self) -> int:
         return int(self.probs.size)
@@ -81,11 +68,12 @@ def histogram(
     lo, hi = int(idx.min()), int(idx.max())
     if hi - lo + 1 > _MAX_BINS:
         raise ValueError(f"samples span {hi - lo + 1} bins; narrow the range or widen the bins")
-    counts = np.bincount(idx - lo, minlength=hi - lo + 1)
+    probs = np.bincount(idx - lo, minlength=hi - lo + 1) / x.size
+    probs.flags.writeable = False
     return TemperatureHistogram(
         bin_origin=bin_origin + lo * bin_width,
         bin_width=bin_width,
-        probs=counts / x.size,
+        probs=probs,
         n_samples=int(x.size),
     )
 
@@ -303,7 +291,7 @@ GRID_KEYS = ("t_lo", "t_hi", "n_points")
 
 
 def _checked(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():  # a JSON null reads as NaN
+    if not np.isfinite(values).all():  # a subnormal grid step can overflow raw / mass
         raise ValueError("feature 'values' must be finite numbers")
     if (values < 0).any():
         raise ValueError("density values must be non-negative")
@@ -312,18 +300,12 @@ def _checked(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PdfFeature:
-    """Density evaluated on a grid, renormalized to unit mass."""
+    """Density evaluated on a grid, renormalized to unit mass (feature_vector
+    builds it, with read-only values)."""
 
     grid: FeatureGrid
     values: np.ndarray
     bandwidth: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError("values length must match the grid")
-        _checked(values).flags.writeable = False
-        object.__setattr__(self, "values", values)
 
     def to_dict(self) -> dict:
         return feature_dict(self.grid, self.values, self.bandwidth)
@@ -341,11 +323,11 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
     """The one grid and the (n, n_points) values of n feature dicts; for
     no dicts, None and an empty array (no rows, no width).
 
-    Each dict is checked as a PdfFeature checks its fields: it holds
-    exactly FEATURE_KEYS, its scalars have the right JSON types, and its
-    values are n_points finite, non-negative numbers; and all must share
-    one grid. The values are decoded by one np.array call; an error names
-    the index of the dict at fault as "{what} {i}".
+    Each dict holds exactly FEATURE_KEYS, its scalars have the right JSON
+    types, its bandwidth is positive, and its values are n_points finite,
+    non-negative numbers; and all must share one grid. The values are
+    decoded by one np.array call; an error names the index of the dict at
+    fault as "{what} {i}".
     """
     if not docs:
         return None, np.empty(0)
@@ -353,7 +335,10 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
     for i, d in enumerate(docs):
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
-            read_scalar(d, "bandwidth", float, "feature")
+            if not read_scalar(d, "bandwidth", float, "feature") > 0:
+                raise ValueError(
+                    f"feature 'bandwidth' must be positive, got {d['bandwidth']!r}"
+                )
             raw = (d["t_lo"], d["t_hi"], d["n_points"])
             # equal JSON values read as equal scalars, so only a new triple is parsed
             g = grid if raw == raw_grid else FeatureGrid.from_dict(d, "feature")
@@ -438,7 +423,8 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     for i in (i for i in redo if mass[i] <= 0.0):
         raise _no_mass_error(est.samples[i], float(w[i]), grid)
     raw /= mass[:, None]
-    return (_checked(raw), w) if stack else PdfFeature(grid, raw[0], float(w[0]))
+    _checked(raw).flags.writeable = False
+    return (raw, w) if stack else PdfFeature(grid, raw[0], float(w[0]))
 
 
 def _no_mass_error(x: np.ndarray, h: float, grid: FeatureGrid) -> ValueError:

@@ -291,16 +291,3 @@ def embedder_from_dict(d: dict) -> Embedder:
         raise ValueError(f"declared dims {d['dims']} do not match parameters {list(e.dims)}")
     return e
 
-
-__all__ = [
-    "Embedder",
-    "Episode",
-    "TrainConfig",
-    "TrainResult",
-    "embed_many",
-    "embedder_from_dict",
-    "embedder_to_dict",
-    "init_mlp",
-    "proto_loss",
-    "train_embedder",
-]

@@ -213,7 +213,7 @@ class RegionAnnotation:
             tuple(read_scalar(bbox, i, int, "region bbox") for i in range(4)),
             parse_equipment_type(d["equipment_type"]),
             parse_status(d.get("status")),
-            str(d["image_ref"]),
+            read_scalar(d, "image_ref", str, "region"),
         )
 
 
@@ -279,9 +279,11 @@ def load_manifest(path) -> DatasetManifest:
     image_paths: dict[str, Path] = {}
     for entry in doc.get("images", []):
         try:
-            img_id, rel = str(entry["id"]), str(entry["path"])
+            img_id, rel = (read_scalar(entry, k, str, "image") for k in ("id", "path"))
         except (KeyError, TypeError):
             raise ManifestError(f"{path}: image entries need 'id' and 'path'") from None
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from None
         if img_id in image_paths:
             raise ManifestError(f"{path}: duplicate image id {img_id!r}")
         image_paths[img_id] = path.parent / rel

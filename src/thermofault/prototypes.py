@@ -119,12 +119,6 @@ class Posterior:
     probs: np.ndarray
     predicted: SubcategoryId | tuple[SubcategoryId, ...]
 
-    def __post_init__(self):
-        for name in ("distances", "probs"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
 
 def posterior(vectors, model: PrototypeModel) -> Posterior:
     """Distances to the refined centers, softmax(-distance) probabilities,
@@ -139,6 +133,7 @@ def posterior(vectors, model: PrototypeModel) -> Posterior:
     d = np.sqrt(sq)
     e = np.exp(d.min(axis=1, keepdims=True) - d)
     probs = e / e.sum(axis=1, keepdims=True)
+    d.flags.writeable = probs.flags.writeable = False
     predicted = tuple(model.classes[i] for i in np.argmin(sq, axis=1))
     if x.ndim < 2:
         return Posterior(model.classes, d[0], probs[0], predicted[0])
@@ -237,16 +232,3 @@ def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid, str | None]:
         raise ValueError("feature_dim does not match the stored centers")
     return model, grid, embedder
 
-
-__all__ = [
-    "PrototypeModel",
-    "Posterior",
-    "build_model",
-    "compute_centers",
-    "classify_many",
-    "model_from_dict",
-    "model_to_dict",
-    "posterior",
-    "refine_centers",
-    "sq_dists",
-]

@@ -166,14 +166,13 @@ _DEFAULT_LADDER: dict[EquipmentType, tuple[float, float, float]] = {
 }
 
 
-def default_models(scene_offset_factor: float = 0.4) -> dict[SubcategoryId, RegionTempModel]:
-    """Ladder models; scene_offset_factor scales capture-to-capture drift
-    in units of each type's ambient std."""
+def default_models() -> dict[SubcategoryId, RegionTempModel]:
+    """Ladder models; capture-to-capture drift is 0.4 of each type's ambient std."""
     models: dict[SubcategoryId, RegionTempModel] = {}
     for etype, (ambient, std, fault_hot) in _DEFAULT_LADDER.items():
         # Normal gear carries only a faint warm spot; faults heat a large
         # contiguous patch to the ladder temperature.
-        offset_std = scene_offset_factor * std
+        offset_std = 0.4 * std
         models[SubcategoryId(etype, Status.NORMAL)] = RegionTempModel(
             ambient_mean=ambient,
             ambient_std=std,

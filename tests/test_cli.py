@@ -265,19 +265,29 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
             ("labeled", 0, "bbox", 0), True,
             "labeled[0]: region bbox 0 must be an integer, got True",
         ),
+        (("labeled", 0, "image_ref"), 5, "labeled[0]: region 'image_ref' must be a string, got 5"),
+        (("images", 0, "id"), 5, "image 'id' must be a string, got 5"),
+        (("images", 0, "path"), None, "image 'path' must be a string, got None"),
+        (("images", 0), {"id": "x"}, "image entries need 'id' and 'path'"),
+        (
+            ("images", 1), {"id": "arrester_fault_labeled_000", "path": "a.rtm"},
+            "duplicate image id 'arrester_fault_labeled_000'",
+        ),
     ],
     ids=[
         "test-false", "images-null", "labeled-negative", "misspelled-unlabeled",
-        "bbox-cell-half", "bbox-cell-true",
+        "bbox-cell-half", "bbox-cell-true", "image-ref-int", "image-id-int", "image-path-null",
+        "image-without-path", "duplicate-image-id",
     ],
 )
 def test_extract_manifest_top_level_keys_are_checked(
     dataset, tmp_path, capsys, where, value, message
 ):
     """A top-level value that is not a list, a misspelled split (which
-    would read as an empty one) or a bbox cell that is not a JSON integer
-    (0.5 is not read as 0, nor true as 1) exits 1 naming the manifest and
-    the key."""
+    would read as an empty one), a bbox cell that is not a JSON integer
+    (0.5 is not read as 0, nor true as 1), an image ref, id or path that
+    is not a string, an image entry without a path or a repeated image id
+    exits 1 naming the manifest and the key."""
     doc = json.loads((dataset / "data" / "manifest.json").read_text())
     *path, last = where
     target = doc
@@ -861,6 +871,14 @@ BOTH = ("train", "classify")
             "record 5: feature 'bandwidth' must be a number, got 'auto'", BOTH,
         ),
         (
+            (5, "feature", "bandwidth"), -1,
+            "record 5: feature 'bandwidth' must be positive, got -1", BOTH,
+        ),
+        (
+            (5, "feature", "bandwidth"), 0,
+            "record 5: feature 'bandwidth' must be positive, got 0", BOTH,
+        ),
+        (
             (5, "feature", "t_lo"), 10.0,
             "record 5 has grid [10.0, 120.0] x 128 points,"
             " but the first one has grid [0.0, 120.0] x 128 points",
@@ -869,6 +887,11 @@ BOTH = ("train", "classify")
         ((65, "bbox", 0), None, "record 65: region bbox 0 must be an integer, got None", BOTH),
         ((65, "equipment_type"), "x", "record 65: unknown equipment type 'x'", BOTH),
         ((65, "bbox"), 5, "record 65: bbox must be a 4-element [x,y,w,h] list, got 5", BOTH),
+        (
+            (65, "image_ref"), None,
+            "record 65: region 'image_ref' must be a string, got None", BOTH,
+        ),
+        ((65, "image_ref"), 5, "record 65: region 'image_ref' must be a string, got 5", BOTH),
         # the split rules are train's: classify scores every record as it is
         ((35, "status"), "normal", "unlabeled region {key} carries a status", ("train",)),
         (
@@ -877,8 +900,9 @@ BOTH = ("train", "classify")
         ),
     ],
     ids=[
-        "null", "negative", "short", "string-bandwidth", "mixed-grids", "bbox-cell-null",
-        "test-equipment-type", "test-bbox-int", "unlabeled-status", "labeled-as-unlabeled",
+        "null", "negative", "short", "string-bandwidth", "negative-bandwidth", "zero-bandwidth",
+        "mixed-grids", "bbox-cell-null", "test-equipment-type", "test-bbox-int",
+        "image-ref-null", "image-ref-int", "unlabeled-status", "labeled-as-unlabeled",
     ],
 )
 def test_bulk_feature_reader_names_the_record(
@@ -1236,6 +1260,23 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
             "synth counts 'labeled' must be an integer, got [1]",
         ),
         ("eval", {"seed": "12"}, "experiment config 'seed' must be an integer, got '12'"),
+        # rules of the synth config, and an eval whose synth config makes no test regions
+        ("synth", {"counts": {"labeled": 1, "unlabeled": 1}}, "counts must include 'test'"),
+        (
+            "synth", {"counts": {"labeled": 1, "unlabeled": -1, "test": 1}},
+            "count for 'unlabeled' must be >= 0",
+        ),
+        ("synth", {"image_width": 0}, "image dimensions must be >= 1"),
+        ("synth", {"region_width": 25}, "region width must fit inside the image"),
+        ("synth", {"background": {"mean": 5.0, "std": 0}}, "background std must be positive"),
+        (
+            "eval",
+            {"data": {"synth": {
+                **default_synth_config().to_dict(),
+                "counts": {"labeled": 1, "unlabeled": 1, "test": 0},
+            }}},
+            "test split is empty",
+        ),
     ],
 )
 def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):
@@ -1248,7 +1289,7 @@ def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, o
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli(command, "--config", cfg_path, "--out", tmp_path / "o", *argv) == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,5 @@
 """Source checks that need no linter: every imported name is used, every
-private top-level name of the package is read, no JSON is written through
+top-level name of the package is read, no JSON is written through
 Python's pure-Python encoder, only taxonomy.py creates files, and every
 name the README's library example imports exists."""
 
@@ -58,35 +58,49 @@ def test_an_unused_import_is_reported():
     assert unused_imports(source) == ["line 1: os", "line 3: Any"]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private names (one leading underscore) that a module binds at its
-    top level, by def, class or assignment, and that no source reads, as a
-    name or as an attribute."""
+def top_level_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name a module binds at its top level, by def,
+    class or assignment."""
     bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return bound
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a name or as an attribute, or imports by name."""
     read = set()
-    for name, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bound.append((name, node.lineno, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                bound += [(name, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_names(bound_in: dict[str, str], read_in: dict[str, str], private: bool) -> list[str]:
+    """The private names (one leading underscore), or else the public ones,
+    that a module of bound_in binds at its top level and that no module of
+    read_in reads."""
+    read = set().union(*(read_names(ast.parse(source)) for source in read_in.values()))
     return [
         f"{name} line {line}: {ident}"
-        for name, line, ident in bound
-        if ident.startswith("_") and not ident.startswith("__") and ident not in read
+        for name, source in bound_in.items()
+        for line, ident in top_level_names(ast.parse(source))
+        if ident not in read
+        and (ident.startswith("_") and not ident.startswith("__") if private else ident[0] != "_")
     ]
 
 
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources, sources, private=True) == []
 
 
 def test_an_unread_private_name_is_reported():
@@ -94,7 +108,29 @@ def test_an_unread_private_name_is_reported():
         "a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C: pass\n",
         "b.py": "from a import _f\n_f()\nprint(x._C)\nx._B = _D = 3\n",
     }
-    assert unread_private_names(sources) == ["a.py line 2: _B", "b.py line 4: _D"]
+    assert unread_names(sources, sources, private=True) == ["a.py line 2: _B", "b.py line 4: _D"]
+
+
+def test_every_public_name_is_read():
+    """Each public top-level name of the package (but its __init__, which
+    only re-exports) is read somewhere in the package, tests, benchmark or
+    scripts."""
+    readers = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for d in ("src", "tests", "perfbench", "scripts")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    assert {"tests/test_hygiene.py", "perfbench/run.py", "scripts/bench_pairs.py"} <= set(readers)
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+    assert unread_names(package, readers, private=False) == []
+
+
+def test_an_unread_public_name_is_reported():
+    package = {
+        "a.py": "A = 1\nB: int = 2\n_C = 3\ndef f():\n    return A\nclass G: pass\nclass H: pass\n"
+    }
+    readers = {**package, "b.py": "from a import f\nprint(x.G)\n__all__ = ['B']\n"}
+    assert unread_names(package, readers, private=False) == ["a.py line 2: B", "a.py line 7: H"]
 
 
 def slow_json_writes(source: str) -> list[str]:

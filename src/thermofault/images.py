@@ -277,15 +277,15 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"{path}: manifest {key!r} must be a list, got {value!r}")
 
     image_paths: dict[str, Path] = {}
-    for entry in doc.get("images", []):
+    for i, entry in enumerate(doc.get("images", [])):
         try:
             img_id, rel = (read_scalar(entry, k, str, "image") for k in ("id", "path"))
         except (KeyError, TypeError):
-            raise ManifestError(f"{path}: image entries need 'id' and 'path'") from None
+            raise ManifestError(f"{path}: images[{i}]: image entry needs 'id' and 'path'") from None
         except ValueError as exc:
-            raise ManifestError(f"{path}: {exc}") from None
+            raise ManifestError(f"{path}: images[{i}]: {exc}") from None
         if img_id in image_paths:
-            raise ManifestError(f"{path}: duplicate image id {img_id!r}")
+            raise ManifestError(f"{path}: images[{i}]: duplicate image id {img_id!r}")
         image_paths[img_id] = path.parent / rel
 
     for img_id, img_path in image_paths.items():

@@ -266,12 +266,12 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
             "labeled[0]: region bbox 0 must be an integer, got True",
         ),
         (("labeled", 0, "image_ref"), 5, "labeled[0]: region 'image_ref' must be a string, got 5"),
-        (("images", 0, "id"), 5, "image 'id' must be a string, got 5"),
-        (("images", 0, "path"), None, "image 'path' must be a string, got None"),
-        (("images", 0), {"id": "x"}, "image entries need 'id' and 'path'"),
+        (("images", 0, "id"), 5, "images[0]: image 'id' must be a string, got 5"),
+        (("images", 0, "path"), None, "images[0]: image 'path' must be a string, got None"),
+        (("images", 0), {"id": "x"}, "images[0]: image entry needs 'id' and 'path'"),
         (
             ("images", 1), {"id": "arrester_fault_labeled_000", "path": "a.rtm"},
-            "duplicate image id 'arrester_fault_labeled_000'",
+            "images[1]: duplicate image id 'arrester_fault_labeled_000'",
         ),
     ],
     ids=[

@@ -106,6 +106,7 @@ def test_histogram_counting_example():
     assert_allclose(h.probs, [0.5, 0.25, 0.25])
     assert h.bin_origin == 0.5
     assert h.n_samples == 4
+    assert not h.probs.flags.writeable
 
 
 def test_histogram_single_sample():
@@ -520,9 +521,11 @@ def test_feature_vector_guards():
     # bandwidth, the bytes of its one-row stack
     x = np.array([0.2, 0.3, 0.5, 0.6])
     values, bandwidths = feature_vector(x[None], grid)
+    assert not values.flags.writeable
     for samples in (x, list(x), x.reshape(2, 1, 2)):
         feat = feature_vector(samples, grid)
         assert type(feat.bandwidth) is float and type(silverman_bandwidth(samples)) is float
+        assert not feat.values.flags.writeable
         assert feat.values.tobytes() == values[0].tobytes()
         assert np.float64(feat.bandwidth).tobytes() == bandwidths.tobytes()
     assert feature_vector([0.5], grid, bandwidth=0.1).bandwidth == 0.1

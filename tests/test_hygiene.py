@@ -71,15 +71,16 @@ def top_level_names(tree: ast.Module) -> list[tuple[int, str]]:
     return bound
 
 
-def read_names(tree: ast.Module) -> set[str]:
-    """The names a module reads, as a name or as an attribute, or imports by name."""
+def read_names(tree: ast.Module, imports: bool) -> set[str]:
+    """The names a module reads, as a name or as an attribute, and, if
+    imports, the names it imports by name."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
     return read
 
@@ -87,8 +88,12 @@ def read_names(tree: ast.Module) -> set[str]:
 def unread_names(bound_in: dict[str, str], read_in: dict[str, str], private: bool) -> list[str]:
     """The private names (one leading underscore), or else the public ones,
     that a module of bound_in binds at its top level and that no module of
-    read_in reads."""
-    read = set().union(*(read_names(ast.parse(source)) for source in read_in.values()))
+    read_in reads. An import by name counts as a read of a public name only:
+    the package __init__ imports to re-export, so its import of a private
+    name that nothing else reads is still reported."""
+    read = set().union(
+        *(read_names(ast.parse(source), imports=not private) for source in read_in.values())
+    )
     return [
         f"{name} line {line}: {ident}"
         for name, source in bound_in.items()
@@ -106,9 +111,14 @@ def test_every_private_name_is_read():
 def test_an_unread_private_name_is_reported():
     sources = {
         "a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C: pass\n",
-        "b.py": "from a import _f\n_f()\nprint(x._C)\nx._B = _D = 3\n",
+        "b.py": "from a import _f\n_f()\nprint(x._C)\nx._B = _D = 3\n_E = 4\n",
+        "__init__.py": "from .b import _E\n",
     }
-    assert unread_names(sources, sources, private=True) == ["a.py line 2: _B", "b.py line 4: _D"]
+    assert unread_names(sources, sources, private=True) == [
+        "a.py line 2: _B",
+        "b.py line 4: _D",
+        "b.py line 5: _E",
+    ]
 
 
 def test_every_public_name_is_read():

@@ -76,6 +76,7 @@ def test_compute_centers_rejects_dim_mismatch():
 def test_distance_zero_and_345():
     p = posterior(np.array([[1.0, 2.0], [0.0, 0.0]]), two_class_model([1.0, 2.0], [3.0, 4.0]))
     assert p.distances.tolist() == [[0.0, math.sqrt(8.0)], [math.sqrt(5.0), 5.0]]
+    assert not p.distances.flags.writeable and not p.probs.flags.writeable
 
 
 def test_distance_length_mismatch():
@@ -100,6 +101,7 @@ def test_posterior_unit_distance_pair():
     assert p.probs[1] == pytest.approx(1.0 - expected, abs=1e-12)
     assert p.probs[0] == pytest.approx(0.7311, abs=5e-5)
     assert p.probs[1] == pytest.approx(0.2689, abs=5e-5)
+    assert not p.distances.flags.writeable and not p.probs.flags.writeable
 
 
 def test_posterior_ten_classes_random():

@@ -13,10 +13,15 @@ root: one entry per run with its workload, seed, order in its pair (0
 first, 1 second), exit code and the final JSON line the benchmark printed.
 Then prints, per workload, the runs of each side that failed (non-zero exit
 or no final JSON line) and, per metric, each side's median and quartiles
-over the pairs where both runs succeeded and the pairs the change won.
-Exits 1 if any run failed. Run it from any directory; of the benchmark it
-reads only its output and BENCHMARK.json (workloads, run_seconds and the
-metric directions).
+over the pairs where both runs succeeded, the pairs the change won (ties
+count for neither) and a verdict. "claim met" when the change won at
+least nine tenths of all pairs run and its median is better than the
+parent's by more than the parent's interquartile range, else "claim not
+met"; "WORSE than its bound B" when the change's median is worse than the
+parent's by more than the fraction B of it that BENCHMARK.json fixes for
+that end-to-end metric. Exits 1 if any run failed. Run it from any
+directory; of the benchmark it reads only its output and BENCHMARK.json
+(workloads, run_seconds and the metric directions and bounds).
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ def failed(run: dict) -> bool:
 def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
     """Prints the comparison; returns the number of failed runs on both sides."""
     higher = {m["name"] for m in spec["end_to_end"] if m["better"] == "higher"}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     n_failed = 0
     for workload in dict.fromkeys(r["workload"] for r in parent):
         runs = [(p, c) for p, c in zip(parent, change) if p["workload"] == workload]
@@ -92,12 +98,19 @@ def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
         for metric in pairs[0][0]["result"]["metrics"] if pairs else ():
             a = np.array([p["result"]["metrics"][metric]["value"] for p, _ in pairs])
             b = np.array([c["result"]["metrics"][metric]["value"] for _, c in pairs])
-            wins = int(((b > a) if metric in higher else (b < a)).sum())
+            sign = 1.0 if metric in higher else -1.0  # sign * (b - a) > 0: the change is better
+            wins = int((sign * (b - a) > 0).sum())
             qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
+            gain = sign * (qb[1] - qa[1])
+            met = wins >= 0.9 * len(runs) and gain > qa[2] - qa[0]
+            verdict = "claim met" if met else "claim not met"
+            if metric in bounds and gain < -bounds[metric] * abs(qa[1]):
+                verdict += f"; WORSE than its bound {bounds[metric]:g}"
             print(
                 f"  {metric:16s} parent {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]"
                 f"  change {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]"
                 f"  change/parent {qb[1] / qa[1]:.3f}  change better in {wins}/{len(pairs)}"
+                f"  {verdict}"
             )
     return n_failed
 

@@ -25,7 +25,6 @@ from .harness import (
     SPLITS,
     SWEEP_PARAMS,
     ExperimentConfig,
-    compare,
     compare_table,
     extract_features,
     fit_model,
@@ -38,7 +37,7 @@ from .harness import (
     sweep_table,
 )
 from .images import DatasetManifest, ManifestError, RegionAnnotation
-from .prototypes import Posterior, model_from_dict, model_to_dict, posterior
+from .prototypes import DistanceOverflow, Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
 from .taxonomy import (
     EQUIPMENT_TYPES,
@@ -125,12 +124,12 @@ def _load_records(
     (None for no records) and their feature values, one row per record.
     An error names the file and, for one record's fault, the record."""
     payload = read_json(path)
-    records = check_keys(payload, payload, f"feature file {path}", ("records",))["records"]
+    records = check_keys(payload, None, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
         raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
     regions = []
     for i, rec in enumerate(records):
-        check_keys(rec, rec, f"feature file {path}: record", ("split", "feature"))
+        check_keys(rec, None, f"feature file {path}: record", ("split", "feature"))
         if rec["split"] not in SPLITS:
             raise ValueError(
                 f"feature file {path}: record {i} has split {rec['split']!r};"
@@ -167,7 +166,13 @@ def cmd_train(args) -> int:
         embedder_path = Path(str(args.out) + ".embedder.json")
         digest = _sha256(write_json(embedder_path, embedder_to_dict(emb)).encode("utf-8"))
         print(f"wrote embedder to {embedder_path}")
-    model = fit_model(data.labeled, data.unlabeled, args.mode, args.alpha, args.refine_iters)
+    try:
+        model = fit_model(data.labeled, data.unlabeled, args.mode, args.alpha, args.refine_iters)
+    except DistanceOverflow as exc:  # a row of the unlabeled vectors, which refining scores
+        raise ValueError(
+            f"feature file {args.features}: record {rows['unlabeled'][exc.row]}:"
+            " a squared distance to a center is not finite"
+        ) from None
     write_json(Path(args.out), model_to_dict(model, grid, digest))
     print(
         f"wrote model to {args.out} (mode={args.mode}, alpha={model.alpha},"
@@ -305,7 +310,7 @@ def cmd_eval(args) -> int:
     if cfg.repeats == 1:
         tables = [report_table(rep) for rep in runs[0]]
         if args.mode == "both":
-            tables.append(compare_table(compare(*runs[0])))
+            tables.append(compare_table(*runs[0]))
             write_text(out_dir / "compare.txt", tables[-1])
         print("\n".join(tables))
         return EXIT_OK

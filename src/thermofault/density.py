@@ -325,13 +325,14 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
 
     Each dict holds exactly FEATURE_KEYS, its scalars have the right JSON
     types, its bandwidth is positive, and its values are n_points finite,
-    non-negative numbers; and all must share one grid. The values are
-    decoded by one np.array call; an error names the index of the dict at
-    fault as "{what} {i}".
+    non-negative numbers; and all must share one grid. One pass checks
+    each dict in turn and copies its values into their row; then the
+    values are checked finite and non-negative. An error names the index
+    of the first dict at fault as "{what} {i}".
     """
     if not docs:
         return None, np.empty(0)
-    grid = raw_grid = None
+    grid = raw_grid = values = None
     for i, d in enumerate(docs):
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
@@ -348,18 +349,15 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
             grid, raw_grid = g, raw
         elif g != grid:
             raise ValueError(f"{what} {i} has grid {g}, but the first one has grid {grid}")
-    try:
-        values = np.array([d["values"] for d in docs], dtype=np.float64)
-    except (TypeError, ValueError):  # a ragged or non-numeric list
-        values = None
-    if values is None or values.shape != (len(docs), grid.n_points):
-        for i, d in enumerate(docs):  # name the first dict at fault
-            row = read_array(d, "values", f"{what} {i}: feature")
-            if row.shape != (grid.n_points,):
-                raise ValueError(
-                    f"{what} {i}: feature 'values' has shape {row.shape},"
-                    f" but its grid has {grid.n_points} points"
-                )
+        row = read_array(d, "values", f"{what} {i}: feature")
+        if row.shape != (grid.n_points,):
+            raise ValueError(
+                f"{what} {i}: feature 'values' has shape {row.shape},"
+                f" but its grid has {grid.n_points} points"
+            )
+        if values is None:  # sized by a row as read: a huge n_points allocates nothing
+            values = np.empty((len(docs), row.size))
+        values[i] = row
     finite = np.isfinite(values).all(axis=1)  # a JSON null reads as NaN
     if not finite.all():
         i = int(np.argmin(finite))

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, che
 
 MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
-ENTIRETY_LABEL = "entirety"
 
 SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
 # The kind that configs and `train --embedder` give for no embedder; every
@@ -121,9 +120,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class RowAccuracy:
-    """Normal/fault correctness counts for one equipment type (or overall)."""
+    """Normal/fault correctness counts for one equipment type, labeled by its
+    value, or for all test regions, labeled "entirety"."""
 
-    equipment_type: EquipmentType | None
+    label: str
     n_normal: int
     n_fault: int
     correct_normal: int
@@ -136,10 +136,6 @@ class RowAccuracy:
             raise ValueError("fault counts out of range")
         if self.n_normal + self.n_fault == 0:
             raise ValueError("row has no test samples")
-
-    @property
-    def label(self) -> str:
-        return ENTIRETY_LABEL if self.equipment_type is None else self.equipment_type.value
 
     @property
     def acc_normal(self) -> float:
@@ -343,28 +339,14 @@ def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
     vectors = np.stack([v for _, v in data.test])
     predicted = classify_many(vectors, model)
 
-    counts: dict[EquipmentType, list[int]] = {}
+    counts: dict[EquipmentType, list[int]] = {}  # RowAccuracy's four counts
     for (truth, _), pred in zip(data.test, predicted):
         cell = counts.setdefault(truth.equipment_type, [0, 0, 0, 0])
-        hit = int(pred == truth)
-        if truth.status is Status.NORMAL:
-            cell[0] += 1
-            cell[2] += hit
-        else:
-            cell[1] += 1
-            cell[3] += hit
-    rows = tuple(
-        RowAccuracy(et, cell[0], cell[1], cell[2], cell[3])
-        for et in EQUIPMENT_TYPES
-        if (cell := counts.get(et)) is not None
-    )
-    overall = RowAccuracy(
-        None,
-        sum(r.n_normal for r in rows),
-        sum(r.n_fault for r in rows),
-        sum(r.correct_normal for r in rows),
-        sum(r.correct_fault for r in rows),
-    )
+        fault = int(truth.status is Status.FAULT)
+        cell[fault] += 1
+        cell[2 + fault] += int(pred == truth)
+    rows = tuple(RowAccuracy(et.value, *counts[et]) for et in EQUIPMENT_TYPES if et in counts)
+    overall = RowAccuracy("entirety", *map(sum, zip(*counts.values())))
     return EvalReport(
         mode=mode,
         alpha=model.alpha,
@@ -411,36 +393,15 @@ def sweep_table(param: str, values: Sequence, reports: Sequence[EvalReport]) -> 
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    label: str
-    d_normal: float
-    d_fault: float
-    d_average: float
-
-
-def compare(a: EvalReport, b: EvalReport) -> list[CompareRow]:
+def compare_table(a: EvalReport, b: EvalReport) -> str:
     """Accuracy deltas (b - a) per equipment-type row plus entirety."""
     if [r.label for r in a.rows] != [r.label for r in b.rows]:
         raise ValueError("reports cover different equipment types")
-    out = []
-    for ra, rb in zip(list(a.rows) + [a.overall], list(b.rows) + [b.overall]):
-        out.append(
-            CompareRow(
-                label=ra.label,
-                d_normal=rb.acc_normal - ra.acc_normal,
-                d_fault=rb.acc_fault - ra.acc_fault,
-                d_average=rb.acc_average - ra.acc_average,
-            )
-        )
-    return out
-
-
-def compare_table(deltas: Iterable[CompareRow]) -> str:
     lines = ["delta (b - a)"]
-    for row in deltas:
+    for ra, rb in zip((*a.rows, a.overall), (*b.rows, b.overall)):
         lines.append(
-            f"  {row.label}: normal {row.d_normal:+.3f}"
-            f"  fault {row.d_fault:+.3f}  average {row.d_average:+.3f}"
+            f"  {ra.label}: normal {rb.acc_normal - ra.acc_normal:+.3f}"
+            f"  fault {rb.acc_fault - ra.acc_fault:+.3f}"
+            f"  average {rb.acc_average - ra.acc_average:+.3f}"
         )
     return "\n".join(lines)

@@ -9,6 +9,7 @@ are written with 17 significant digits so a save/load round trip is exact.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,16 +125,22 @@ def _load_thermal_exact(path: Path, source_id: str | None) -> ThermalImage:
         cells = line.split(",")
         if len(cells) != width:
             raise RtmFormatError(path, f"row has {len(cells)} values, expected {width}", row=r)
-        for c, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise RtmFormatError(
-                    path, f"non-numeric cell {cell.strip()!r}", row=r, col=c + 1
-                ) from None
-            if not np.isfinite(value):
-                raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r, col=c + 1)
-            temps[r - 2, c] = value
+        try:
+            row = list(map(float, cells))
+            ok = all(map(math.isfinite, row))
+        except ValueError:
+            ok = False
+        if not ok:  # name the first bad cell
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise RtmFormatError(
+                        path, f"non-numeric cell {cell.strip()!r}", row=r, col=c
+                    ) from None
+                if not math.isfinite(value):
+                    raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r, col=c)
+        temps[r - 2] = row
     return ThermalImage(width, height, temps, source_id or path.stem)
 
 
@@ -205,7 +212,7 @@ class RegionAnnotation:
     def from_dict(cls, d: dict) -> "RegionAnnotation":
         """Parse a manifest entry or feature record; other keys are ignored,
         and a missing status reads as null."""
-        check_keys(d, d, "region", ("image_ref", "bbox", "equipment_type"))
+        check_keys(d, None, "region", ("image_ref", "bbox", "equipment_type"))
         bbox = d["bbox"]
         if not (isinstance(bbox, list) and len(bbox) == 4):
             raise ValueError(f"bbox must be a 4-element [x,y,w,h] list, got {bbox!r}")

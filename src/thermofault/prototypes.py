@@ -91,13 +91,21 @@ def build_model(
     )
 
 
+class DistanceOverflow(ValueError):
+    """A row of vectors with a squared distance to a center that is not finite."""
+
+    def __init__(self, row: int):
+        super().__init__(f"vector row {row}: a squared distance to a center is not finite")
+        self.row = row
+
+
 def sq_dists(x, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances from each row of x to each center.
 
     The direct difference, unlike the |x|^2 - 2 x.c + |c|^2 expansion, has
     no cancellation, and a row gets the same bits alone as in a batch. One
     center at a time keeps the temporaries at (n, dim), not (n, k, dim).
-    A row with a distance that is not finite is a ValueError naming it.
+    A row with a distance that is not finite is a DistanceOverflow naming it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != centers.shape[1]:
@@ -106,7 +114,7 @@ def sq_dists(x, centers: np.ndarray) -> np.ndarray:
         sq = np.stack([np.square(x - c).sum(axis=1) for c in centers], axis=1)
     bad = np.flatnonzero(~np.isfinite(sq).all(axis=1))
     if bad.size:  # values of about 1e154 and more overflow the square
-        raise ValueError(f"vector row {bad[0]}: a squared distance to a center is not finite")
+        raise DistanceOverflow(int(bad[0]))
     return sq
 
 

@@ -93,14 +93,14 @@ def parse_status(name: str | None) -> Status | None:
 
 def check_keys(d, allowed, what: str, required=()) -> dict:
     """d itself, once it is a JSON object that holds every required key and
-    no key outside allowed: a misspelled key must fail, not fall back to a
-    default."""
+    no key outside allowed (None: any key): a misspelled key must fail, not
+    fall back to a default."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     missing = [k for k in required if k not in d]
     if missing:
         raise ValueError(f"{what} needs key(s): {', '.join(map(repr, missing))}")
-    unknown = sorted(set(d) - set(allowed))
+    unknown = () if allowed is None else sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(
             f"unknown {what} key(s): {', '.join(map(repr, unknown))};"
@@ -126,14 +126,29 @@ def read_scalar(d: dict, key: str, kind: type, what: str):
     raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
 
 
+# the JSON values read_array takes as array elements; null reads as NaN
+_ARRAY_ELEMENTS = frozenset((int, float, type(None)))
+
+
+def _numbers_only(value) -> bool:
+    """True for an array element or nested lists of them (ragged or not)."""
+    if type(value) is not list:
+        return type(value) in _ARRAY_ELEMENTS
+    return _ARRAY_ELEMENTS.issuperset(map(type, value)) or all(map(_numbers_only, value))
+
+
 def read_array(d: dict, key: str, what: str) -> np.ndarray:
-    """d[key] as a float64 array; a value numpy cannot read as numbers (an
-    object among them, say) is a ValueError naming the key."""
+    """d[key] as a float64 array: a number, null (NaN) or nested lists of
+    them of one shape. Anything else, a string or true/false among them
+    (numpy would read "0.5" and true as numbers), a ragged list or an
+    integer past float64, is a ValueError naming the key."""
     value = d[key]
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} {key!r} must be an array of numbers") from None
+    if _numbers_only(value):
+        try:
+            return np.array(value, dtype=np.float64)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} {key!r} must be an array of numbers")
 
 
 def read_json(path, data: bytes | None = None):

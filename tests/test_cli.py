@@ -699,6 +699,17 @@ def test_classify_empty_features_through_an_embedder(separable_run, tmp_path):
         ("embedder", (), [1.0], "embedder must be a JSON object, got [1.0]"),
         ("embedder", (), {"kind": "identity"}, "embedder needs key(s): 'W1', 'b1', 'W2', 'b2'"),
         ("embedder", ("kind",), "identity", "embedder kind must be 'mlp', got 'identity'"),
+        # numpy would read these as the numbers 0.5, 1.0 and 0.0
+        ("model", ("centers_labeled", 1, 3), "0.5", "model 'centers_labeled' must be an array"),
+        ("model", ("centers_refined", 0, 3), True, "model 'centers_refined' must be an array"),
+        (
+            "features", ("records", 4, "feature", "values", 7), False,
+            "record 4: feature 'values' must be an array of numbers",
+        ),
+        ("embedder", ("W1", 2, 0), "0.5", "embedder 'W1' must be an array of numbers"),
+        ("embedder", ("b1", 0), True, "embedder 'b1' must be an array of numbers"),
+        ("embedder", ("W2", 0, 5), False, "embedder 'W2' must be an array of numbers"),
+        ("embedder", ("b2", 9), "1", "embedder 'b2' must be an array of numbers"),
     ],
     ids=[
         "model-alpha-list",
@@ -714,6 +725,13 @@ def test_classify_empty_features_through_an_embedder(separable_run, tmp_path):
         "embedder-list",
         "embedder-identity",
         "embedder-kind-identity",
+        "model-labeled-center-string",
+        "model-refined-center-true",
+        "feature-value-false",
+        "embedder-W1-string",
+        "embedder-b1-true",
+        "embedder-W2-false",
+        "embedder-b2-string",
     ],
 )
 def test_classify_malformed_artifact_exits_1(
@@ -884,6 +902,14 @@ BOTH = ("train", "classify")
             " but the first one has grid [0.0, 120.0] x 128 points",
             BOTH,
         ),
+        (
+            (5, "feature", "values", 7), "0.5",
+            "record 5: feature 'values' must be an array of numbers", BOTH,
+        ),
+        (
+            (5, "feature", "values", 7), True,
+            "record 5: feature 'values' must be an array of numbers", BOTH,
+        ),
         ((65, "bbox", 0), None, "record 65: region bbox 0 must be an integer, got None", BOTH),
         ((65, "equipment_type"), "x", "record 65: unknown equipment type 'x'", BOTH),
         ((65, "bbox"), 5, "record 65: bbox must be a 4-element [x,y,w,h] list, got 5", BOTH),
@@ -901,7 +927,7 @@ BOTH = ("train", "classify")
     ],
     ids=[
         "null", "negative", "short", "string-bandwidth", "negative-bandwidth", "zero-bandwidth",
-        "mixed-grids", "bbox-cell-null", "test-equipment-type", "test-bbox-int",
+        "mixed-grids", "values-string", "values-true", "bbox-cell-null", "test-equipment-type", "test-bbox-int",
         "image-ref-null", "image-ref-int", "unlabeled-status", "labeled-as-unlabeled",
     ],
 )
@@ -1001,6 +1027,65 @@ def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data
     assert codes["train"] != EXIT_OK or codes["classify"] == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def mlp_chain(dataset, tmp_path_factory):
+    """A model and its embedder file from train --embedder mlp on the dataset's features."""
+    root = tmp_path_factory.mktemp("mlp_chain")
+    assert run_cli(
+        "train", "--features", dataset / "features.json", "--out", root / "model.json",
+        "--embedder", "mlp", "--hidden", 4, "--out-dim", 3, "--episodes", 2,
+    ) == EXIT_OK
+    return root
+
+
+MODEL_VALUES = [
+    None, True, False, "x", "0.5", [], {}, [0.5], -1, 0, 0.5, 1e308, -1e308, 1e200,
+    float("nan"), float("inf"), 10**400, DELETE,
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_classify_survives_one_edit_of_the_model_or_embedder_file(dataset, mlp_chain, data):
+    """After one edit of model.json or its embedder file (a member at any
+    depth set to a value, or deleted), classify exits 0, 1 or 2 without
+    raising or warning, prints one error line on failure, and on success
+    writes no NaN or Infinity."""
+    paths = {"model": mlp_chain / "model.json"}
+    paths["embedder"] = Path(f"{paths['model']}.embedder.json")
+    edited = data.draw(st.sampled_from(sorted(paths)), label="file")
+    doc = json.loads(paths[edited].read_text())
+    target, key = doc, None
+    while key is None or (
+        isinstance(target[key], (dict, list)) and target[key] and data.draw(st.integers(0, 3))
+    ):  # one member at each level, going deeper 3 times in 4
+        target = doc if key is None else target[key]
+        members = list(target) if isinstance(target, dict) else range(len(target))
+        key = data.draw(st.sampled_from(members), label="key")
+    value = data.draw(st.sampled_from(MODEL_VALUES), label="value")
+    if value == DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    files = {**paths, edited: mlp_chain / f"edited_{edited}.json"}
+    files[edited].write_text(json.dumps(doc), encoding="utf-8")
+    out, err = mlp_chain / "predictions.jsonl", io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "classify", "--model", files["model"], "--features", dataset / "features.json",
+                "--out", out, "--embedder-file", files["embedder"],
+            )
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+    assert [w.category for w in caught] == []
+    assert err.getvalue().count("error:") == (code != EXIT_OK), err.getvalue()
+    if code == EXIT_OK:
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
 def reference_line(region, split, predicted, classes, distances, probs) -> str:
     """A prediction line as a dict and json.dumps make it."""
     return json.dumps(
@@ -1082,11 +1167,12 @@ def test_classify_centers_too_far_for_finite_distances_exit_1(separable_run, tmp
 @pytest.mark.parametrize("command", ["train", "classify"])
 def test_a_feature_value_of_1e308_exits_1(separable_run, tmp_path, capsys, command):
     """One value of 1e308 overflows the squared distances of its record:
-    train (refining on it, unlabeled) and classify (scoring it) exit 1 with
-    one error line and no RuntimeWarning."""
+    train (refining on it, the sixth unlabeled record) and classify
+    (scoring it, the sixth test record) exit 1 with one error line naming
+    the record and no RuntimeWarning."""
     doc = json.loads((separable_run / "features.json").read_text())
     split = "unlabeled" if command == "train" else "test"
-    row = next(i for i, r in enumerate(doc["records"]) if r["split"] == split)
+    row = [i for i, r in enumerate(doc["records"]) if r["split"] == split][5]
     doc["records"][row]["feature"]["values"][0] = 1e308
     feats = tmp_path / "features.json"
     feats.write_text(json.dumps(doc), encoding="utf-8")
@@ -1097,7 +1183,8 @@ def test_a_feature_value_of_1e308_exits_1(separable_run, tmp_path, capsys, comma
         code = run_cli(command, "--features", feats, "--out", out, *model)
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert err.count("error:") == 1 and "not finite" in err
+    where = f"feature file {feats}: record" if command == "train" else "vector row"
+    assert err == f"error: {where} {row}: a squared distance to a center is not finite\n"
     assert not out.exists()
 
 

@@ -707,6 +707,43 @@ def test_read_features_rows_are_the_bytes_of_each_feature():
     assert read_features([])[0] is None
 
 
+def _six_feature_docs() -> list:
+    grid = FeatureGrid(-20.0, 120.0, 16)
+    rng = np.random.Generator(np.random.PCG64(4))
+    feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
+    return json.loads(json.dumps([f.to_dict() for f in feats]))
+
+
+@pytest.mark.parametrize(
+    "bad", ["x", "0.5", True, False, {}, [0.5]], ids=["x", "0.5", "true", "false", "{}", "[0.5]"]
+)
+def test_read_features_names_a_value_fault_before_a_later_grid_fault(bad):
+    """Each dict is checked and its values decoded in file order, so a
+    non-numeric value of dict 2 is named before the grid of dict 5."""
+    docs = _six_feature_docs()
+    docs[2]["values"][7] = bad
+    docs[5]["t_lo"] = 10.0
+    message = "^feature 2: feature 'values' must be an array of numbers$"
+    with pytest.raises(ValueError, match=message):
+        read_features(docs)
+
+
+def test_read_features_checks_finite_and_non_negative_after_structure():
+    """A null (NaN) or negative value is named only once every dict has
+    its keys, grid and shape: the grid fault of dict 5 comes first."""
+    docs = _six_feature_docs()
+    docs[2]["values"][7], docs[3]["values"][7] = None, -1.0
+    docs[5]["t_lo"] = 10.0
+    with pytest.raises(ValueError, match="^feature 5 has grid"):
+        read_features(docs)
+    docs[5]["t_lo"] = -20.0
+    with pytest.raises(ValueError, match="^feature 2: feature 'values' must be finite numbers$"):
+        read_features(docs)
+    docs[2]["values"][7] = 0.0
+    with pytest.raises(ValueError, match="^feature 3: density values must be non-negative$"):
+        read_features(docs)
+
+
 def test_feature_grid_dict_round_trip():
     grid = FeatureGrid(-20.0, 120.0, 16)
     assert grid.to_dict() == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}

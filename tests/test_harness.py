@@ -12,7 +12,6 @@ from thermofault.harness import (
     EvalReport,
     ExperimentConfig,
     RowAccuracy,
-    compare,
     compare_table,
     config_hash,
     extract_features,
@@ -137,7 +136,7 @@ def test_config_scalar_of_the_wrong_json_type_names_its_key():
 # ------------------------------------------------------------------- rows
 
 def test_row_accuracy_weighted_average():
-    row = RowAccuracy(EquipmentType.ARRESTER, 8, 2, 6, 1)
+    row = RowAccuracy("arrester", 8, 2, 6, 1)
     assert row.acc_normal == 0.75
     assert row.acc_fault == 0.5
     expected = (row.acc_normal * 8 + row.acc_fault * 2) / 10
@@ -146,9 +145,9 @@ def test_row_accuracy_weighted_average():
 
 def test_row_accuracy_validation():
     with pytest.raises(ValueError):
-        RowAccuracy(EquipmentType.ARRESTER, 2, 2, 3, 0)
+        RowAccuracy("arrester", 2, 2, 3, 0)
     with pytest.raises(ValueError):
-        RowAccuracy(EquipmentType.ARRESTER, 0, 0, 0, 0)
+        RowAccuracy("arrester", 0, 0, 0, 0)
 
 
 # ------------------------------------------------------------------- runs
@@ -156,7 +155,8 @@ def test_row_accuracy_validation():
 def test_reports_have_expected_shape(small_reports):
     for report in small_reports:
         assert len(report.rows) == 5
-        assert {r.equipment_type for r in report.rows} == set(EquipmentType)
+        assert [r.label for r in report.rows] == [t.value for t in EquipmentType]
+        assert report.overall.label == "entirety"
         total = sum(r.n_normal + r.n_fault for r in report.rows)
         assert total == 2 * 5 * 3  # both statuses x types x test count
         assert report.overall.n_normal + report.overall.n_fault == total
@@ -269,21 +269,23 @@ def test_sweep_rejects_bad_input():
 
 def test_compare_self_is_zero(small_reports):
     sup, _ = small_reports
-    for row in compare(sup, sup):
-        assert row.d_normal == 0.0
-        assert row.d_fault == 0.0
-        assert row.d_average == 0.0
+    lines = compare_table(sup, sup).splitlines()
+    assert lines[0] == "delta (b - a)"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        *(r.label for r in sup.rows), "entirety"
+    ]
+    for line in lines[1:]:
+        assert line.endswith(": normal +0.000  fault +0.000  average +0.000")
 
 
 def test_compare_direction(small_reports):
     sup, weak = small_reports
-    deltas = compare(sup, weak)
-    assert deltas[-1].label == "entirety"
-    assert deltas[-1].d_average == pytest.approx(
-        weak.overall.acc_average - sup.overall.acc_average, abs=1e-15
+    a, b = sup.overall, weak.overall
+    assert compare_table(sup, weak).splitlines()[-1] == (
+        f"  entirety: normal {b.acc_normal - a.acc_normal:+.3f}"
+        f"  fault {b.acc_fault - a.acc_fault:+.3f}"
+        f"  average {b.acc_average - a.acc_average:+.3f}"
     )
-    text = compare_table(deltas)
-    assert "entirety" in text
 
 
 def test_compare_rejects_class_mismatch(small_reports):
@@ -296,8 +298,8 @@ def test_compare_rejects_class_mismatch(small_reports):
         overall=sup.overall,
         config_hash=sup.config_hash,
     )
-    with pytest.raises(ValueError):
-        compare(sup, trimmed)
+    with pytest.raises(ValueError, match="reports cover different equipment types"):
+        compare_table(sup, trimmed)
 
 
 def test_partial_equipment_coverage_shrinks_report():

@@ -910,6 +910,10 @@ BOTH = ("train", "classify")
             (5, "feature", "values", 7), True,
             "record 5: feature 'values' must be an array of numbers", BOTH,
         ),
+        (  # past float64: numpy raised an OverflowError
+            (5, "feature", "values", 7), 10**400,
+            "record 5: feature 'values' must be an array of numbers", BOTH,
+        ),
         ((65, "bbox", 0), None, "record 65: region bbox 0 must be an integer, got None", BOTH),
         ((65, "equipment_type"), "x", "record 65: unknown equipment type 'x'", BOTH),
         ((65, "bbox"), 5, "record 65: bbox must be a 4-element [x,y,w,h] list, got 5", BOTH),
@@ -927,8 +931,9 @@ BOTH = ("train", "classify")
     ],
     ids=[
         "null", "negative", "short", "string-bandwidth", "negative-bandwidth", "zero-bandwidth",
-        "mixed-grids", "values-string", "values-true", "bbox-cell-null", "test-equipment-type", "test-bbox-int",
-        "image-ref-null", "image-ref-int", "unlabeled-status", "labeled-as-unlabeled",
+        "mixed-grids", "values-string", "values-true", "values-huge-int", "bbox-cell-null",
+        "test-equipment-type", "test-bbox-int", "image-ref-null", "image-ref-int",
+        "unlabeled-status", "labeled-as-unlabeled",
     ],
 )
 def test_bulk_feature_reader_names_the_record(

@@ -16,12 +16,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .density import DEFAULT_GRID, FeatureGrid, feature_dict, feature_vector, read_features
-from .embedding import KIND_MLP, TrainConfig, embed_many, embedder_from_dict, embedder_to_dict
+from .density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector, read_features
+from .embedding import (
+    EMBEDDER_KINDS,
+    KIND_MLP,
+    TrainConfig,
+    embed_many,
+    embedder_from_dict,
+    embedder_to_dict,
+)
 from .harness import (
     MODE_SUPERVISED,
     MODE_WEAK,
-    NO_EMBEDDER_KIND,
     SPLITS,
     SWEEP_PARAMS,
     ExperimentConfig,
@@ -94,10 +100,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _region_record(region: RegionAnnotation, split: str, grid: FeatureGrid, values, bandwidth):
-    return {**region.to_dict(), "split": split, "feature": feature_dict(grid, values, bandwidth)}
-
-
 def cmd_extract(args) -> int:
     cfg = ExperimentConfig(
         manifest_path=args.manifest,
@@ -108,9 +110,9 @@ def cmd_extract(args) -> int:
     n = write_records(
         Path(args.out),
         (
-            _region_record(region, split, cfg.grid, row, bandwidth)
+            {**region.to_dict(), "split": split, "feature": PdfFeature(cfg.grid, row, w).to_dict()}
             for split in SPLITS
-            for region, row, bandwidth in zip(getattr(manifest, split), *features[split])
+            for region, row, w in zip(getattr(manifest, split), *features[split])
         ),
     )
     print(f"wrote {n} feature records to {args.out}")
@@ -139,8 +141,7 @@ def _load_records(
             regions.append(RegionAnnotation.from_dict(rec))
         except ValueError as exc:
             raise ValueError(f"feature file {path}: record {i}: {exc}") from None
-    features = [rec["feature"] for rec in records]
-    grid, values = read_features(features, f"feature file {path}: record")
+    grid, values = read_features([r["feature"] for r in records], f"feature file {path}: record")
     return regions, [rec["split"] for rec in records], grid, values
 
 
@@ -355,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_train.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK], default=MODE_WEAK)
     p_train.add_argument("--refine-iters", type=int, default=ExperimentConfig.refine_iters)
-    p_train.add_argument(
-        "--embedder", choices=[NO_EMBEDDER_KIND, KIND_MLP], default=NO_EMBEDDER_KIND
-    )
+    p_train.add_argument("--embedder", choices=EMBEDDER_KINDS, default=EMBEDDER_KINDS[0])
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--out-dim", type=int)
     p_train.add_argument("--episodes", type=int)

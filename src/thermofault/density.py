@@ -278,12 +278,9 @@ class FeatureGrid:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "grid") -> "FeatureGrid":
-        """Reads only the three grid keys, so a flat feature dict parses too."""
-        return cls(
-            read_scalar(d, "t_lo", float, what),
-            read_scalar(d, "t_hi", float, what),
-            read_scalar(d, "n_points", int, what),
-        )
+        """The grid of a dict of exactly the GRID_KEYS."""
+        check_keys(d, GRID_KEYS, what, GRID_KEYS)
+        return cls(*(read_scalar(d, k, t, what) for k, t in zip(GRID_KEYS, (float, float, int))))
 
 
 DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
@@ -308,15 +305,12 @@ class PdfFeature:
     bandwidth: float
 
     def to_dict(self) -> dict:
-        return feature_dict(self.grid, self.values, self.bandwidth)
+        """The JSON form of one feature, with the FEATURE_KEYS that read_features reads."""
+        values, bandwidth = self.values.tolist(), float(self.bandwidth)
+        return {**self.grid.to_dict(), "values": values, "bandwidth": bandwidth}
 
 
 FEATURE_KEYS = (*GRID_KEYS, "values", "bandwidth")
-
-
-def feature_dict(grid: FeatureGrid, values: np.ndarray, bandwidth: float) -> dict:
-    """The JSON form of one feature, with the FEATURE_KEYS that read_features reads."""
-    return {**grid.to_dict(), "values": values.tolist(), "bandwidth": float(bandwidth)}
 
 
 def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None, np.ndarray]:
@@ -340,9 +334,9 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
                 raise ValueError(
                     f"feature 'bandwidth' must be positive, got {d['bandwidth']!r}"
                 )
-            raw = (d["t_lo"], d["t_hi"], d["n_points"])
+            raw = {k: d[k] for k in GRID_KEYS}
             # equal JSON values read as equal scalars, so only a new triple is parsed
-            g = grid if raw == raw_grid else FeatureGrid.from_dict(d, "feature")
+            g = grid if raw == raw_grid else FeatureGrid.from_dict(raw, "feature")
         except ValueError as exc:
             raise ValueError(f"{what} {i}: {exc}") from None
         if grid is None:

@@ -17,6 +17,11 @@ import numpy as np
 from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
 
 KIND_MLP = "mlp"
+# The kind for no embedder, in configs (so in every config_hash) and `train --embedder`
+NO_EMBEDDER_KIND = "identity"
+EMBEDDER_KINDS = (NO_EMBEDDER_KIND, KIND_MLP)
+# The Embedder's parameter arrays, in field order
+_PARAMS = ("W1", "b1", "W2", "b2")
 
 _GRAD_EPS = 1e-12
 
@@ -31,7 +36,7 @@ class Embedder:
     b2: np.ndarray
 
     def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2"):
+        for name in _PARAMS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.W1.ndim != 2 or self.W2.ndim != 2 or self.b1.ndim != 1 or self.b2.ndim != 1:
             raise ValueError("W1/W2 must be matrices, b1/b2 vectors")
@@ -39,7 +44,7 @@ class Embedder:
         d, h2 = self.W2.shape
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (d,):
             raise ValueError("inconsistent mlp parameter shapes")
-        for name in ("W1", "b1", "W2", "b2"):
+        for name in _PARAMS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite values in {name}")
 
@@ -179,7 +184,7 @@ def _proto_loss(
     g_a = g_h * (1.0 - np.square(h_all))
     g_w1 = g_a.T @ x_all
     g_b1 = g_a.sum(axis=0)
-    return loss, {"W1": g_w1, "b1": g_b1, "W2": g_w2, "b2": g_b2}
+    return loss, dict(zip(_PARAMS, (g_w1, g_b1, g_w2, g_b2)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +209,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        defaults = asdict(cls())
-        check_keys(d, ["kind", *defaults], "mlp embedder config")
+        defaults, what = asdict(cls()), "mlp embedder config"
+        check_keys(d, ["kind", *defaults], what)
         if d.get("kind") != KIND_MLP:
             raise ValueError(f"not an mlp embedder config: kind {d.get('kind')!r}")
-        what = "mlp embedder config"
         return cls(**{k: read_scalar(d, k, type(v), what) for k, v in defaults.items() if k in d})
+
+
+def embedder_config_to_dict(cfg: TrainConfig | None) -> dict:
+    """The JSON form of an embedder config: {"kind": NO_EMBEDDER_KIND} for none."""
+    return {"kind": NO_EMBEDDER_KIND} if cfg is None else cfg.to_dict()
+
+
+def embedder_config_from_dict(d) -> TrainConfig | None:
+    """The embedder config that embedder_config_to_dict writes as d."""
+    return None if d == {"kind": NO_EMBEDDER_KIND} else TrainConfig.from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -270,23 +284,14 @@ def train_embedder(
 
 
 def embedder_to_dict(e: Embedder) -> dict:
-    g, h, d = e.dims
-    return {
-        "kind": KIND_MLP,
-        "dims": [g, h, d],
-        "W1": e.W1.tolist(),
-        "b1": e.b1.tolist(),
-        "W2": e.W2.tolist(),
-        "b2": e.b2.tolist(),
-    }
+    return {"kind": KIND_MLP, "dims": list(e.dims), **{k: getattr(e, k).tolist() for k in _PARAMS}}
 
 
 def embedder_from_dict(d: dict) -> Embedder:
-    params = ("W1", "b1", "W2", "b2")
-    check_keys(d, ("kind", "dims", *params), "embedder", ("kind", *params))
+    check_keys(d, ("kind", "dims", *_PARAMS), "embedder", ("kind", *_PARAMS))
     if d["kind"] != KIND_MLP:
         raise ValueError(f"embedder kind must be {KIND_MLP!r}, got {d['kind']!r}")
-    e = Embedder(*(read_array(d, k, "embedder") for k in params))
+    e = Embedder(*(read_array(d, k, "embedder") for k in _PARAMS))
     if d.get("dims", list(e.dims)) != list(e.dims):
         raise ValueError(f"declared dims {d['dims']} do not match parameters {list(e.dims)}")
     return e

@@ -19,8 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_GRID, GRID_KEYS, FeatureGrid, feature_vector
-from .embedding import Embedder, TrainConfig, embed_many, train_embedder
+from .density import DEFAULT_GRID, FeatureGrid, feature_vector
+from .embedding import (
+    Embedder,
+    TrainConfig,
+    embed_many,
+    embedder_config_from_dict,
+    embedder_config_to_dict,
+    train_embedder,
+)
 from .images import (
     SPLITS,
     DatasetManifest,
@@ -37,9 +44,8 @@ MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
 
 SWEEP_PARAMS = ("alpha", "bandwidth", "grid_points")
-# The kind that configs and `train --embedder` give for no embedder; every
-# report's config_hash hashes {"kind": NO_EMBEDDER_KIND}.
-NO_EMBEDDER_KIND = "identity"
+# The scalar keys of an experiment config's JSON form, with their JSON types
+_CONFIG_SCALARS = {"alpha": float, "refine_iters": int, "seed": int, "repeats": int}
 # Pixels that extract_features holds before it computes their features.
 STACK_SAMPLES = 1 << 13
 
@@ -72,44 +78,32 @@ class ExperimentConfig:
             raise ValueError(f'bandwidth must be "auto" or a positive finite number, got {h!r}')
 
     def to_dict(self) -> dict:
-        if self.synth is not None:
-            data = {"synth": self.synth.to_dict()}
-        else:
-            data = {"manifest": self.manifest_path}
-        embedder = {"kind": NO_EMBEDDER_KIND} if self.embedder is None else self.embedder.to_dict()
+        data = {"synth": self.synth.to_dict()} if self.synth else {"manifest": self.manifest_path}
         return {
             "data": data,
             "grid": self.grid.to_dict(),
             "bandwidth": self.bandwidth,
-            "embedder": embedder,
-            "alpha": self.alpha,
-            "refine_iters": self.refine_iters,
-            "seed": self.seed,
-            "repeats": self.repeats,
+            "embedder": embedder_config_to_dict(self.embedder),
+            **{k: getattr(self, k) for k in _CONFIG_SCALARS},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Keys left out keep the field defaults; unknown keys are an error."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        scalars = ("alpha", "refine_iters", "seed", "repeats")
-        check_keys(d, ("data", "grid", "bandwidth", "embedder", *scalars), "experiment config")
+        what = "experiment config"
+        check_keys(d, ("data", "grid", "bandwidth", "embedder", *_CONFIG_SCALARS), what)
         data = check_keys(d.get("data", {}), ("synth", "manifest"), "experiment data")
-        kwargs = {
-            k: read_scalar(d, k, type(defaults[k]), "experiment config") for k in scalars if k in d
-        }
+        kwargs = {k: read_scalar(d, k, kind, what) for k, kind in _CONFIG_SCALARS.items() if k in d}
         if "synth" in data:
             kwargs["synth"] = SynthConfig.from_dict(data["synth"])
         if "manifest" in data:
             kwargs["manifest_path"] = read_scalar(data, "manifest", str, "experiment data")
         if "grid" in d:
-            kwargs["grid"] = FeatureGrid.from_dict(
-                check_keys(d["grid"], GRID_KEYS, "experiment grid", GRID_KEYS), "experiment grid"
-            )
+            kwargs["grid"] = FeatureGrid.from_dict(d["grid"], "experiment grid")
         if d.get("bandwidth", "auto") != "auto":
-            kwargs["bandwidth"] = read_scalar(d, "bandwidth", float, "experiment config")
-        if d.get("embedder", {"kind": NO_EMBEDDER_KIND}) != {"kind": NO_EMBEDDER_KIND}:
-            kwargs["embedder"] = TrainConfig.from_dict(d["embedder"])
+            kwargs["bandwidth"] = read_scalar(d, "bandwidth", float, what)
+        if "embedder" in d:
+            kwargs["embedder"] = embedder_config_from_dict(d["embedder"])
         return cls(**kwargs)
 
 
@@ -160,24 +154,19 @@ class EvalReport:
     config_hash: str
 
 
+# The keys of a report's JSON form that are attributes of its EvalReport and of each RowAccuracy
+_REPORT_KEYS = ("mode", "alpha", "seed", "config_hash")
+_ROW_KEYS = ("acc_normal", "acc_fault", "acc_average", "n_normal", "n_fault")
+
+
 def report_to_dict(report: EvalReport) -> dict:
     def row_dict(row: RowAccuracy) -> dict:
-        return {
-            "equipment_type": row.label,
-            "acc_normal": row.acc_normal,
-            "acc_fault": row.acc_fault,
-            "acc_average": row.acc_average,
-            "n_normal": row.n_normal,
-            "n_fault": row.n_fault,
-        }
+        return {"equipment_type": row.label, **{k: getattr(row, k) for k in _ROW_KEYS}}
 
     return {
-        "mode": report.mode,
-        "alpha": report.alpha,
-        "seed": report.seed,
+        **{k: getattr(report, k) for k in _REPORT_KEYS},
         "rows": [row_dict(r) for r in report.rows],
         "overall": row_dict(report.overall),
-        "config_hash": report.config_hash,
     }
 
 

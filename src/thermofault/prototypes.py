@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .density import GRID_KEYS, FeatureGrid
+from .density import FeatureGrid
 from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
 
 
@@ -228,8 +228,7 @@ def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid, str | None]:
     embedder = d["embedder"]
     if embedder is not None and not isinstance(embedder, str):
         raise ValueError(f"model 'embedder' must be a sha256 hex digest or null, got {embedder!r}")
-    grid_doc = check_keys(d["grid"], GRID_KEYS, "model grid", GRID_KEYS)
-    grid = FeatureGrid.from_dict(grid_doc, "model grid")
+    grid = FeatureGrid.from_dict(d["grid"], "model grid")
     model = PrototypeModel(
         classes=tuple(SubcategoryId.from_dict(c) for c in d["classes"]),
         centers_labeled=read_array(d, "centers_labeled", "model"),

@@ -61,6 +61,10 @@ class RegionTempModel:
         return cls(**{k: read_scalar(d, k, float, what) for k in d})
 
 
+# The integer keys of a synth config's JSON form, each a field of SynthConfig
+_SIZES = ("seed", "image_width", "image_height", "region_width", "region_height")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Full recipe for one synthetic dataset, including the PCG64 seed."""
@@ -104,30 +108,20 @@ class SynthConfig:
         return sorted(self.models, key=lambda s: s.index)
 
     def to_dict(self) -> dict:
+        models: dict[str, dict] = {}
+        for c in self.subcategories():
+            models.setdefault(c.equipment_type.value, {})[c.status.value] = self.models[c].to_dict()
         return {
-            "seed": self.seed,
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "region_width": self.region_width,
-            "region_height": self.region_height,
+            **{k: getattr(self, k) for k in _SIZES},
             "background": {"mean": self.background_mean, "std": self.background_std},
             "counts": dict(self.counts),
-            "models": {
-                t.value: {
-                    s.value: self.models[SubcategoryId(t, s)].to_dict()
-                    for s in Status
-                    if SubcategoryId(t, s) in self.models
-                }
-                for t in EquipmentType
-                if any(SubcategoryId(t, s) in self.models for s in Status)
-            },
+            "models": models,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        sizes = ("seed", "image_width", "image_height", "region_width", "region_height")
         required = ("models", "counts")
-        check_keys(d, (*required, "background", *sizes), "synth config", required)
+        check_keys(d, (*required, "background", *_SIZES), "synth config", required)
         models: dict[SubcategoryId, RegionTempModel] = {}
         type_names, status_names = [e.value for e in EquipmentType], [s.value for s in Status]
         for type_name, by_status in check_keys(d["models"], type_names, "synth models").items():
@@ -135,15 +129,14 @@ class SynthConfig:
             check_keys(by_status, status_names, f"synth models[{type_name!r}]")
             for status_name, model in by_status.items():
                 where = f"synth models[{type_name!r}][{status_name!r}]"
-                models[SubcategoryId(etype, Status(status_name))] = RegionTempModel.from_dict(
-                    model, where
-                )
+                subcat = SubcategoryId(etype, Status(status_name))
+                models[subcat] = RegionTempModel.from_dict(model, where)
         counts = check_keys(d["counts"], SPLITS, "synth counts")
         background = check_keys(d.get("background", {}), ("mean", "std"), "synth background")
         return cls(
             models=models,
             counts={k: read_scalar(counts, k, int, "synth counts") for k in counts},
-            **{k: read_scalar(d, k, int, "synth config") for k in sizes if k in d},
+            **{k: read_scalar(d, k, int, "synth config") for k in _SIZES if k in d},
             **{
                 f"background_{k}": read_scalar(background, k, float, "synth background")
                 for k in background

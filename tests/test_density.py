@@ -748,9 +748,10 @@ def test_feature_grid_dict_round_trip():
     grid = FeatureGrid(-20.0, 120.0, 16)
     assert grid.to_dict() == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
     assert FeatureGrid.from_dict(grid.to_dict()) == grid
-    # a feature dict carries the grid keys flat, next to its values
+    # the grid reads exactly its own keys, so a flat feature dict is not a grid
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
-    assert FeatureGrid.from_dict(feat.to_dict()) == grid
+    with pytest.raises(ValueError, match="unknown grid key\\(s\\): 'bandwidth', 'values';"):
+        FeatureGrid.from_dict(feat.to_dict())
 
 
 def test_feature_grid_scalar_of_the_wrong_json_type_names_its_key():

@@ -51,6 +51,7 @@ from .taxonomy import (
     InputFormatError,
     check_keys,
     create_text,
+    quote,
     read_json,
     write_json,
     write_records,
@@ -128,13 +129,13 @@ def _load_records(
     payload = read_json(path)
     records = check_keys(payload, None, f"feature file {path}", ("records",))["records"]
     if not isinstance(records, list):
-        raise ValueError(f"feature file {path}: 'records' must be a list, got {records!r}")
+        raise ValueError(f"feature file {path}: 'records' must be a list, got {quote(records)}")
     regions = []
     for i, rec in enumerate(records):
         check_keys(rec, None, f"feature file {path}: record", ("split", "feature"))
         if rec["split"] not in SPLITS:
             raise ValueError(
-                f"feature file {path}: record {i} has split {rec['split']!r};"
+                f"feature file {path}: record {i} has split {quote(rec['split'])};"
                 f" expected one of: {', '.join(SPLITS)}"
             )
         try:
@@ -236,10 +237,17 @@ def cmd_classify(args) -> int:
             f"feature file {args.features} is on grid {grid}, but model {args.model}"
             f" was trained on grid {model_grid}"
         )
-    digest = None
-    if args.embedder_file is not None:
-        data = Path(args.embedder_file).read_bytes()
-        digest = _sha256(data)
+    # the embedder file's stamp is checked before the file is parsed or run
+    data = None if args.embedder_file is None else Path(args.embedder_file).read_bytes()
+    digest = None if data is None else _sha256(data)
+    if digest != model_embedder:
+        trained, given = "without an embedder", "no --embedder-file"
+        if model_embedder is not None:
+            trained = f"through the embedder with sha256 {model_embedder}"
+        if digest is not None:
+            given = f"--embedder-file {args.embedder_file} with sha256 {digest}"
+        raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
+    if data is not None:
         vectors = embed_many(embedder_from_dict(read_json(args.embedder_file, data)), vectors)
     if not regions:  # no rows have no width to check
         vectors = vectors.reshape(0, model.feature_dim)
@@ -249,18 +257,6 @@ def cmd_classify(args) -> int:
             f"model {args.model} takes {model.feature_dim}-wide vectors, but the features"
             f" with {source} are {vectors.shape[1]} wide"
         )
-    if digest != model_embedder:
-        trained = (
-            "without an embedder"
-            if model_embedder is None
-            else f"through the embedder with sha256 {model_embedder}"
-        )
-        given = (
-            "no --embedder-file"
-            if digest is None
-            else f"--embedder-file {args.embedder_file} with sha256 {digest}"
-        )
-        raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
     post = posterior(vectors, model)
     with create_text(args.out) as fh:
         for line in _prediction_lines(regions, splits, post):

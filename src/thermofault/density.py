@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import check_keys, read_array, read_scalar
+from .taxonomy import check_keys, quote, read_array, read_scalar
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 BANDWIDTH_FLOOR = 1e-6
@@ -331,9 +331,8 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
             if not read_scalar(d, "bandwidth", float, "feature") > 0:
-                raise ValueError(
-                    f"feature 'bandwidth' must be positive, got {d['bandwidth']!r}"
-                )
+                bandwidth = quote(d["bandwidth"])
+                raise ValueError(f"feature 'bandwidth' must be positive, got {bandwidth}")
             raw = {k: d[k] for k in GRID_KEYS}
             # equal JSON values read as equal scalars, so only a new triple is parsed
             g = grid if raw == raw_grid else FeatureGrid.from_dict(raw, "feature")

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
+from .taxonomy import SubcategoryId, check_keys, quote, read_array, read_scalar
 
 KIND_MLP = "mlp"
 # The kind for no embedder, in configs (so in every config_hash) and `train --embedder`
@@ -212,7 +212,7 @@ class TrainConfig:
         defaults, what = asdict(cls()), "mlp embedder config"
         check_keys(d, ["kind", *defaults], what)
         if d.get("kind") != KIND_MLP:
-            raise ValueError(f"not an mlp embedder config: kind {d.get('kind')!r}")
+            raise ValueError(f"not an mlp embedder config: kind {quote(d.get('kind'))}")
         return cls(**{k: read_scalar(d, k, type(v), what) for k, v in defaults.items() if k in d})
 
 
@@ -290,9 +290,9 @@ def embedder_to_dict(e: Embedder) -> dict:
 def embedder_from_dict(d: dict) -> Embedder:
     check_keys(d, ("kind", "dims", *_PARAMS), "embedder", ("kind", *_PARAMS))
     if d["kind"] != KIND_MLP:
-        raise ValueError(f"embedder kind must be {KIND_MLP!r}, got {d['kind']!r}")
+        raise ValueError(f"embedder kind must be {KIND_MLP!r}, got {quote(d['kind'])}")
     e = Embedder(*(read_array(d, k, "embedder") for k in _PARAMS))
     if d.get("dims", list(e.dims)) != list(e.dims):
-        raise ValueError(f"declared dims {d['dims']} do not match parameters {list(e.dims)}")
+        raise ValueError(f"declared dims {quote(d['dims'])} do not match parameters {list(e.dims)}")
     return e
 

@@ -24,6 +24,7 @@ from .taxonomy import (
     check_keys,
     parse_equipment_type,
     parse_status,
+    quote,
     read_json,
     read_scalar,
     write_json,
@@ -135,11 +136,10 @@ def _load_thermal_exact(path: Path, source_id: str | None) -> ThermalImage:
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise RtmFormatError(
-                        path, f"non-numeric cell {cell.strip()!r}", row=r, col=c
-                    ) from None
-                if not math.isfinite(value):
-                    raise RtmFormatError(path, f"non-finite cell {cell.strip()!r}", row=r, col=c)
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise RtmFormatError(path, f"{kind} cell {quote(cell.strip())}", row=r, col=c)
         temps[r - 2] = row
     return ThermalImage(width, height, temps, source_id or path.stem)
 
@@ -148,7 +148,8 @@ def _parse_rtm_header(path, line: str) -> tuple[int, int]:
     try:  # a count of parts other than 2 fails the unpacking
         width, height = map(int, line.split(","))
     except ValueError:
-        raise RtmFormatError(path, f"header must be 'width,height', got {line!r}", row=1) from None
+        message = f"header must be 'width,height', got {quote(line)}"
+        raise RtmFormatError(path, message, row=1) from None
     if width < 1 or height < 1:
         raise RtmFormatError(path, f"dimensions must be >= 1, got {width}x{height}", row=1)
     return width, height
@@ -169,7 +170,7 @@ def extract_region(img: ThermalImage, bbox: BBox) -> np.ndarray:
         raise ValueError(f"bbox {bbox} must have width and height >= 1")
     if x < 0 or y < 0 or x + w > img.width or y + h > img.height:
         raise ValueError(
-            f"bbox {bbox} out of bounds for {img.width}x{img.height} image {img.source_id!r}"
+            f"bbox {bbox} out of bounds for {img.width}x{img.height} image {quote(img.source_id)}"
         )
     return img.temps[y : y + h, x : x + w].reshape(-1).copy()
 
@@ -215,7 +216,7 @@ class RegionAnnotation:
         check_keys(d, None, "region", ("image_ref", "bbox", "equipment_type"))
         bbox = d["bbox"]
         if not (isinstance(bbox, list) and len(bbox) == 4):
-            raise ValueError(f"bbox must be a 4-element [x,y,w,h] list, got {bbox!r}")
+            raise ValueError(f"bbox must be a 4-element [x,y,w,h] list, got {quote(bbox)}")
         return cls(
             tuple(read_scalar(bbox, i, int, "region bbox") for i in range(4)),
             parse_equipment_type(d["equipment_type"]),
@@ -281,7 +282,7 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(f"{path}: {exc}") from None
     for key, value in doc.items():
         if not isinstance(value, list):
-            raise ManifestError(f"{path}: manifest {key!r} must be a list, got {value!r}")
+            raise ManifestError(f"{path}: manifest {key!r} must be a list, got {quote(value)}")
 
     image_paths: dict[str, Path] = {}
     for i, entry in enumerate(doc.get("images", [])):
@@ -292,12 +293,12 @@ def load_manifest(path) -> DatasetManifest:
         except ValueError as exc:
             raise ManifestError(f"{path}: images[{i}]: {exc}") from None
         if img_id in image_paths:
-            raise ManifestError(f"{path}: images[{i}]: duplicate image id {img_id!r}")
+            raise ManifestError(f"{path}: images[{i}]: duplicate image id {quote(img_id)}")
         image_paths[img_id] = path.parent / rel
 
     for img_id, img_path in image_paths.items():
         if not img_path.exists():
-            raise ManifestError(f"{path}: image {img_id!r} not found at {img_path}")
+            raise ManifestError(f"{path}: image {quote(img_id)} not found at {img_path}")
 
     splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLITS}
     for name in SPLITS:
@@ -312,7 +313,7 @@ def load_manifest(path) -> DatasetManifest:
                 )
             if region.image_ref not in image_paths:
                 raise ManifestError(
-                    f"{path}: {name}[{i}] references unknown image {region.image_ref!r}"
+                    f"{path}: {name}[{i}] references unknown image {quote(region.image_ref)}"
                 )
             if region.status is None:
                 splits["unlabeled"].append(region)  # null status routes to unlabeled

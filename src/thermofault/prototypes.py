@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .density import FeatureGrid
-from .taxonomy import SubcategoryId, check_keys, read_array, read_scalar
+from .taxonomy import SubcategoryId, check_keys, quote, read_array, read_scalar
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,11 @@ def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid, str | None]:
         )
     check_keys(d, keys, "model", keys)
     if not isinstance(d["classes"], list):
-        raise ValueError(f"model 'classes' must be a list, got {d['classes']!r}")
+        raise ValueError(f"model 'classes' must be a list, got {quote(d['classes'])}")
     embedder = d["embedder"]
     if embedder is not None and not isinstance(embedder, str):
-        raise ValueError(f"model 'embedder' must be a sha256 hex digest or null, got {embedder!r}")
+        message = f"model 'embedder' must be a sha256 hex digest or null, got {quote(embedder)}"
+        raise ValueError(message)
     grid = FeatureGrid.from_dict(d["grid"], "model grid")
     model = PrototypeModel(
         classes=tuple(SubcategoryId.from_dict(c) for c in d["classes"]),

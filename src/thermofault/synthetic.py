@@ -280,9 +280,8 @@ def synthesize(cfg: SynthConfig) -> tuple[list[ThermalImage], DatasetManifest]:
                     offset = session_offset
                 else:
                     offset = rng.normal(0.0, model.scene_offset_std)
-                temps = rng.normal(
-                    cfg.background_mean, cfg.background_std, size=(cfg.image_height, cfg.image_width)
-                )
+                shape = (cfg.image_height, cfg.image_width)
+                temps = rng.normal(cfg.background_mean, cfg.background_std, size=shape)
                 rx = int(rng.integers(0, cfg.image_width - cfg.region_width + 1))
                 ry = int(rng.integers(0, cfg.image_height - cfg.region_height + 1))
                 temps[ry : ry + cfg.region_height, rx : rx + cfg.region_width] = _render_region(

@@ -74,12 +74,25 @@ SUBCATEGORIES: tuple[SubcategoryId, ...] = tuple(
 )
 
 
+# Longest repr of an input value that an error message quotes whole
+QUOTE_CHARS = 200
+
+
+def quote(value) -> str:
+    """repr(value) for an error message, cut after QUOTE_CHARS characters
+    with a marker that counts the rest: a huge input gives a short line."""
+    text = repr(value)
+    cut = len(text) - QUOTE_CHARS
+    return text if cut <= 0 else f"{text[:QUOTE_CHARS]}... ({cut} more characters)"
+
+
 def parse_equipment_type(name: str) -> EquipmentType:
     try:
         return EquipmentType(name)
     except ValueError:
         valid = ", ".join(t.value for t in EQUIPMENT_TYPES)
-        raise ValueError(f"unknown equipment type {name!r}; expected one of: {valid}") from None
+        message = f"unknown equipment type {quote(name)}; expected one of: {valid}"
+        raise ValueError(message) from None
 
 
 def parse_status(name: str | None) -> Status | None:
@@ -88,7 +101,8 @@ def parse_status(name: str | None) -> Status | None:
     try:
         return Status(name)
     except ValueError:
-        raise ValueError(f"unknown status {name!r}; expected 'normal', 'fault', or null") from None
+        message = f"unknown status {quote(name)}; expected 'normal', 'fault', or null"
+        raise ValueError(message) from None
 
 
 def check_keys(d, allowed, what: str, required=()) -> dict:
@@ -96,14 +110,14 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
     no key outside allowed (None: any key): a misspelled key must fail, not
     fall back to a default."""
     if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+        raise ValueError(f"{what} must be a JSON object, got {quote(d)}")
     missing = [k for k in required if k not in d]
     if missing:
         raise ValueError(f"{what} needs key(s): {', '.join(map(repr, missing))}")
     unknown = () if allowed is None else sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(
-            f"unknown {what} key(s): {', '.join(map(repr, unknown))};"
+            f"unknown {what} key(s): {', '.join(map(quote, unknown))};"
             f" expected: {', '.join(allowed)}"
         )
     return d
@@ -123,7 +137,7 @@ def read_scalar(d: dict, key: str, kind: type, what: str):
         return float(value)  # NaN fails the comparison, and so does an int past the range
     if kind is not float and type(value) is kind:  # type(True) is bool, not int
         return value
-    raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
+    raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {quote(value)}")
 
 
 # the JSON values read_array takes as array elements; null reads as NaN

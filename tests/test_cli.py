@@ -61,6 +61,15 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def restamped(model: Path, embedder, out: Path) -> Path:
+    """A copy of model at out whose embedder stamp is the digest of the
+    embedder file (None: null), so that classify gets past its stamp check."""
+    doc = json.loads(model.read_text())
+    doc["embedder"] = embedder and hashlib.sha256(Path(embedder).read_bytes()).hexdigest()
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     """Small synthetic dataset plus extracted features, shared by read-only tests."""
@@ -217,7 +226,7 @@ CORRUPT_JSON_INPUTS = {  # input kind -> (a valid JSON file to corrupt, the comm
     "embedder": (
         "{mlp}/seed1.json.embedder.json",
         [
-            "classify", "--model", "{mlp}/seed1.json", "--features", "{sep}/features.json",
+            "classify", "--model", "{stamped}", "--features", "{sep}/features.json",
             "--embedder-file", "{bad}", "--out", "{out}",
         ],
     ),
@@ -234,6 +243,8 @@ def test_a_corrupt_json_input_is_io_error_naming_the_file(
     source, argv = CORRUPT_JSON_INPUTS[kind]
     data = Path(source.format(**names)).read_bytes()
     bad.write_bytes(data[: len(data) // 2] if how == "truncated" else b"\xff" + data)
+    # classify reads an embedder file only for a model stamped with its digest
+    names["stamped"] = restamped(mlp_runs / "seed1.json", bad, tmp_path / "stamped.json")
     code = run_cli(*(arg.format(**names) for arg in argv))
     assert code == EXIT_IO
     assert f"error: {bad}: not valid UTF-8 JSON" in capsys.readouterr().err
@@ -631,15 +642,19 @@ def test_classify_class_fields_come_from_the_subcategory(separable_run):
 
 
 def test_classify_names_model_and_embedder_widths(separable_run, tmp_path, capsys):
-    feats, mlp_model = separable_run / "features.json", tmp_path / "mlp.json"
-    embedder = f"{mlp_model}.embedder.json"
+    """Models whose stamp matches what classify gets, but whose width does
+    not: the 6-wide MLP model stamped as trained without an embedder, and
+    the 128-wide model stamped as trained through the 6-wide embedder."""
+    feats, trained = separable_run / "features.json", tmp_path / "trained.json"
+    embedder = f"{trained}.embedder.json"
     assert run_cli(
-        "train", "--features", feats, "--out", mlp_model,
+        "train", "--features", feats, "--out", trained,
         "--embedder", "mlp", "--episodes", 0, "--out-dim", 6,
     ) == EXIT_OK
     capsys.readouterr()
     out = tmp_path / "p.jsonl"
-    identity_model = separable_run / "model.json"
+    mlp_model = restamped(trained, None, tmp_path / "mlp.json")
+    identity_model = restamped(separable_run / "model.json", embedder, tmp_path / "identity.json")
     for model, extra, source, widths in (
         (mlp_model, [], "no --embedder-file", ("6-wide", "128 wide")),
         (identity_model, ["--embedder-file", embedder], embedder, ("128-wide", "6 wide")),
@@ -758,6 +773,8 @@ def test_classify_malformed_artifact_exits_1(
     else:
         doc = value
     path.write_text(json.dumps(doc), encoding="utf-8")
+    # classify checks the embedder stamp before it parses the embedder file
+    restamped(model, embedder, model)
     out = tmp_path / "p.jsonl"
     code = run_cli(
         "classify", "--model", model, "--features", feats, "--out", out,
@@ -1255,6 +1272,63 @@ def test_classify_embedder_stamp_mismatches_exit_1(separable_run, tmp_path, caps
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert str(model) in err and all(w in err for w in words), err
+        assert not out.exists()
+
+
+def test_classify_checks_the_embedder_stamp_before_reading_the_file(
+    separable_run, tmp_path, capsys, monkeypatch
+):
+    """A model trained without an embedder, given an embedder file that is
+    not JSON or a real 6-wide one, exits 1 on the stamp: the file is neither
+    parsed nor run over the features."""
+    calls = []
+    monkeypatch.setattr("thermofault.cli.embed_many", lambda *args: calls.append(args))
+    feats, out = separable_run / "features.json", tmp_path / "p.jsonl"
+    assert run_cli(
+        "train", "--features", feats, "--out", tmp_path / "mlp.json",
+        "--embedder", "mlp", "--episodes", 0, "--out-dim", 6,
+    ) == EXIT_OK
+    garbage = tmp_path / "garbage.json"
+    garbage.write_bytes(b"\xff not JSON")
+    model = separable_run / "model.json"
+    for embedder in (garbage, tmp_path / "mlp.json.embedder.json"):
+        digest = hashlib.sha256(embedder.read_bytes()).hexdigest()
+        capsys.readouterr()
+        code = run_cli(
+            "classify", "--model", model, "--features", feats, "--out", out,
+            "--embedder-file", embedder,
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: model {model} was trained without an embedder, but classify got"
+            f" --embedder-file {embedder} with sha256 {digest}\n"
+        )
+        assert not out.exists()
+    assert calls == []
+
+
+def test_an_error_line_quotes_a_huge_value_cut_short(separable_run, tmp_path, capsys):
+    """A feature file whose top level is its list of records, and a model
+    whose alpha is a 100,000-character string, each give one error line
+    under 1 KB."""
+    records = json.loads((separable_run / "features.json").read_text())["records"]
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(records), encoding="utf-8")
+    doc = json.loads((separable_run / "model.json").read_text())
+    long_alpha = tmp_path / "long_alpha.json"
+    long_alpha.write_text(json.dumps({**doc, "alpha": "x" * 100_000}), encoding="utf-8")
+    out = tmp_path / "p.jsonl"
+    for model, feats, message in (
+        (separable_run / "model.json", listed, f"feature file {listed} must be a JSON object"),
+        (long_alpha, separable_run / "features.json", "model 'alpha' must be a number, got 'xxx"),
+    ):
+        capsys.readouterr()
+        assert run_cli(
+            "classify", "--model", model, "--features", feats, "--out", out
+        ) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert len(err.encode("utf-8")) < 1024 and "more characters)" in err, len(err)
         assert not out.exists()
 
 

@@ -36,8 +36,9 @@ from thermofault.harness import (
     fit_model,
 )
 from thermofault.images import extract_region
-from thermofault.prototypes import posterior
+from thermofault.prototypes import build_model, model_from_dict, model_to_dict, posterior
 from thermofault.synthetic import case_study_config, default_synth_config, synthesize
+from thermofault.taxonomy import SUBCATEGORIES
 from thermofault.taxonomy import EquipmentType, Status
 
 
@@ -752,6 +753,56 @@ def test_feature_grid_dict_round_trip():
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
     with pytest.raises(ValueError, match="unknown grid key\\(s\\): 'bandwidth', 'values';"):
         FeatureGrid.from_dict(feat.to_dict())
+
+
+GOOD_GRID = {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
+
+
+def grid_through(reader: str, grid: dict) -> FeatureGrid:
+    """grid as the experiment config's "grid", model.json's "grid" or a
+    feature record's flat grid keys, read back by that reader."""
+    if reader == "experiment grid":
+        return ExperimentConfig.from_dict({"data": {"manifest": "m.json"}, "grid": grid}).grid
+    if reader == "model grid":
+        model = build_model([(c, [0.0, 1.0]) for c in SUBCATEGORIES[:2]])
+        doc = model_to_dict(model, FeatureGrid(**GOOD_GRID), None)
+        return model_from_dict({**doc, "grid": grid})[1]
+    return read_features([{**grid, "values": [0.5] * 16, "bandwidth": 1.0}])[0]
+
+
+@pytest.mark.parametrize(
+    "reader, prefix, unknown",
+    [
+        (
+            "experiment grid", "experiment grid",
+            "unknown experiment grid key(s): 'step'; expected: t_lo, t_hi, n_points",
+        ),
+        (
+            "model grid", "model grid",
+            "unknown model grid key(s): 'step'; expected: t_lo, t_hi, n_points",
+        ),
+        (
+            "feature", "feature 0: feature",
+            "feature 0: unknown feature key(s): 'step';"
+            " expected: t_lo, t_hi, n_points, values, bandwidth",
+        ),
+    ],
+)
+def test_every_grid_reader_gives_the_same_messages(reader, prefix, unknown):
+    """FeatureGrid.from_dict is the one reader of the grid keys: each of its
+    callers reads a good grid and names a missing key, an unknown key and a
+    value of the wrong JSON type as it did when each checked the keys itself."""
+    assert grid_through(reader, GOOD_GRID) == FeatureGrid(**GOOD_GRID)
+    missing = {k: v for k, v in GOOD_GRID.items() if k != "n_points"}
+    for grid, message in [
+        (missing, f"{prefix} needs key(s): 'n_points'"),
+        ({**GOOD_GRID, "step": 1.1}, unknown),
+        ({**GOOD_GRID, "t_lo": "0"}, f"{prefix} 't_lo' must be a number, got '0'"),
+        ({**GOOD_GRID, "n_points": 16.0}, f"{prefix} 'n_points' must be an integer, got 16.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            grid_through(reader, grid)
+        assert str(info.value) == message
 
 
 def test_feature_grid_scalar_of_the_wrong_json_type_names_its_key():

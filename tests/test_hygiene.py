@@ -1,7 +1,8 @@
 """Source checks that need no linter: every imported name is used, every
 top-level name of the package is read, no JSON is written through
-Python's pure-Python encoder, only taxonomy.py creates files, and every
-name the README's library example imports exists."""
+Python's pure-Python encoder, only taxonomy.py creates files, no package
+line is longer than LINE_LIMIT characters, and every name the README's
+library example imports exists."""
 
 import ast
 import importlib
@@ -20,6 +21,9 @@ SOURCES = sorted(
 PACKAGE = sorted((ROOT / "src" / "thermofault").glob("*.py"))
 # json.dump (a stream) and any indent run the pure-Python encoder, not the C one
 SLOW_JSON = ("json.dump(", "indent=")
+# Longest package line: the src/ line count can then fall only by deleting
+# code, not by packing more of it onto each line
+LINE_LIMIT = 100
 
 
 def unused_imports(source: str) -> list[str]:
@@ -161,6 +165,24 @@ def test_a_slow_json_write_is_reported():
     assert {"cli.py", "taxonomy.py", "__init__.py"} <= {p.name for p in PACKAGE}
     source = "json.dumps(x)\njson.dump(x, fh)\njson.dumps(x, indent=2)\n"
     assert slow_json_writes(source) == ["line 2: json.dump(", "line 3: indent="]
+
+
+def long_lines(source: str) -> list[str]:
+    return [
+        f"line {n}: {len(line)} characters"
+        for n, line in enumerate(source.splitlines(), 1)
+        if len(line) > LINE_LIMIT
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_line_over_the_limit(path):
+    assert long_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_long_line_is_reported():
+    source = "x" * LINE_LIMIT + "\n" + "y" * (LINE_LIMIT + 1) + "\n\u00e9" * LINE_LIMIT
+    assert long_lines(source) == [f"line 2: {LINE_LIMIT + 1} characters"]
 
 
 # Path methods that write a file or make a directory

@@ -4,6 +4,7 @@ import pytest
 
 from thermofault.taxonomy import (
     EQUIPMENT_TYPES,
+    QUOTE_CHARS,
     STATUSES,
     SUBCATEGORIES,
     EquipmentType,
@@ -12,6 +13,7 @@ from thermofault.taxonomy import (
     check_keys,
     parse_equipment_type,
     parse_status,
+    quote,
     write_json,
     write_records,
 )
@@ -81,6 +83,23 @@ def test_check_keys_names_unknown_and_missing_keys():
         check_keys(d, ("alpha", "seed"), "config", required=("seed",))
     with pytest.raises(ValueError, match="JSON object"):
         check_keys([1, 2], ("alpha",), "config")
+
+
+def test_quote_cuts_only_a_long_repr():
+    for value in ("capacitor", None, [0.5, True], "x" * (QUOTE_CHARS - 2)):
+        assert quote(value) == repr(value)
+    text = "x" * (QUOTE_CHARS - 1)
+    assert quote(text) == repr(text)[:QUOTE_CHARS] + "... (1 more characters)"
+    records = [{"values": [0.125] * 128}] * 400
+    assert quote(records) == repr(records)[:QUOTE_CHARS] + (
+        f"... ({len(repr(records)) - QUOTE_CHARS} more characters)"
+    )
+    with pytest.raises(ValueError) as info:
+        parse_status("y" * 10_000)
+    assert str(info.value).startswith("unknown status 'yyy") and len(str(info.value)) < 300
+    with pytest.raises(ValueError) as info:
+        check_keys({"z" * 10_000: 0}, ("alpha",), "config")
+    assert str(info.value).endswith("more characters); expected: alpha")
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -142,7 +142,8 @@ def _load_records(
             regions.append(RegionAnnotation.from_dict(rec))
         except ValueError as exc:
             raise ValueError(f"feature file {path}: record {i}: {exc}") from None
-    grid, values = read_features([r["feature"] for r in records], f"feature file {path}: record")
+    features = [rec["feature"] for rec in records]
+    grid, values = read_features(features, f"feature file {path}: record")
     return regions, [rec["split"] for rec in records], grid, values
 
 

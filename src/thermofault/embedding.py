@@ -19,7 +19,7 @@ from .taxonomy import SubcategoryId, check_keys, quote, read_array, read_scalar
 KIND_MLP = "mlp"
 # The kind for no embedder, in configs (so in every config_hash) and `train --embedder`
 NO_EMBEDDER_KIND = "identity"
-EMBEDDER_KINDS = (NO_EMBEDDER_KIND, KIND_MLP)
+EMBEDDER_KINDS = (NO_EMBEDDER_KIND, KIND_MLP)  # `train --embedder` choices, its default first
 # The Embedder's parameter arrays, in field order
 _PARAMS = ("W1", "b1", "W2", "b2")
 

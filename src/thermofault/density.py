@@ -159,8 +159,8 @@ class KdeEstimator:
         return int(self.samples.size)
 
 
-def _kernel_sums(t: np.ndarray, h, cut: float) -> np.ndarray:
-    """Row sums of the kernel terms of differences t (overwritten), cut below cut."""
+def _kernel_sums(t: np.ndarray, h: np.ndarray, cut: float) -> np.ndarray:
+    """Row sums of the kernel terms of differences t (overwritten) over column h, cut below cut."""
     t /= h
     np.square(t, out=t)
     t *= -0.5
@@ -192,13 +192,9 @@ def kde_values(est: KdeEstimator, points, support: float = KERNEL_SUPPORT) -> np
     step = max(1, KDE_BLOCK_TERMS // n)
     for i in range(0, rows.size, step):
         r, c = rows[i : i + step], cols[i : i + step]
-        if r[0] == r[-1]:  # one set: its samples broadcast, its bandwidth a number
-            hr = float(h[r[0]])
-            k[r, c] = _kernel_sums(pts[c, None] - x[r[0]], hr, cut) / (n * hr)
-        else:  # the block's sets, gathered once into its terms
-            t, hr = x[r], h[r]
-            np.subtract(pts[c, None], t, out=t)
-            k[r, c] = _kernel_sums(t, hr[:, None], cut) / (n * hr)
+        t, hr = x[r], h[r]  # the block's sets, gathered once into its terms
+        np.subtract(pts[c, None], t, out=t)
+        k[r, c] = _kernel_sums(t, hr[:, None], cut) / (n * hr)
     return k if stack else k[0]
 
 

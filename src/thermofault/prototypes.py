@@ -176,12 +176,11 @@ def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> Prototyp
     alpha = model.alpha
     for _ in range(iters):
         updated = labeled.copy()
-        if x.shape[0] > 0:
-            assign = np.argmin(sq_dists(x, current), axis=1)
-            for m in range(model.n_classes):
-                members = x[assign == m]
-                if members.shape[0] > 0:
-                    updated[m] = alpha * labeled[m] + (1.0 - alpha) * members.mean(axis=0)
+        assign = np.argmin(sq_dists(x, current), axis=1)
+        for m in range(model.n_classes):
+            members = x[assign == m]
+            if members.shape[0] > 0:
+                updated[m] = alpha * labeled[m] + (1.0 - alpha) * members.mean(axis=0)
         current = updated
     return PrototypeModel(
         classes=model.classes,

@@ -19,7 +19,10 @@ least nine tenths of all pairs run and its median is better than the
 parent's by more than the parent's interquartile range, else "claim not
 met"; "WORSE than its bound B" when the change's median is worse than the
 parent's by more than the fraction B of it that BENCHMARK.json fixes for
-that end-to-end metric. Exits 1 if any run failed. Run it from any
+that end-to-end metric. Such a metric is "unresolved" instead when either
+side's interquartile range exceeds B times the parent's median, unless
+every change run beats every parent run: the runs spread too widely to
+tell. Exits 1 if any run failed. Run it from any
 directory; of the benchmark it reads only its output and BENCHMARK.json
 (workloads, run_seconds and the metric directions and bounds).
 """
@@ -104,8 +107,13 @@ def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
             gain = sign * (qb[1] - qa[1])
             met = wins >= 0.9 * len(runs) and gain > qa[2] - qa[0]
             verdict = "claim met" if met else "claim not met"
-            if metric in bounds and gain < -bounds[metric] * abs(qa[1]):
-                verdict += f"; WORSE than its bound {bounds[metric]:g}"
+            if metric in bounds:
+                limit = bounds[metric] * abs(qa[1])
+                spread = max(qa[2] - qa[0], qb[2] - qb[0]) > limit
+                if spread and (sign * b).min() <= (sign * a).max():  # not every change run wins
+                    verdict = "unresolved"
+                elif gain < -limit:
+                    verdict += f"; WORSE than its bound {bounds[metric]:g}"
             print(
                 f"  {metric:16s} parent {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]"
                 f"  change {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]"

@@ -322,7 +322,7 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
     """
     if not docs:
         return None, np.empty(0)
-    grid = raw_grid = values = None
+    grid = typed_grid = values = None
     for i, d in enumerate(docs):
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
@@ -330,12 +330,14 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
                 bandwidth = quote(d["bandwidth"])
                 raise ValueError(f"feature 'bandwidth' must be positive, got {bandwidth}")
             raw = {k: d[k] for k in GRID_KEYS}
-            # equal JSON values read as equal scalars, so only a new triple is parsed
-            g = grid if raw == raw_grid else FeatureGrid.from_dict(raw, "feature")
+            # a triple equal to the first in value and JSON type (128.0 is not
+            # 128) is read as the first grid; any other triple is parsed
+            typed = [(type(v), v) for v in raw.values()]
+            g = grid if typed == typed_grid else FeatureGrid.from_dict(raw, "feature")
         except ValueError as exc:
             raise ValueError(f"{what} {i}: {exc}") from None
         if grid is None:
-            grid, raw_grid = g, raw
+            grid, typed_grid = g, typed
         elif g != grid:
             raise ValueError(f"{what} {i} has grid {g}, but the first one has grid {grid}")
         row = read_array(d, "values", f"{what} {i}: feature")

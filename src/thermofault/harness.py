@@ -38,7 +38,7 @@ from .images import (
 )
 from .prototypes import PrototypeModel, build_model, classify_many, refine_centers
 from .synthetic import SynthConfig, synthesize
-from .taxonomy import EQUIPMENT_TYPES, EquipmentType, Status, SubcategoryId, check_keys, read_scalar
+from .taxonomy import EQUIPMENT_TYPES, Status, SubcategoryId, check_keys, quote, read_scalar
 
 MODE_SUPERVISED = "supervised"
 MODE_WEAK = "weak"
@@ -245,7 +245,7 @@ def extract_features(
                 try:
                     featurize(pixels, cfg.grid, cfg.bandwidth)
                 except ValueError as exc:
-                    raise ValueError(f"{source}: {split} region {r.key()}: {exc}") from None
+                    raise ValueError(f"{source}: {split} region {quote(r.key())}: {exc}") from None
             raise
         pending.clear()
 
@@ -255,8 +255,8 @@ def extract_features(
             x, y, w, h = r.bbox
             if x + w > img.width or y + h > img.height:
                 raise ManifestError(
-                    f"{source}: {split} region {r.key()}: bbox outside"
-                    f" {img.width}x{img.height} image {r.image_ref!r}"
+                    f"{source}: {split} region {quote(r.key())}: bbox outside"
+                    f" {img.width}x{img.height} image {quote(r.image_ref)}"
                 )
             pending.append((split, i, r, extract_region(img, r.bbox)))
             held += w * h
@@ -328,7 +328,7 @@ def _score(data: _PreparedData, cfg: ExperimentConfig, mode: str) -> EvalReport:
     vectors = np.stack([v for _, v in data.test])
     predicted = classify_many(vectors, model)
 
-    counts: dict[EquipmentType, list[int]] = {}  # RowAccuracy's four counts
+    counts: dict = {}  # equipment type -> RowAccuracy's four counts
     for (truth, _), pred in zip(data.test, predicted):
         cell = counts.setdefault(truth.equipment_type, [0, 0, 0, 0])
         fault = int(truth.status is Status.FAULT)
@@ -357,22 +357,21 @@ def run_both(cfg: ExperimentConfig) -> tuple[EvalReport, EvalReport]:
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: Sequence) -> list[EvalReport]:
-    """One weak-mode run per value of alpha, bandwidth, or grid_points."""
+    """One weak-mode run per value of alpha, bandwidth, or grid_points. Alpha
+    enters no feature, so an alpha sweep extracts the features once."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
-    reports = []
-    for v in values:
-        if param == "alpha":
-            run_cfg = dataclasses.replace(cfg, alpha=float(v))
-        elif param == "bandwidth":
-            run_cfg = dataclasses.replace(cfg, bandwidth=float(v))
-        else:
-            grid = FeatureGrid(cfg.grid.t_lo, cfg.grid.t_hi, int(v))
-            run_cfg = dataclasses.replace(cfg, grid=grid)
-        reports.append(run_experiment(run_cfg, MODE_WEAK))
-    return reports
+    if param == "alpha":
+        cfgs = [dataclasses.replace(cfg, alpha=float(v)) for v in values]
+    elif param == "bandwidth":
+        cfgs = [dataclasses.replace(cfg, bandwidth=float(v)) for v in values]
+    else:
+        grids = (FeatureGrid(cfg.grid.t_lo, cfg.grid.t_hi, int(v)) for v in values)
+        cfgs = [dataclasses.replace(cfg, grid=grid) for grid in grids]
+    data = prepare_features(cfg) if param == "alpha" else None
+    return [_score(prepare_features(c) if data is None else data, c, MODE_WEAK) for c in cfgs]
 
 
 def sweep_table(param: str, values: Sequence, reports: Sequence[EvalReport]) -> str:

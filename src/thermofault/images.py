@@ -243,17 +243,17 @@ class DatasetManifest:
         for name, split in (("labeled", self.labeled), ("test", self.test)):
             for region in split:
                 if region.status is None:
-                    raise ManifestError(f"{name} region {region.key()} has no status")
+                    raise ManifestError(f"{name} region {quote(region.key())} has no status")
         for region in self.unlabeled:
             if region.status is not None:
-                raise ManifestError(f"unlabeled region {region.key()} carries a status")
+                raise ManifestError(f"unlabeled region {quote(region.key())} carries a status")
         seen: dict[tuple, str] = {}
         for name in SPLITS:
             for region in getattr(self, name):
                 k = region.key()
                 if k in seen:
                     raise ManifestError(
-                        f"region {k} appears in both {seen[k]} and {name} splits"
+                        f"region {quote(k)} appears in both {seen[k]} and {name} splits"
                     )
                 seen[k] = name
         labeled_subcats = {r.subcategory for r in self.labeled}

@@ -74,8 +74,10 @@ SUBCATEGORIES: tuple[SubcategoryId, ...] = tuple(
 )
 
 
-# Longest repr of an input value that an error message quotes whole
+# Longest repr of an input value that an error message quotes whole, and
+# most unknown keys that one names
 QUOTE_CHARS = 200
+QUOTE_KEYS = 3
 
 
 def quote(value) -> str:
@@ -116,10 +118,10 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
         raise ValueError(f"{what} needs key(s): {', '.join(map(repr, missing))}")
     unknown = () if allowed is None else sorted(set(d) - set(allowed))
     if unknown:
-        raise ValueError(
-            f"unknown {what} key(s): {', '.join(map(quote, unknown))};"
-            f" expected: {', '.join(allowed)}"
-        )
+        shown = ", ".join(map(quote, unknown[:QUOTE_KEYS]))
+        if len(unknown) > QUOTE_KEYS:
+            shown += f" and {len(unknown) - QUOTE_KEYS} more"
+        raise ValueError(f"unknown {what} key(s): {shown}; expected: {', '.join(allowed)}")
     return d
 
 

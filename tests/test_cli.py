@@ -919,6 +919,10 @@ BOTH = ("train", "classify")
             " but the first one has grid [0.0, 120.0] x 128 points",
             BOTH,
         ),
+        (  # equal to record 0's 128, but no JSON integer
+            (5, "feature", "n_points"), 128.0,
+            "record 5: feature 'n_points' must be an integer, got 128.0", BOTH,
+        ),
         (
             (5, "feature", "values", 7), "0.5",
             "record 5: feature 'values' must be an array of numbers", BOTH,
@@ -948,7 +952,7 @@ BOTH = ("train", "classify")
     ],
     ids=[
         "null", "negative", "short", "string-bandwidth", "negative-bandwidth", "zero-bandwidth",
-        "mixed-grids", "values-string", "values-true", "values-huge-int", "bbox-cell-null",
+        "mixed-grids", "n-points-float", "values-string", "values-true", "values-huge-int", "bbox-cell-null",
         "test-equipment-type", "test-bbox-int", "image-ref-null", "image-ref-int",
         "unlabeled-status", "labeled-as-unlabeled",
     ],
@@ -1330,6 +1334,80 @@ def test_an_error_line_quotes_a_huge_value_cut_short(separable_run, tmp_path, ca
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert len(err.encode("utf-8")) < 1024 and "more characters)" in err, len(err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, message, tail",
+    [
+        ("no-status", "labeled region ('xxx", " has no status"),
+        ("status", "unlabeled region ('xxx", " carries a status"),
+        ("both", "region ('xxx", " appears in both labeled and unlabeled splits"),
+        ("feature", "unlabeled region ('xxx", " is 0 at every grid point"),
+        ("bbox", "unlabeled region ('xxx", ": bbox outside 16x16 image 'xxx"),
+    ],
+    ids=["no-status", "status", "both", "feature", "bbox"],
+)
+def test_an_error_line_names_a_region_of_a_huge_image_ref(
+    separable_run, tmp_path, capsys, case, message, tail
+):
+    """A region whose image ref has 100,000 characters gives one error line
+    under 1 KB, for each message that names a region by its key: train's
+    split checks on a feature file, and extract's feature and bbox checks."""
+    ref = "x" * 100_000
+    if case in ("feature", "bbox"):  # the constant 8x8 corner, or a bbox past the 16x16 image
+        temps = np.random.default_rng(0).normal(30.0, 2.0, (16, 16))
+        temps[8:, 8:] = 25.0
+        save_thermal(ThermalImage(16, 16, temps, "a"), tmp_path / "a.rtm")
+        corner = [8, 8, 8, 8] if case == "feature" else [9, 9, 8, 8]
+        doc = {
+            "images": [{"id": ref, "path": "a.rtm"}],
+            "labeled": [
+                {"image_ref": ref, "bbox": [0, 0, 8, 8], "equipment_type": "bushing",
+                 "status": "fault"},
+            ],
+            "unlabeled": [{"image_ref": ref, "bbox": corner, "equipment_type": "bushing"}],
+        }
+        source = tmp_path / "manifest.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["extract", "--manifest", source]
+        message = f"{source}: {message}"
+    else:
+        records = json.loads((separable_run / "features.json").read_text())["records"]
+        if case == "no-status":
+            records[5]["status"] = None
+        elif case == "status":
+            records[35]["status"] = "normal"
+        else:
+            records[35] = {**records[5], "split": "unlabeled", "status": None}
+        for i in (5, 35):
+            records[i]["image_ref"] = ref
+        source = tmp_path / "features.json"
+        source.write_text(json.dumps({"records": records}), encoding="utf-8")
+        argv = ["train", "--features", source]
+        message = f"feature file {source}: {message}"
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and tail in err
+    assert len(err.encode("utf-8")) < 1024 and "more characters)" in err, len(err)
+    assert not out.exists()
+
+
+def test_an_error_line_names_a_few_of_many_unknown_keys(separable_run, tmp_path, capsys):
+    """A feature with 5,000 unknown keys gives one error line under 1 KB
+    that names the first three in sorted order and counts the rest."""
+    records = json.loads((separable_run / "features.json").read_text())["records"]
+    records[5]["feature"].update((f"k{i:04}", 0) for i in range(5000))
+    feats = tmp_path / "features.json"
+    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    out = tmp_path / "model.json"
+    assert run_cli("train", "--features", feats, "--out", out) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: feature file {feats}: record 5: unknown feature key(s): 'k0000', 'k0001',"
+        " 'k0002' and 4997 more; expected: t_lo, t_hi, n_points, values, bandwidth\n"
+    )
+    assert not out.exists()
 
 
 def test_classify_model_without_an_embedder_stamp_asks_to_retrain(

@@ -699,7 +699,7 @@ def test_read_features_rows_are_the_bytes_of_each_feature():
     rng = np.random.Generator(np.random.PCG64(4))
     feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
     docs = json.loads(json.dumps([f.to_dict() for f in feats]))
-    docs[2]["t_lo"], docs[3]["n_points"] = -20, 16.0  # other JSON spellings of the grid
+    docs[2]["t_lo"] = -20  # an integer is a JSON number: another spelling of the grid
     got_grid, values = read_features(docs)
     assert got_grid == grid
     assert values.shape == (6, 16)
@@ -713,6 +713,17 @@ def _six_feature_docs() -> list:
     rng = np.random.Generator(np.random.PCG64(4))
     feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
     return json.loads(json.dumps([f.to_dict() for f in feats]))
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_read_features_reads_each_grid_by_its_json_type(i):
+    """16.0 equals the first dict's 16 but is no JSON integer: it fails in
+    a later dict as in the first one."""
+    docs = _six_feature_docs()
+    docs[i]["n_points"] = 16.0
+    message = f"^feature {i}: feature 'n_points' must be an integer, got 16.0$"
+    with pytest.raises(ValueError, match=message):
+        read_features(docs)
 
 
 @pytest.mark.parametrize(

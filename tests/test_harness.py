@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermofault import harness
 from thermofault.density import feature_vector
 from thermofault.harness import (
     MODE_SUPERVISED,
@@ -244,6 +245,20 @@ def test_sweep_alpha_three_values():
     assert report_to_dict(reports[2])["overall"] == report_to_dict(sup)["overall"]
     text = sweep_table("alpha", [0.0, 0.5, 1.0], reports)
     assert text.count("alpha=") == 3
+
+
+def test_an_alpha_sweep_extracts_the_features_once(monkeypatch):
+    """Alpha enters no feature: one extraction serves every value, and each
+    report is the one a run of its own gives."""
+    cfg = small_config()
+    alphas = [0.0, 0.5, 1.0]
+    want = [run_experiment(dataclasses.replace(cfg, alpha=a), MODE_WEAK) for a in alphas]
+    calls = []
+    monkeypatch.setattr(
+        harness, "extract_features", lambda *args: calls.append(args) or extract_features(*args)
+    )
+    assert sweep(cfg, "alpha", alphas) == want
+    assert len(calls) == 1
 
 
 def test_sweep_bandwidth_and_grid_points():

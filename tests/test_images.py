@@ -20,6 +20,7 @@ from thermofault.images import (
     manifest_to_dict,
     save_manifest,
     save_thermal,
+    _load_thermal_exact,
 )
 from thermofault.taxonomy import EquipmentType, Status
 
@@ -199,6 +200,33 @@ def test_load_thermal_in_blocks_matches_float_cell_loop(tmp_path_factory, w, h, 
         with pytest.raises(RtmFormatError) as exc:
             load_thermal(path)
         assert (exc.value.row, exc.value.col) == bad
+
+
+header_offsets = st.sampled_from([0, 0, 0, 0, -1, 1])  # the header mostly right
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 4), header_offsets, header_offsets,
+    st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.data(),
+)
+def test_load_thermal_returns_only_the_exact_paths_image(
+    tmp_path_factory, w, n, dw, dh, end, final_newline, data
+):
+    """Over files whose header may be off by one from the rows, with blank
+    lines, any line end and an optional final newline: whenever load_thermal
+    returns an image, _load_thermal_exact returns the same temperatures."""
+    rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(n)]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows.insert(data.draw(st.integers(0, len(rows))), "")
+    path = tmp_path_factory.mktemp("rtm") / "cells.rtm"
+    text = end.join([f"{w + dw},{n + dh}", *rows]) + (end if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        got = load_thermal(path)
+    except RtmFormatError:  # load_thermal raises only the exact path's errors
+        return
+    assert _load_thermal_exact(path, None).temps.tobytes() == got.temps.tobytes()
 
 
 def test_long_row_then_short_row_rejected(tmp_path):

@@ -85,6 +85,16 @@ def test_check_keys_names_unknown_and_missing_keys():
         check_keys([1, 2], ("alpha",), "config")
 
 
+def test_check_keys_names_at_most_three_unknown_keys():
+    allowed = ("alpha",)
+    with pytest.raises(ValueError) as info:
+        check_keys({"d": 0, "c": 0, "b": 0}, allowed, "config")
+    assert str(info.value) == "unknown config key(s): 'b', 'c', 'd'; expected: alpha"
+    with pytest.raises(ValueError) as info:
+        check_keys({"e": 0, "d": 0, "c": 0, "b": 0, "alpha": 0}, allowed, "config")
+    assert str(info.value) == "unknown config key(s): 'b', 'c', 'd' and 1 more; expected: alpha"
+
+
 def test_quote_cuts_only_a_long_repr():
     for value in ("capacitor", None, [0.5, True], "x" * (QUOTE_CHARS - 2)):
         assert quote(value) == repr(value)

@@ -8,9 +8,8 @@ are written with 17 significant digits so a save/load round trip is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
-import warnings
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,31 +75,40 @@ class ThermalImage:
         object.__setattr__(self, "temps", temps)
 
 
-def load_thermal(path, source_id: str | None = None) -> ThermalImage:
-    """Read an RTM text file into a ThermalImage.
+_CELL_BYTES = b"0123456789.eE+-, \t\n"  # no such byte can make or merge rows for orjson
+_NEG_ZERO = re.compile(rb"-0(?![.eE0-9])")  # orjson reads -0 as the int 0, float() as -0.0
 
-    Raises RtmFormatError (with line/column position) for a malformed
-    header, a row of the wrong length, or a non-numeric / non-finite cell,
-    and (naming only the file) for a file that is not UTF-8. numpy's C
-    reader converts the rows; any file it does not read as exactly height
-    rows of width finite values goes through _load_thermal_exact, which
-    gives the image or the error of a float() loop over the whole file.
-    """
+
+def load_thermal(path, source_id: str | None = None) -> ThermalImage:
+    """Read an RTM text file into a ThermalImage, or raise RtmFormatError
+    (with line/column position) for a malformed header, a row of the wrong
+    length, or a non-numeric / non-finite cell, and (naming only the file)
+    for a file that is not UTF-8. orjson converts each ~64 KiB block of rows
+    of _CELL_BYTES with no -0 token, float() any other block; a file not
+    read as height rows of width finite values goes to _load_thermal_exact."""
+    import orjson  # here, so a process that reads no RTM file never loads it
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            width, height = _parse_rtm_header(path, fh.readline().rstrip("\n"))
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            seen = itertools.count()  # then next(seen) is the number of lines read
-            # loadtxt skips blank lines, and a line with \x1c-\x1f is left out
-            # (numpy strips those around a number, float() does not): either
-            # leaves fewer rows than lines, which the shape check rejects
-            lines = (
-                line for line, _ in zip(fh, seen)
-                if not ("\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line)
-            )
-            temps = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if next(seen) == height:
+        with open(path, "rb") as fh:
+            head = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+            width, height = _parse_rtm_header(path, head.decode("utf-8"))
+            if b"\r" in head or height * (2 * width - 1) > path.stat().st_size:
+                raise ValueError("a lone \\r in the header, or too few bytes for the cells")
+            temps, r = np.empty((height, width)), 0
+            while (lines := fh.readlines(1 << 16)) and (r := r + len(lines)) <= height:
+                block, slab = b"".join(lines), temps[r - len(lines) : r]
+                # a lone \r splits a row in the exact path; one byte is found far faster than two
+                if b"\r" in block and b"\r" in (block := block.replace(b"\r\n", b"\n")):
+                    raise ValueError("a lone \\r")
+                block = block.removesuffix(b"\n")
+                try:
+                    if block.translate(None, _CELL_BYTES) or _NEG_ZERO.search(block):
+                        raise ValueError("a byte or token that orjson reads otherwise")
+                    rows = orjson.loads(b"[[" + block.replace(b"\n", b"],[") + b"]]")
+                    slab[...] = np.array(rows, dtype=np.float64).reshape(slab.shape)
+                except ValueError:  # refused, or a row of another length: float() cell by cell
+                    _parse_rows(path, block.decode("utf-8").split("\n"), slab, r - len(lines) + 2)
+        if r == height:
             return ThermalImage(width, height, temps, source_id or path.stem)
     except (ValueError, RtmFormatError):  # UnicodeDecodeError is a ValueError
         pass
@@ -122,26 +130,28 @@ def _load_thermal_exact(path: Path, source_id: str | None) -> ThermalImage:
     if (n := len(lines) - 1) != height:
         raise RtmFormatError(path, f"expected {height} data rows, found {n}", row=n + 1)
     temps = np.empty((height, width), dtype=np.float64)
-    for r, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
+    _parse_rows(path, lines[1:], temps, 2)
+    return ThermalImage(width, height, temps, source_id or path.stem)
+
+
+def _parse_rows(path, lines: list[str], out: np.ndarray, first_row: int) -> None:
+    """float() each cell of lines into out; errors count lines[0] as file line first_row."""
+    for r, line in enumerate(lines, start=first_row):
+        if len(cells := line.split(",")) != (width := out.shape[1]):
             raise RtmFormatError(path, f"row has {len(cells)} values, expected {width}", row=r)
         try:
-            row = list(map(float, cells))
-            ok = all(map(math.isfinite, row))
+            ok = all(map(math.isfinite, row := list(map(float, cells))))
         except ValueError:
             ok = False
         if not ok:  # name the first bad cell
             for c, cell in enumerate(cells, start=1):
                 try:
-                    value = float(cell)
+                    kind = None if math.isfinite(float(cell)) else "non-finite"
                 except ValueError:
-                    value = None
-                if value is None or not math.isfinite(value):
-                    kind = "non-numeric" if value is None else "non-finite"
+                    kind = "non-numeric"
+                if kind:
                     raise RtmFormatError(path, f"{kind} cell {quote(cell.strip())}", row=r, col=c)
-        temps[r - 2] = row
-    return ThermalImage(width, height, temps, source_id or path.stem)
+        out[r - first_row] = row
 
 
 def _parse_rtm_header(path, line: str) -> tuple[int, int]:

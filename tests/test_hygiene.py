@@ -1,11 +1,14 @@
 """Source checks that need no linter: every imported name is used, every
-top-level name of the package is read, no JSON is written through
+module the package imports is declared, every top-level name of the
+package is read, no JSON is written through
 Python's pure-Python encoder, only taxonomy.py creates files, no package
 line is longer than LINE_LIMIT characters, and every name the README's
 library example imports exists."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,49 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport sys\nfrom typing import Any, List\n__all__ = ['List']\nsys.exit(0)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: Any"]
+
+
+def imported_modules(source: str) -> list[tuple[int, str]]:
+    """(line, top-level module) of each absolute import, in a function too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """Imports of a module that is neither in the standard library, the
+    package itself, nor in declared."""
+    allowed = set(sys.stdlib_module_names) | {"thermofault"} | declared
+    return [f"line {n}: {module}" for n, module in imported_modules(source) if module not in allowed]
+
+
+def declared_dependencies() -> set[str]:
+    """The distribution names of pyproject.toml's [project] dependencies."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_import_is_declared(path):
+    declared = declared_dependencies()
+    assert {"numpy", "orjson"} <= declared
+    assert undeclared_imports(path.read_text(encoding="utf-8"), declared) == []
+
+
+def test_an_undeclared_import_is_reported():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy\nfrom . import taxonomy\n"
+        "from thermofault.images import load_thermal\nimport scipy.stats\n"
+        "def f():\n    import orjson\n    from yaml import safe_load\n"
+    )
+    assert undeclared_imports(source, {"numpy"}) == [
+        "line 5: scipy", "line 7: orjson", "line 8: yaml"
+    ]
 
 
 def top_level_names(tree: ast.Module) -> list[tuple[int, str]]:

@@ -162,7 +162,10 @@ cell_texts = st.one_of(
     st.integers(-(10**6), 10**6).map(lambda i: f"{i:_}"),
     st.sampled_from(
         ["1_0", " 2.5", "+1", "0x10", "1e400", "-1e400", "nan", "inf", "", "oops", "1__0",
-         "\u0661\u0662", "1.5\x0c", "-0.0", "\x1c1", "1\x1f ", "\u20002"]
+         "\u0661\u0662", "1.5\x0c", "-0.0", "\x1c1", "1\x1f ", "\u20002",
+         # tokens that orjson reads otherwise than float(), or refuses
+         "-0", "-0e0", "01", "1.", ".5", "1E5", "18446744073709551616", "-9223372036854775809",
+         "1.7976931348623159e308", "2.2250738585072011e-308", '"1"', "[1]", "null"]
     ),
 )
 
@@ -203,30 +206,40 @@ def test_load_thermal_in_blocks_matches_float_cell_loop(tmp_path_factory, w, h, 
 
 
 header_offsets = st.sampled_from([0, 0, 0, 0, -1, 1])  # the header mostly right
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+header_texts = st.sampled_from(  # forms int() reads, or that the exact path rejects
+    ["{},{}"] * 4 + [" {},{}", "{}, {}", "+{},{}", "\ufeff{},{}", "{},{},", "{},{}\r", "arabic"]
+)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
-    st.integers(1, 3), st.integers(1, 4), header_offsets, header_offsets,
+    st.integers(1, 3), st.integers(1, 4), header_offsets, header_offsets, header_texts,
     st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.data(),
 )
 def test_load_thermal_returns_only_the_exact_paths_image(
-    tmp_path_factory, w, n, dw, dh, end, final_newline, data
+    tmp_path_factory, w, n, dw, dh, header, end, final_newline, data
 ):
-    """Over files whose header may be off by one from the rows, with blank
-    lines, any line end and an optional final newline: whenever load_thermal
-    returns an image, _load_thermal_exact returns the same temperatures."""
+    """Over files whose header may be off by one from the rows or written in
+    another form, with blank lines, any line end and an optional final
+    newline: load_thermal gives _load_thermal_exact's temperatures or error."""
     rows = [",".join(data.draw(cell_texts) for _ in range(w)) for _ in range(n)]
     for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
         rows.insert(data.draw(st.integers(0, len(rows))), "")
+    if header == "arabic":
+        head = f"{w + dw},{n + dh}".translate(ARABIC_INDIC)
+    else:
+        head = header.format(w + dw, n + dh)
     path = tmp_path_factory.mktemp("rtm") / "cells.rtm"
-    text = end.join([f"{w + dw},{n + dh}", *rows]) + (end if final_newline else "")
+    text = end.join([head, *rows]) + (end if final_newline else "")
     path.write_bytes(text.encode("utf-8"))
-    try:
-        got = load_thermal(path)
-    except RtmFormatError:  # load_thermal raises only the exact path's errors
-        return
-    assert _load_thermal_exact(path, None).temps.tobytes() == got.temps.tobytes()
+    outcomes = []
+    for load in (load_thermal, lambda p: _load_thermal_exact(p, None)):
+        try:
+            outcomes.append(load(path).temps.tobytes())
+        except RtmFormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_long_row_then_short_row_rejected(tmp_path):
@@ -482,3 +495,88 @@ def test_load_thermal_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert img.temps.tobytes() == temps.tobytes()
     assert peak <= 4 * temps.nbytes, f"peak {peak / temps.nbytes:.1f}x the array"
+
+
+def test_a_frame_with_one_float_only_cell_stays_bounded(tmp_path):
+    """A cell that only float() reads sends its block, not the whole file,
+    away from orjson: the frame peaks at the same bound as a plain one."""
+    temps = np.random.default_rng(0).normal(30.0, 5.0, (480, 640))
+    path = tmp_path / "frame.rtm"
+    save_thermal(make_image(temps), path)
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[241].split(b",")  # row 240 of the image
+    lines[241] = b",".join([*cells[:100], b"3_0", *cells[101:]])
+    path.write_bytes(b"\n".join(lines))
+    want = _load_thermal_exact(path, None).temps
+    tracemalloc.start()
+    try:
+        img = load_thermal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.temps.tobytes() == want.tobytes() and want[240, 100] == 30.0
+    assert peak <= 4 * temps.nbytes, f"peak {peak / temps.nbytes:.1f}x the array"
+
+
+def test_negative_zero_cell_keeps_its_sign(tmp_path):
+    """orjson reads the token -0 as the int 0; the cell must load as -0.0."""
+    path = tmp_path / "zero.rtm"
+    path.write_bytes(b"3,2\n-0,1,-0.0\n2,-0e0,-0\n")
+    temps = load_thermal(path).temps
+    assert (temps == [[0, 1, 0], [2, 0, 0]]).all()
+    assert np.signbit(temps).tolist() == [[True, False, True], [False, True, True]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"2,2\n1.5,2\n3,4\n", b"2,2\r\n1.5,2\r\n3,4\r\n", b"2,2\n1_5,-0\n 3 ,\t4", b"2,1\n1,2"],
+    ids=["lf", "crlf", "float-only-block", "no-final-newline"],
+)
+def test_plain_files_never_reach_the_exact_path(tmp_path, monkeypatch, text):
+    """The exact path is only the fallback: well-formed files of any line
+    end, and blocks that orjson refuses, are read without it."""
+    path = tmp_path / "plain.rtm"
+    path.write_bytes(text)
+    want = _load_thermal_exact(path, None).temps
+    monkeypatch.setattr("thermofault.images._load_thermal_exact", None)
+    assert load_thermal(path).temps.tobytes() == want.tobytes()
+
+
+def test_a_header_larger_than_its_file_allocates_nothing(tmp_path):
+    """The array is allocated before the rows are read, so a header that
+    claims more cells than the file's bytes can hold goes straight to the
+    exact path and its row-count error."""
+    path = tmp_path / "huge.rtm"
+    path.write_bytes(b"100000,100000\n1,2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(RtmFormatError) as exc:
+            load_thermal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}, line 2: expected 100000 data rows, found 1"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # float() strips a \r inside a cell, but a lone \r ends a line
+        (b"2,1\n1\r,2\n", ", line 3: expected 1 data rows, found 2"),
+        (b"2,1\r\n1,2\r\r\n", ", line 3: expected 1 data rows, found 2"),
+        (b"2,2\n1,2\n3\r,4\n", ", line 4: expected 2 data rows, found 3"),
+        (b"3,2\r\r\n1,2,3\n4,5,6\n", ", line 4: expected 2 data rows, found 3"),
+        # a row of one value would broadcast across a wider slab
+        (b"2,1\n5\n", ", line 2: row has 1 values, expected 2"),
+        (b"3,2\n1,2,3\n4\n", ", line 3: row has 1 values, expected 3"),
+    ],
+)
+def test_rows_the_fast_path_could_misread_keep_the_exact_error(tmp_path, text, where):
+    """Files whose rows orjson or float() alone would read differently from
+    the exact path give the exact path's error."""
+    path = tmp_path / "misread.rtm"
+    path.write_bytes(text)
+    with pytest.raises(RtmFormatError) as exc:
+        load_thermal(path)
+    assert str(exc.value) == f"{path}{where}"

@@ -13,8 +13,11 @@ root: one entry per run with its workload, seed, order in its pair (0
 first, 1 second), exit code and the final JSON line the benchmark printed.
 Then prints, per workload, the runs of each side that failed (non-zero exit
 or no final JSON line) and, per metric, each side's median and quartiles
-over the pairs where both runs succeeded, the pairs the change won (ties
-count for neither) and a verdict. "claim met" when the change won at
+over the pairs where both runs succeeded, the median and quartiles of
+the per-pair change/parent ratio (a drift of the machine's pace moves
+both runs of a pair, so it cancels in these ratios but widens each side's
+quartiles), the pairs the change won (ties count for neither) and a
+verdict. "claim met" when the change won at
 least nine tenths of all pairs run and its median is better than the
 parent's by more than the parent's interquartile range, else "claim not
 met"; "WORSE than its bound B" when the change's median is worse than the
@@ -104,6 +107,7 @@ def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
             sign = 1.0 if metric in higher else -1.0  # sign * (b - a) > 0: the change is better
             wins = int((sign * (b - a) > 0).sum())
             qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
+            qr = np.percentile(b / a, [25, 50, 75])  # per pair, so a drift of pace cancels
             gain = sign * (qb[1] - qa[1])
             met = wins >= 0.9 * len(runs) and gain > qa[2] - qa[0]
             verdict = "claim met" if met else "claim not met"
@@ -117,7 +121,9 @@ def summarize(spec: dict, parent: list[dict], change: list[dict]) -> int:
             print(
                 f"  {metric:16s} parent {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]"
                 f"  change {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]"
-                f"  change/parent {qb[1] / qa[1]:.3f}  change better in {wins}/{len(pairs)}"
+                f"  change/parent {qb[1] / qa[1]:.3f}"
+                f"  paired {qr[1]:.3f} [{qr[0]:.3f}, {qr[2]:.3f}]"
+                f"  change better in {wins}/{len(pairs)}"
                 f"  {verdict}"
             )
     return n_failed

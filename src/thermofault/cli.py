@@ -53,6 +53,7 @@ from .taxonomy import (
     create_text,
     quote,
     read_json,
+    read_scalar,
     write_json,
     write_records,
     write_text,
@@ -127,9 +128,8 @@ def _load_records(
     (None for no records) and their feature values, one row per record.
     An error names the file and, for one record's fault, the record."""
     payload = read_json(path)
-    records = check_keys(payload, None, f"feature file {path}", ("records",))["records"]
-    if not isinstance(records, list):
-        raise ValueError(f"feature file {path}: 'records' must be a list, got {quote(records)}")
+    check_keys(payload, None, f"feature file {path}", ("records",))
+    records = read_scalar(payload, "records", list, f"feature file {path}:")
     regions = []
     for i, rec in enumerate(records):
         check_keys(rec, None, f"feature file {path}: record", ("split", "feature"))

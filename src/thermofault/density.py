@@ -283,14 +283,6 @@ DEFAULT_GRID = FeatureGrid(t_lo=-20.0, t_hi=120.0, n_points=128)
 GRID_KEYS = ("t_lo", "t_hi", "n_points")
 
 
-def _checked(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():  # a subnormal grid step can overflow raw / mass
-        raise ValueError("feature 'values' must be finite numbers")
-    if (values < 0).any():
-        raise ValueError("density values must be non-negative")
-    return values
-
-
 @dataclass(frozen=True)
 class PdfFeature:
     """Density evaluated on a grid, renormalized to unit mass (feature_vector
@@ -412,7 +404,9 @@ def feature_vector(samples, grid: FeatureGrid = DEFAULT_GRID, bandwidth="auto"):
     for i in (i for i in redo if mass[i] <= 0.0):
         raise _no_mass_error(est.samples[i], float(w[i]), grid)
     raw /= mass[:, None]
-    _checked(raw).flags.writeable = False
+    if not np.isfinite(raw).all():  # a subnormal grid step can overflow raw / mass
+        raise ValueError("feature 'values' must be finite numbers")
+    raw.flags.writeable = False
     return (raw, w) if stack else PdfFeature(grid, raw[0], float(w[0]))
 
 

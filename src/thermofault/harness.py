@@ -67,6 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.synth is None) == (self.manifest_path is None):
             raise ValueError("config needs exactly one of synth or manifest_path")
+        if self.synth is not None:  # the config's seed draws the synthetic data
+            object.__setattr__(self, "synth", dataclasses.replace(self.synth, seed=self.seed))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.refine_iters < 1:
@@ -94,8 +96,11 @@ class ExperimentConfig:
         check_keys(d, ("data", "grid", "bandwidth", "embedder", *_CONFIG_SCALARS), what)
         data = check_keys(d.get("data", {}), ("synth", "manifest"), "experiment data")
         kwargs = {k: read_scalar(d, k, kind, what) for k, kind in _CONFIG_SCALARS.items() if k in d}
+        seed = kwargs.get("seed", cls.seed)
         if "synth" in data:
             kwargs["synth"] = SynthConfig.from_dict(data["synth"])
+            if (s := data["synth"].get("seed", seed)) != seed:  # one seed draws the data
+                raise ValueError(f"{what} 'data.synth.seed' {s} differs from its 'seed' {seed}")
         if "manifest" in data:
             kwargs["manifest_path"] = read_scalar(data, "manifest", str, "experiment data")
         if "grid" in d:
@@ -214,7 +219,7 @@ def extract_features(
     """
     source = cfg.manifest_path or f"synthetic seed {cfg.seed}"
     if cfg.synth is not None:
-        images, manifest = synthesize(dataclasses.replace(cfg.synth, seed=cfg.seed))
+        images, manifest = synthesize(cfg.synth)
         loaded = ((img.source_id, img) for img in images)
     else:
         manifest = load_manifest(Path(cfg.manifest_path))

@@ -250,28 +250,18 @@ class DatasetManifest:
     def __post_init__(self):
         for name in SPLITS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name, split in (("labeled", self.labeled), ("test", self.test)):
-            for region in split:
-                if region.status is None:
-                    raise ManifestError(f"{name} region {quote(region.key())} has no status")
-        for region in self.unlabeled:
-            if region.status is not None:
-                raise ManifestError(f"unlabeled region {quote(region.key())} carries a status")
         seen: dict[tuple, str] = {}
-        for name in SPLITS:
-            for region in getattr(self, name):
-                k = region.key()
-                if k in seen:
-                    raise ManifestError(
-                        f"region {quote(k)} appears in both {seen[k]} and {name} splits"
-                    )
-                seen[k] = name
-        labeled_subcats = {r.subcategory for r in self.labeled}
-        for region in self.test:
-            if region.subcategory not in labeled_subcats:
-                raise ManifestError(
-                    f"test subcategory {region.subcategory.label} has no labeled examples"
-                )
+        for name, region in ((name, r) for name in SPLITS for r in getattr(self, name)):
+            k = region.key()
+            if (region.status is None) != (name == "unlabeled"):
+                fault = "has no status" if region.status is None else "carries a status"
+                raise ManifestError(f"{name} region {quote(k)} {fault}")
+            if other := seen.get(k):
+                raise ManifestError(f"region {quote(k)} appears in both {other} and {name} splits")
+            seen[k] = name
+        labeled = {r.subcategory for r in self.labeled}
+        for c in (r.subcategory for r in self.test if r.subcategory not in labeled):
+            raise ManifestError(f"test subcategory {c.label} has no labeled examples")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -282,57 +272,52 @@ def load_manifest(path) -> DatasetManifest:
     unlabeled split regardless of the list they were declared in. Image
     paths are resolved relative to the manifest's directory. No image is
     opened here: whoever loads the images checks each bbox against its
-    image's size (harness.extract_features does).
+    image's size (harness.extract_features does). Each error names the
+    manifest and then the fault's place in it.
     """
     path = Path(path)
     doc = read_json(path)
-    try:  # a misspelled split must fail, not read as an empty one
-        check_keys(doc, ("images", *SPLITS), "manifest")
+    try:
+        return _manifest(doc, path.parent)
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from None
-    for key, value in doc.items():
-        if not isinstance(value, list):
-            raise ManifestError(f"{path}: manifest {key!r} must be a list, got {quote(value)}")
+
+
+def _manifest(doc, root: Path) -> DatasetManifest:
+    """load_manifest's reading of doc; a ValueError names the fault's place."""
+    check_keys(doc, ("images", *SPLITS), "manifest")  # a misspelled split must not read as empty
+    for key in doc:
+        read_scalar(doc, key, list, "manifest")
 
     image_paths: dict[str, Path] = {}
     for i, entry in enumerate(doc.get("images", [])):
         try:
             img_id, rel = (read_scalar(entry, k, str, "image") for k in ("id", "path"))
         except (KeyError, TypeError):
-            raise ManifestError(f"{path}: images[{i}]: image entry needs 'id' and 'path'") from None
+            raise ValueError(f"images[{i}]: image entry needs 'id' and 'path'") from None
         except ValueError as exc:
-            raise ManifestError(f"{path}: images[{i}]: {exc}") from None
+            raise ValueError(f"images[{i}]: {exc}") from None
         if img_id in image_paths:
-            raise ManifestError(f"{path}: images[{i}]: duplicate image id {quote(img_id)}")
-        image_paths[img_id] = path.parent / rel
+            raise ValueError(f"images[{i}]: duplicate image id {quote(img_id)}")
+        image_paths[img_id] = root / rel
 
-    for img_id, img_path in image_paths.items():
-        if not img_path.exists():
-            raise ManifestError(f"{path}: image {quote(img_id)} not found at {img_path}")
+    for img_id in (k for k, p in image_paths.items() if not p.exists()):
+        raise ValueError(f"image {quote(img_id)} not found at {image_paths[img_id]}")
 
     splits: dict[str, list[RegionAnnotation]] = {name: [] for name in SPLITS}
     for name in SPLITS:
         for i, entry in enumerate(doc.get(name, [])):
             try:
                 region = RegionAnnotation.from_dict(entry)
-            except (ValueError, TypeError) as exc:
-                raise ManifestError(f"{path}: {name}[{i}]: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{name}[{i}]: {exc}") from None
             if name != "unlabeled" and "status" not in entry:
-                raise ManifestError(
-                    f"{path}: {name}[{i}] has no status key; give null to mark it unlabeled"
-                )
+                raise ValueError(f"{name}[{i}] has no status key; give null to mark it unlabeled")
             if region.image_ref not in image_paths:
-                raise ManifestError(
-                    f"{path}: {name}[{i}] references unknown image {quote(region.image_ref)}"
-                )
-            if region.status is None:
-                splits["unlabeled"].append(region)  # null status routes to unlabeled
-            else:
-                if name == "unlabeled":
-                    raise ManifestError(
-                        f"{path}: unlabeled[{i}] carries a status; drop it or move the region"
-                    )
-                splits[name].append(region)
+                raise ValueError(f"{name}[{i}] references unknown image {quote(region.image_ref)}")
+            if name == "unlabeled" and region.status is not None:
+                raise ValueError(f"unlabeled[{i}] carries a status; drop it or move the region")
+            splits["unlabeled" if region.status is None else name].append(region)
     return DatasetManifest(*(splits[name] for name in SPLITS), image_paths)
 
 

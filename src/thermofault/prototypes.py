@@ -222,8 +222,7 @@ def model_from_dict(d: dict) -> tuple[PrototypeModel, FeatureGrid, str | None]:
             " older model files lack them, so re-run train to write them"
         )
     check_keys(d, keys, "model", keys)
-    if not isinstance(d["classes"], list):
-        raise ValueError(f"model 'classes' must be a list, got {quote(d['classes'])}")
+    read_scalar(d, "classes", list, "model")
     embedder = d["embedder"]
     if embedder is not None and not isinstance(embedder, str):
         message = f"model 'embedder' must be a sha256 hex digest or null, got {quote(embedder)}"

@@ -125,15 +125,15 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
     return d
 
 
-_SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string"}
+_SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 
 
 def read_scalar(d: dict, key: str, kind: type, what: str):
     """d[key] if it is a value of kind's own JSON type: an integer for int,
     a finite number for float (an integer reads as its float), a string for
-    str; true and false are none of these. Any other value (16.0 or "12"
-    for an integer, "0.5", NaN or an infinity for a number, null, a list,
-    an object) is a ValueError naming the key, so the CLI exits 1 on it."""
+    str, an array for list; true and false are none of these. Any other
+    value (16.0 or "12" for an integer, "0.5", NaN or an infinity for a
+    number, null, an object) is a ValueError naming the key: the CLI exits 1."""
     value = d[key]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # NaN fails the comparison, and so does an int past the range

@@ -37,3 +37,13 @@ def test_summarize_verdicts(capsys, parent, change, verdict):
     head, line = capsys.readouterr().out.splitlines()
     assert head == "w: 10 of 10 pairs; failed runs: parent 0, change 0"
     assert line.startswith("  regions_per_s") and line.endswith(f"  {verdict}"), line
+
+
+def test_summarize_prints_the_paired_ratio_that_a_drift_does_not_hide(capsys):
+    """The machine's pace drifts over the runs, and the change is 1.2x the
+    parent in every pair: the verdict, on each side's quartiles, cannot
+    tell, while the per-pair ratios read 1.2."""
+    drift = [100.0 * 1.08**i for i in range(10)]  # from 100 to 200
+    assert bench_pairs.summarize(SPEC, runs("w", drift), runs("w", [1.2 * v for v in drift])) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert "  paired 1.200 [1.200, 1.200]  change better in 10/10  unresolved" in line, line

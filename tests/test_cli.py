@@ -264,13 +264,25 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
     assert "outside" in capsys.readouterr().err
 
 
+def _without_status(doc):
+    return {k: v for k, v in doc["labeled"][0].items() if k != "status"}
+
+
+def _without_arrester_normal(doc):
+    labeled = doc["labeled"]
+    return [r for r in labeled if (r["equipment_type"], r["status"]) != ("arrester", "normal")]
+
+
 @pytest.mark.parametrize(
     "where, value, message",
     [
         (("test",), False, "manifest 'test' must be a list, got False"),
         (("images",), None, "manifest 'images' must be a list, got None"),
         (("labeled",), -1, "manifest 'labeled' must be a list, got -1"),
-        (("unlabled",), None, "unknown manifest key(s): 'unlabled'"),
+        (
+            ("unlabled",), lambda doc: doc.pop("unlabeled"),
+            "unknown manifest key(s): 'unlabled'; expected: images, labeled, unlabeled, test",
+        ),
         (("labeled", 0, "bbox", 0), 0.5, "labeled[0]: region bbox 0 must be an integer, got 0.5"),
         (
             ("labeled", 0, "bbox", 0), True,
@@ -284,35 +296,67 @@ def test_extract_invalid_manifest_is_validation_error(dataset, tmp_path, capsys)
             ("images", 1), {"id": "arrester_fault_labeled_000", "path": "a.rtm"},
             "images[1]: duplicate image id 'arrester_fault_labeled_000'",
         ),
+        (("images", 0), "a.rtm", "images[0]: image entry needs 'id' and 'path'"),
+        (
+            ("images", 0, "path"), "nope.rtm",
+            "image 'arrester_fault_labeled_000' not found at {dir}/nope.rtm",
+        ),
+        (
+            ("labeled", 0, "equipment_type"), "pump",
+            "labeled[0]: unknown equipment type 'pump'; expected one of: transformer, bushing,"
+            " voltage_transformer, current_transformer, arrester",
+        ),
+        (
+            ("labeled", 0), _without_status,
+            "labeled[0] has no status key; give null to mark it unlabeled",
+        ),
+        (
+            ("labeled", 0, "image_ref"), "ghost",
+            "labeled[0] references unknown image 'ghost'",
+        ),
+        (
+            ("unlabeled", 0, "status"), "fault",
+            "unlabeled[0] carries a status; drop it or move the region",
+        ),
+        (
+            ("test", 0), lambda doc: doc["labeled"][0],
+            "region ('transformer_normal_labeled_000', (3, 1, 16, 16))"
+            " appears in both labeled and test splits",
+        ),
+        (
+            ("labeled",), _without_arrester_normal,
+            "test subcategory arrester:normal has no labeled examples",
+        ),
     ],
     ids=[
         "test-false", "images-null", "labeled-negative", "misspelled-unlabeled",
         "bbox-cell-half", "bbox-cell-true", "image-ref-int", "image-id-int", "image-path-null",
-        "image-without-path", "duplicate-image-id",
+        "image-without-path", "duplicate-image-id", "image-entry-string", "missing-image-file",
+        "unknown-equipment-type", "labeled-without-status-key", "unknown-image",
+        "status-in-unlabeled", "region-in-two-splits", "test-class-without-labeled",
     ],
 )
 def test_extract_manifest_top_level_keys_are_checked(
     dataset, tmp_path, capsys, where, value, message
 ):
-    """A top-level value that is not a list, a misspelled split (which
-    would read as an empty one), a bbox cell that is not a JSON integer
-    (0.5 is not read as 0, nor true as 1), an image ref, id or path that
-    is not a string, an image entry without a path or a repeated image id
-    exits 1 naming the manifest and the key."""
+    """Each fault that load_manifest rejects exits 1 with one error line
+    that names the manifest and then the fault's place in it. Among them:
+    a misspelled split, which would read as an empty one, and a bbox cell
+    that is not a JSON integer (0.5 is not read as 0, nor true as 1). A
+    callable value computes the new value from the manifest."""
     doc = json.loads((dataset / "data" / "manifest.json").read_text())
     *path, last = where
     target = doc
     for key in path:
         target = target[key]
-    target[last] = doc.pop("unlabeled") if last == "unlabled" else value
+    target[last] = value(doc) if callable(value) else value
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     for p in (dataset / "data").glob("*.rtm"):
         (tmp_path / p.name).write_bytes(p.read_bytes())
     code = run_cli("extract", "--manifest", bad, "--out", tmp_path / "f.json")
-    err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert f"{bad}: {message}" in err
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message.format(dir=tmp_path)}"]
     assert not (tmp_path / "f.json").exists()
 
 
@@ -1521,6 +1565,8 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
             }}},
             "test split is empty",
         ),
+        # the config file's synth seed (0) is not its seed
+        ("eval", {"seed": 3}, "experiment config 'data.synth.seed' 0 differs from its 'seed' 3"),
     ],
 )
 def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):

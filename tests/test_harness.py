@@ -117,6 +117,28 @@ def test_config_reader_takes_defaults_from_the_fields():
     assert cfg == ExperimentConfig(manifest_path="m.json")
 
 
+def test_the_config_seed_is_the_one_synthetic_seed():
+    """The seed field draws the synthetic data, so it replaces the synth
+    config's own seed, in the data and in the hash; a config file whose
+    'data.synth.seed' differs from its 'seed' (default 0) is an error."""
+    other = dataclasses.replace(small_config().synth, seed=99)
+    cfg = small_config(synth=other, seed=3)
+    assert cfg.synth.seed == 3 and cfg == small_config(seed=3)
+    assert config_hash(cfg) == config_hash(small_config(seed=3))
+    doc = cfg.to_dict()
+    assert doc["data"]["synth"]["seed"] == 3 and ExperimentConfig.from_dict(doc) == cfg
+    del doc["data"]["synth"]["seed"]
+    assert ExperimentConfig.from_dict(doc) == cfg
+    what = "^experiment config 'data.synth.seed'"
+    doc["data"]["synth"]["seed"] = 99
+    with pytest.raises(ValueError, match=f"{what} 99 differs from its 'seed' 3$"):
+        ExperimentConfig.from_dict(doc)
+    del doc["seed"]  # so the default, 0
+    doc["data"]["synth"]["seed"] = 5
+    with pytest.raises(ValueError, match=f"{what} 5 differs from its 'seed' 0$"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_scalar_of_the_wrong_json_type_names_its_key():
     base = {"data": {"manifest": "m.json"}}
     for key, bad in [

@@ -111,6 +111,7 @@ def cmd_extract(args) -> int:
     manifest, features = extract_features(cfg, feature_vector)
     n = write_records(
         Path(args.out),
+        {"grid": cfg.grid.to_dict()},
         (
             {**region.to_dict(), "split": split, "feature": PdfFeature(cfg.grid, row, w).to_dict()}
             for split in SPLITS
@@ -121,14 +122,16 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_records(
-    path: Path,
-) -> tuple[list[RegionAnnotation], list[str], FeatureGrid | None, np.ndarray]:
-    """The regions and splits of a feature file's records, their one grid
-    (None for no records) and their feature values, one row per record.
-    An error names the file and, for one record's fault, the record."""
+def _load_records(path: Path) -> tuple[list[RegionAnnotation], list[str], FeatureGrid, np.ndarray]:
+    """The regions and splits of a feature file's records, the file's grid
+    and the records' feature values on it, one row per record. An error
+    names the file and, for one record's fault, the record."""
     payload = read_json(path)
-    check_keys(payload, None, f"feature file {path}", ("records",))
+    check_keys(payload, None, f"feature file {path}", ("grid", "records"))
+    try:
+        grid = FeatureGrid.from_dict(payload["grid"])
+    except ValueError as exc:
+        raise ValueError(f"feature file {path}: {exc}") from None
     records = read_scalar(payload, "records", list, f"feature file {path}:")
     regions = []
     for i, rec in enumerate(records):
@@ -142,8 +145,7 @@ def _load_records(
             regions.append(RegionAnnotation.from_dict(rec))
         except ValueError as exc:
             raise ValueError(f"feature file {path}: record {i}: {exc}") from None
-    features = [rec["feature"] for rec in records]
-    grid, values = read_features(features, f"feature file {path}: record")
+    values = read_features([r["feature"] for r in records], grid, f"feature file {path}: record")
     return regions, [rec["split"] for rec in records], grid, values
 
 
@@ -233,7 +235,7 @@ def _prediction_lines(
 def cmd_classify(args) -> int:
     model, model_grid, model_embedder = model_from_dict(read_json(args.model))
     regions, splits, grid, vectors = _load_records(Path(args.features))
-    if grid is not None and grid != model_grid:
+    if grid != model_grid:
         raise ValueError(
             f"feature file {args.features} is on grid {grid}, but model {args.model}"
             f" was trained on grid {model_grid}"
@@ -250,8 +252,6 @@ def cmd_classify(args) -> int:
         raise ValueError(f"model {args.model} was trained {trained}, but classify got {given}")
     if data is not None:
         vectors = embed_many(embedder_from_dict(read_json(args.embedder_file, data)), vectors)
-    if not regions:  # no rows have no width to check
-        vectors = vectors.reshape(0, model.feature_dim)
     if vectors.shape[1] != model.feature_dim:
         source = f"embedder {args.embedder_file}" if args.embedder_file else "no --embedder-file"
         raise ValueError(
@@ -280,6 +280,8 @@ def cmd_eval(args) -> int:
     cfg = _eval_config(args)
     if cfg.repeats > 1 and args.sweep is not None:
         raise ValueError(f"--repeats {cfg.repeats} (flag or config) does not combine with --sweep")
+    if args.mode not in (None, MODE_WEAK) and args.sweep is not None:
+        raise ValueError(f"--mode {args.mode} does not combine with --sweep, which runs weak")
     out_dir = Path(args.out)
 
     def emit(name: str, report) -> None:
@@ -297,8 +299,9 @@ def cmd_eval(args) -> int:
         print(table)
         return EXIT_OK
 
+    mode = args.mode or "both"
     runs = [  # per seed, the supervised and weak reports, or the one mode's report
-        run_both(c) if args.mode == "both" else (run_experiment(c, args.mode),)
+        run_both(c) if mode == "both" else (run_experiment(c, mode),)
         for c in (dataclasses.replace(cfg, seed=cfg.seed + r) for r in range(cfg.repeats))
     ]
     for reports in runs:
@@ -307,14 +310,14 @@ def cmd_eval(args) -> int:
 
     if cfg.repeats == 1:
         tables = [report_table(rep) for rep in runs[0]]
-        if args.mode == "both":
+        if mode == "both":
             tables.append(compare_table(*runs[0]))
             write_text(out_dir / "compare.txt", tables[-1])
         print("\n".join(tables))
         return EXIT_OK
 
     accs = [np.array([rep.overall.acc_average for rep in col]) for col in zip(*runs)]
-    if args.mode == "both":
+    if mode == "both":
         sup, weak = accs
         summary = (
             f"mean supervised {sup.mean():.4f}  mean weak {weak.mean():.4f}"
@@ -323,7 +326,7 @@ def cmd_eval(args) -> int:
         )
     else:
         summary = f"mean overall accuracy over {len(runs)} seeds: {accs[0].mean():.3f}"
-    write_text(out_dir / f"summary_{args.mode}.txt", summary)
+    write_text(out_dir / f"summary_{mode}.txt", summary)
     print(summary)
     return EXIT_OK
 
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run the evaluation harness")
     p_eval.add_argument("--out", required=True, help="output report directory")
     p_eval.add_argument("--config", help="ExperimentConfig JSON (default: built-in synthetic)")
-    p_eval.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK, "both"], default="both")
+    p_eval.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK, "both"])
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--alpha", type=float)
     p_eval.add_argument("--repeats", type=int)

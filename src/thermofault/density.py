@@ -293,52 +293,37 @@ class PdfFeature:
     bandwidth: float
 
     def to_dict(self) -> dict:
-        """The JSON form of one feature, with the FEATURE_KEYS that read_features reads."""
-        values, bandwidth = self.values.tolist(), float(self.bandwidth)
-        return {**self.grid.to_dict(), "values": values, "bandwidth": bandwidth}
+        """The JSON form of one feature: the FEATURE_KEYS that read_features reads."""
+        return {"values": self.values.tolist(), "bandwidth": float(self.bandwidth)}
 
 
-FEATURE_KEYS = (*GRID_KEYS, "values", "bandwidth")
+FEATURE_KEYS = ("values", "bandwidth")
 
 
-def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None, np.ndarray]:
-    """The one grid and the (n, n_points) values of n feature dicts; for
-    no dicts, None and an empty array (no rows, no width).
+def read_features(docs: list, grid: FeatureGrid, what: str = "feature") -> np.ndarray:
+    """The (n, grid.n_points) values of n feature dicts on grid.
 
-    Each dict holds exactly FEATURE_KEYS, its scalars have the right JSON
-    types, its bandwidth is positive, and its values are n_points finite,
-    non-negative numbers; and all must share one grid. One pass checks
-    each dict in turn and copies its values into their row; then the
-    values are checked finite and non-negative. An error names the index
-    of the first dict at fault as "{what} {i}".
+    Each dict holds exactly FEATURE_KEYS, a positive bandwidth and n_points
+    values. One pass checks each dict in turn and copies its values into
+    their row; then all values are checked finite and non-negative. An
+    error names the index of the first dict at fault as "{what} {i}".
     """
-    if not docs:
-        return None, np.empty(0)
-    grid = typed_grid = values = None
+    values = np.empty((0, grid.n_points))  # no dicts: no rows, which allocates nothing
     for i, d in enumerate(docs):
         try:
             check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
             if not read_scalar(d, "bandwidth", float, "feature") > 0:
                 bandwidth = quote(d["bandwidth"])
                 raise ValueError(f"feature 'bandwidth' must be positive, got {bandwidth}")
-            raw = {k: d[k] for k in GRID_KEYS}
-            # a triple equal to the first in value and JSON type (128.0 is not
-            # 128) is read as the first grid; any other triple is parsed
-            typed = [(type(v), v) for v in raw.values()]
-            g = grid if typed == typed_grid else FeatureGrid.from_dict(raw, "feature")
         except ValueError as exc:
             raise ValueError(f"{what} {i}: {exc}") from None
-        if grid is None:
-            grid, typed_grid = g, typed
-        elif g != grid:
-            raise ValueError(f"{what} {i} has grid {g}, but the first one has grid {grid}")
         row = read_array(d, "values", f"{what} {i}: feature")
         if row.shape != (grid.n_points,):
             raise ValueError(
                 f"{what} {i}: feature 'values' has shape {row.shape},"
                 f" but its grid has {grid.n_points} points"
             )
-        if values is None:  # sized by a row as read: a huge n_points allocates nothing
+        if i == 0:  # sized by a row as read: a huge n_points allocates nothing
             values = np.empty((len(docs), row.size))
         values[i] = row
     finite = np.isfinite(values).all(axis=1)  # a JSON null reads as NaN
@@ -348,7 +333,7 @@ def read_features(docs: list, what: str = "feature") -> tuple[FeatureGrid | None
     negative = (values < 0).any(axis=1)
     if negative.any():
         raise ValueError(f"{what} {int(np.argmax(negative))}: density values must be non-negative")
-    return grid, values
+    return values
 
 
 def _truncation_bound(peak: float, mass: float, grid: FeatureGrid, h: float) -> float:

@@ -373,6 +373,8 @@ def sweep(cfg: ExperimentConfig, param: str, values: Sequence) -> list[EvalRepor
     elif param == "bandwidth":
         cfgs = [dataclasses.replace(cfg, bandwidth=float(v)) for v in values]
     else:
+        for v in (v for v in values if not float(v).is_integer()):
+            raise ValueError(f"sweep grid_points value {v!r} is not an integer")
         grids = (FeatureGrid(cfg.grid.t_lo, cfg.grid.t_hi, int(v)) for v in values)
         cfgs = [dataclasses.replace(cfg, grid=grid) for grid in grids]
     data = prepare_features(cfg) if param == "alpha" else None

@@ -256,7 +256,9 @@ class DatasetManifest:
             if (region.status is None) != (name == "unlabeled"):
                 fault = "has no status" if region.status is None else "carries a status"
                 raise ManifestError(f"{name} region {quote(k)} {fault}")
-            if other := seen.get(k):
+            if (other := seen.get(k)) == name:
+                raise ManifestError(f"region {quote(k)} appears twice in the {name} split")
+            if other:
                 raise ManifestError(f"region {quote(k)} appears in both {other} and {name} splits")
             seen[k] = name
         labeled = {r.subcategory for r in self.labeled}

@@ -167,10 +167,6 @@ def refine_centers(model: PrototypeModel, unlabeled, iters: int = 1) -> Prototyp
     x = np.asarray(unlabeled, dtype=np.float64)
     if x.size == 0:
         x = x.reshape(0, model.feature_dim)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
-        raise ValueError("unlabeled vectors must be (n, feature_dim)")
-    if not np.isfinite(x).all():
-        raise ValueError("unlabeled vectors must be finite")
     labeled = model.centers_labeled
     current = model.centers_refined
     alpha = model.alpha

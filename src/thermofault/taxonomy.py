@@ -206,15 +206,16 @@ def write_json(path, payload) -> str:
     return write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def write_records(path, records: Iterable[dict]) -> int:
-    """The bytes of write_json(path, {"records": list(records)}), written
-    one record at a time, so the whole text is never held. Returns the
-    number of records."""
+def write_records(path, head: dict, records: Iterable[dict]) -> int:
+    """The bytes of write_json(path, {**head, "records": list(records)}),
+    written one record at a time, so the whole text is never held; no value
+    of head holds a "records" key. Returns the number of records."""
     n = 0
+    before, _, after = json.dumps({**head, "records": []}, sort_keys=True).partition('"records": [')
     with create_text(path) as fh:
-        fh.write('{"records": [')
+        fh.write(before + '"records": [')
         for rec in records:
             fh.write((", " if n else "") + json.dumps(rec, sort_keys=True))
             n += 1
-        fh.write("]}\n")
+        fh.write(after + "\n")
     return n

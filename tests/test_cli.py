@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _prediction_lines, main
-from thermofault.density import FeatureGrid, PdfFeature, feature_vector, read_features
+from thermofault.density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
 from thermofault.embedding import TrainConfig, embedder_from_dict
 from thermofault.harness import (
     SPLITS,
@@ -41,6 +41,10 @@ from thermofault.taxonomy import (
     SubcategoryId,
     write_records,
 )
+
+
+# A feature file with no records, on the default grid
+EMPTY_FEATURES = {"grid": DEFAULT_GRID.to_dict(), "records": []}
 
 
 def run_cli(*argv):
@@ -133,14 +137,14 @@ def test_synth_config_map_that_is_not_an_object_fails(tmp_path, capsys, where, k
 # ----------------------------------------------------------------- extract
 
 def test_extract_matches_library_feature_vector(dataset):
-    records = json.loads((dataset / "features.json").read_text())["records"]
+    doc = json.loads((dataset / "features.json").read_text())
+    records = doc["records"]
     manifest = load_manifest(dataset / "data" / "manifest.json")
     rec = records[0]
     img = load_thermal(dataset / "data" / f"{rec['image_ref']}.rtm", source_id=rec["image_ref"])
     samples = extract_region(img, tuple(rec["bbox"]))
-    grid = FeatureGrid(
-        rec["feature"]["t_lo"], rec["feature"]["t_hi"], rec["feature"]["n_points"]
-    )
+    grid = FeatureGrid.from_dict(doc["grid"])
+    assert grid == DEFAULT_GRID
     feat = feature_vector(samples, grid, bandwidth="auto")
     assert feat.values.tolist() == rec["feature"]["values"]
     assert feat.bandwidth == rec["feature"]["bandwidth"]
@@ -159,7 +163,8 @@ def test_extract_record_region_fields_come_from_the_region(dataset):
 
 def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
     """The streamed feature file is json.dumps of the whole payload, built
-    here from the library's features, each serialized as a PdfFeature."""
+    here from the library's features, each serialized as a PdfFeature,
+    under the file's one grid."""
     cfg = ExperimentConfig(manifest_path=str(dataset / "data" / "manifest.json"))
     manifest, features = extract_features(cfg, feature_vector)
     records = [
@@ -168,14 +173,14 @@ def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
         for region, row, w in zip(getattr(manifest, split), *features[split])
     ]
     assert len(records) == 10 * (2 + 2 + 1)
-    expected = json.dumps({"records": records}, sort_keys=True) + "\n"
+    expected = json.dumps({"grid": cfg.grid.to_dict(), "records": records}, sort_keys=True) + "\n"
     assert (dataset / "features.json").read_text(encoding="utf-8") == expected
 
     empty = tmp_path / "manifest.json"
     empty.write_text(json.dumps({"images": [], "labeled": [], "unlabeled": [], "test": []}))
     out = tmp_path / "features.json"
     assert run_cli("extract", "--manifest", empty, "--out", out) == EXIT_OK
-    assert out.read_text(encoding="utf-8") == json.dumps({"records": []}) + "\n"
+    assert out.read_text(encoding="utf-8") == json.dumps(EMPTY_FEATURES, sort_keys=True) + "\n"
 
 
 def test_extract_corrupt_rtm_reports_file_and_line(dataset, tmp_path, capsys):
@@ -327,6 +332,16 @@ def _without_arrester_normal(doc):
             ("labeled",), _without_arrester_normal,
             "test subcategory arrester:normal has no labeled examples",
         ),
+        (
+            ("labeled",), lambda doc: doc["labeled"] + doc["labeled"][:1],
+            "region ('transformer_normal_labeled_000', (3, 1, 16, 16))"
+            " appears twice in the labeled split",
+        ),
+        (  # a null-status region declared in labeled lands in unlabeled
+            ("labeled",), lambda doc: doc["labeled"] + doc["unlabeled"][:1],
+            "region ('transformer_normal_unlabeled_000', (1, 3, 16, 16))"
+            " appears twice in the unlabeled split",
+        ),
     ],
     ids=[
         "test-false", "images-null", "labeled-negative", "misspelled-unlabeled",
@@ -334,6 +349,7 @@ def _without_arrester_normal(doc):
         "image-without-path", "duplicate-image-id", "image-entry-string", "missing-image-file",
         "unknown-equipment-type", "labeled-without-status-key", "unknown-image",
         "status-in-unlabeled", "region-in-two-splits", "test-class-without-labeled",
+        "region-twice-in-labeled", "region-twice-in-unlabeled",
     ],
 )
 def test_extract_manifest_top_level_keys_are_checked(
@@ -590,18 +606,49 @@ def test_train_mlp_matches_harness_embedder(dataset, tmp_path, mode, flags):
             assert np.array_equal(getattr(cli_emb, name), getattr(harness_emb, name)), name
 
 
+def grid_key_error(feats: Path, i: int) -> str:
+    """The error line for record i of feats whose feature holds 't_lo'."""
+    return (
+        f"error: feature file {feats}: record {i}: unknown feature key(s): 't_lo';"
+        " expected: values, bandwidth\n"
+    )
+
+
 @pytest.mark.parametrize("split", ["labeled", "unlabeled"])
 def test_train_rejects_mixed_grids(dataset, tmp_path, capsys, split):
-    records = json.loads((dataset / "features.json").read_text())["records"]
-    first = next(rec for rec in records if rec["split"] == split)
-    first["feature"]["t_lo"] = 0.0  # same n_points, different grid
+    """The file's grid is the one grid: a record whose feature still holds a
+    grid key of its own, as in the older per-record format, is an error
+    naming the record and the key."""
+    doc = json.loads((dataset / "features.json").read_text())
+    i = next(i for i, rec in enumerate(doc["records"]) if rec["split"] == split)
+    doc["records"][i]["feature"]["t_lo"] = 0.0  # same n_points, different grid
     feats = tmp_path / "mixed.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "m.json"
     code = run_cli("train", "--features", feats, "--out", out)
-    err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert "[-20.0, 120.0] x 128" in err and "[0.0, 120.0] x 128" in err
+    assert capsys.readouterr().err == grid_key_error(feats, i)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_a_feature_file_without_a_grid_asks_to_re_extract(dataset, tmp_path, capsys, command):
+    """A feature file in the older format, each record's feature holding the
+    grid keys and no top-level "grid", exits 1 with one error line naming
+    the file and the key."""
+    doc = json.loads((dataset / "features.json").read_text())
+    for rec in doc["records"]:
+        rec["feature"].update(doc["grid"])
+    del doc["grid"]
+    feats = tmp_path / "old.json"
+    feats.write_text(json.dumps(doc), encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--features", dataset / "features.json", "--out", model) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    args = ["--model", model] if command == "classify" else []
+    assert run_cli(command, "--features", feats, "--out", out, *args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: feature file {feats} needs key(s): 'grid'\n"
     assert not out.exists()
 
 
@@ -616,7 +663,7 @@ def test_train_rejects_mlp_flags_without_mlp_embedder(dataset, tmp_path, capsys,
 
 def test_train_no_labeled_records(tmp_path, capsys):
     feats = tmp_path / "features.json"
-    feats.write_text(json.dumps({"records": []}), encoding="utf-8")
+    feats.write_text(json.dumps(EMPTY_FEATURES), encoding="utf-8")
     code = run_cli("train", "--features", feats, "--out", tmp_path / "m.json")
     assert code == EXIT_VALIDATION
     assert "no labeled records" in capsys.readouterr().err
@@ -712,8 +759,9 @@ def test_classify_names_model_and_embedder_widths(separable_run, tmp_path, capsy
 
 
 def test_classify_empty_features(separable_run, tmp_path):
+    doc = json.loads((separable_run / "features.json").read_text())
     feats = tmp_path / "empty.json"
-    feats.write_text(json.dumps({"records": []}), encoding="utf-8")
+    feats.write_text(json.dumps({**doc, "records": []}), encoding="utf-8")
     out = tmp_path / "pred.jsonl"
     code = run_cli(
         "classify", "--model", separable_run / "model.json", "--features", feats, "--out", out
@@ -728,8 +776,9 @@ def test_classify_empty_features_through_an_embedder(separable_run, tmp_path):
         "train", "--features", separable_run / "features.json", "--out", model,
         "--embedder", "mlp", "--episodes", 0, "--out-dim", 6,
     ) == EXIT_OK
+    doc = json.loads((separable_run / "features.json").read_text())
     feats = tmp_path / "empty.json"
-    feats.write_text(json.dumps({"records": []}), encoding="utf-8")
+    feats.write_text(json.dumps({**doc, "records": []}), encoding="utf-8")
     out = tmp_path / "pred.jsonl"
     code = run_cli(
         "classify", "--model", model, "--features", feats, "--out", out,
@@ -833,11 +882,11 @@ def test_classify_malformed_artifact_exits_1(
 def test_misspelled_split_names_the_record(separable_run, tmp_path, capsys, command):
     """A record whose split is none of labeled, unlabeled, test is an error,
     not a record that train drops and classify passes through."""
-    records = json.loads((separable_run / "features.json").read_text())["records"]
-    assert records[3]["split"] == "labeled"
-    records[3]["split"] = "labelled"
+    doc = json.loads((separable_run / "features.json").read_text())
+    assert doc["records"][3]["split"] == "labeled"
+    doc["records"][3]["split"] = "labelled"
     feats = tmp_path / "misspelled.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out.json"
     args = ["--model", separable_run / "model.json"] if command == "classify" else []
     code = run_cli(command, "--features", feats, "--out", out, *args)
@@ -848,12 +897,12 @@ def test_misspelled_split_names_the_record(separable_run, tmp_path, capsys, comm
 
 
 def test_classify_dim_mismatch(separable_run, tmp_path, capsys):
-    records = json.loads((separable_run / "features.json").read_text())["records"][:1]
-    rec = records[0]
+    doc = json.loads((separable_run / "features.json").read_text())
+    rec = doc["records"][0]
     rec["feature"]["values"] = rec["feature"]["values"][:64]
-    rec["feature"]["n_points"] = 64
+    doc["records"], doc["grid"]["n_points"] = [rec], 64
     feats = tmp_path / "wrong.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     code = run_cli(
         "classify",
         "--model", separable_run / "model.json",
@@ -864,17 +913,18 @@ def test_classify_dim_mismatch(separable_run, tmp_path, capsys):
 
 
 def test_classify_rejects_mixed_grids(separable_run, tmp_path, capsys):
-    records = json.loads((separable_run / "features.json").read_text())["records"]
-    records[-1]["feature"]["t_lo"] = 10.0  # same n_points, different grid
+    """As for train: the last record's feature holding a grid key of its own
+    is an error naming the record and the key."""
+    doc = json.loads((separable_run / "features.json").read_text())
+    doc["records"][-1]["feature"]["t_lo"] = 10.0  # same n_points, different grid
     feats = tmp_path / "mixed.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "p.jsonl"
     code = run_cli(
         "classify", "--model", separable_run / "model.json", "--features", feats, "--out", out
     )
-    err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert "[0.0, 120.0] x 128" in err and "[10.0, 120.0] x 128" in err
+    assert capsys.readouterr().err == grid_key_error(feats, len(doc["records"]) - 1)
     assert not out.exists()
 
 
@@ -883,12 +933,11 @@ def test_classify_rejects_a_model_trained_on_another_grid(dataset, tmp_path, cap
     model = tmp_path / "model.json"
     assert run_cli("train", "--features", dataset / "features.json", "--out", model) == EXIT_OK
     assert json.loads(model.read_text())["grid"] == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 128}
-    records = json.loads((dataset / "features.json").read_text())["records"]
-    for rec in records:
-        assert rec["feature"]["t_lo"] == -20.0
-        rec["feature"]["t_lo"] = 0.0
+    doc = json.loads((dataset / "features.json").read_text())
+    assert doc["grid"]["t_lo"] == -20.0
+    doc["grid"]["t_lo"] = 0.0
     feats = tmp_path / "shifted.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "p.jsonl"
     capsys.readouterr()
     code = run_cli("classify", "--model", model, "--features", feats, "--out", out)
@@ -957,15 +1006,12 @@ BOTH = ("train", "classify")
             (5, "feature", "bandwidth"), 0,
             "record 5: feature 'bandwidth' must be positive, got 0", BOTH,
         ),
-        (
+        (  # a record cannot carry a grid of its own
             (5, "feature", "t_lo"), 10.0,
-            "record 5 has grid [10.0, 120.0] x 128 points,"
-            " but the first one has grid [0.0, 120.0] x 128 points",
-            BOTH,
+            "record 5: unknown feature key(s): 't_lo'; expected: values, bandwidth", BOTH,
         ),
-        (  # equal to record 0's 128, but no JSON integer
-            (5, "feature", "n_points"), 128.0,
-            "record 5: feature 'n_points' must be an integer, got 128.0", BOTH,
+        (  # the file's grid: 128.0 equals 128, but is no JSON integer
+            ("grid", "n_points"), 128.0, "grid 'n_points' must be an integer, got 128.0", BOTH,
         ),
         (
             (5, "feature", "values", 7), "0.5",
@@ -1004,10 +1050,11 @@ BOTH = ("train", "classify")
 def test_bulk_feature_reader_names_the_record(
     separable_run, tmp_path, capsys, command, where, value, message, rejected_by
 ):
-    records = json.loads((separable_run / "features.json").read_text())["records"]
+    doc = json.loads((separable_run / "features.json").read_text())
+    records = doc["records"]
     assert [records[i]["split"] for i in (5, 35, 65)] == ["labeled", "unlabeled", "test"]
     *path, last = where
-    target = records
+    target = doc if where[0] == "grid" else records
     for k in path:
         target = target[k]
     if value == "short":
@@ -1017,7 +1064,7 @@ def test_bulk_feature_reader_names_the_record(
     else:
         target[last] = value
     feats = tmp_path / "bad.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out.json"
     args = ["--model", separable_run / "model.json"] if command == "classify" else []
     code = run_cli(command, "--features", feats, "--out", out, *args)
@@ -1038,12 +1085,13 @@ def small_features(dataset, tmp_path_factory):
     """20 of the dataset's feature records (8 unlabeled, and the 8 labeled
     and 4 test records of 4 classes) and a model trained on them."""
     root = tmp_path_factory.mktemp("small")
-    records = json.loads((dataset / "features.json").read_text())["records"]
+    doc = json.loads((dataset / "features.json").read_text())
+    records = doc["records"]
     classes = sorted({(r["equipment_type"], r["status"]) for r in records if r["status"]})[:4]
     unlabeled = [r for r in records if r["split"] == "unlabeled"][:8]
     of_classes = [r for r in records if (r["equipment_type"], r["status"]) in classes]
     assert len(of_classes + unlabeled) == 20
-    write_records(root / "features.json", of_classes + unlabeled)
+    write_records(root / "features.json", {"grid": doc["grid"]}, of_classes + unlabeled)
     assert run_cli(
         "train", "--features", root / "features.json", "--out", root / "model.json"
     ) == EXIT_OK
@@ -1069,12 +1117,17 @@ LEAF_VALUES = [None, True, "x", "12", [], {}, -1, 0.5, 1e308, float("nan"), DELE
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data):
-    """After one edit of a feature file (a value set or a key deleted),
-    train and classify each exit 0, 1 or 2 without raising, print one error
-    line on failure, and train exits 0 only if classify does: both read the
-    records the same way, and train adds the manifest's split rules."""
+    """After one edit of a feature file (a value set or a key deleted, the
+    file's grid among them), train and classify each exit 0, 1 or 2 without
+    raising, print one error line on failure, and train exits 0 only if
+    classify does: both read the records the same way, and train adds the
+    manifest's split rules. Where train exits 0, classify scores the file
+    with the model train wrote, so an edited grid meets its own model."""
     doc = json.loads((small_features / "features.json").read_text())
-    *path, last = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    paths = list(json_paths(doc))
+    if data.draw(st.integers(0, 4), label="grid") == 0:  # its 4 paths, one draw in 5
+        paths = [p for p in paths if p[0] == "grid"]
+    *path, last = data.draw(st.sampled_from(paths), label="path")
     value = data.draw(st.sampled_from(LEAF_VALUES), label="value")
     target = doc
     for key in path:
@@ -1086,7 +1139,9 @@ def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data
     feats = small_features / "edited.json"
     feats.write_text(json.dumps(doc), encoding="utf-8")
     codes = {}
-    for command, args in [("train", ()), ("classify", ("--model", small_features / "model.json"))]:
+    for command in ("train", "classify"):
+        model = small_features / ("train.out" if codes.get("train") == EXIT_OK else "model.json")
+        args = ("--model", model) if command == "classify" else ()
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             codes[command] = run_cli(
@@ -1416,7 +1471,8 @@ def test_an_error_line_names_a_region_of_a_huge_image_ref(
         argv = ["extract", "--manifest", source]
         message = f"{source}: {message}"
     else:
-        records = json.loads((separable_run / "features.json").read_text())["records"]
+        doc = json.loads((separable_run / "features.json").read_text())
+        records = doc["records"]
         if case == "no-status":
             records[5]["status"] = None
         elif case == "status":
@@ -1426,7 +1482,7 @@ def test_an_error_line_names_a_region_of_a_huge_image_ref(
         for i in (5, 35):
             records[i]["image_ref"] = ref
         source = tmp_path / "features.json"
-        source.write_text(json.dumps({"records": records}), encoding="utf-8")
+        source.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["train", "--features", source]
         message = f"feature file {source}: {message}"
     out = tmp_path / "out.json"
@@ -1440,16 +1496,16 @@ def test_an_error_line_names_a_region_of_a_huge_image_ref(
 def test_an_error_line_names_a_few_of_many_unknown_keys(separable_run, tmp_path, capsys):
     """A feature with 5,000 unknown keys gives one error line under 1 KB
     that names the first three in sorted order and counts the rest."""
-    records = json.loads((separable_run / "features.json").read_text())["records"]
-    records[5]["feature"].update((f"k{i:04}", 0) for i in range(5000))
+    doc = json.loads((separable_run / "features.json").read_text())
+    doc["records"][5]["feature"].update((f"k{i:04}", 0) for i in range(5000))
     feats = tmp_path / "features.json"
-    feats.write_text(json.dumps({"records": records}), encoding="utf-8")
+    feats.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "model.json"
     assert run_cli("train", "--features", feats, "--out", out) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err == (
         f"error: feature file {feats}: record 5: unknown feature key(s): 'k0000', 'k0001',"
-        " 'k0002' and 4997 more; expected: t_lo, t_hi, n_points, values, bandwidth\n"
+        " 'k0002' and 4997 more; expected: values, bandwidth\n"
     )
     assert not out.exists()
 
@@ -1605,6 +1661,37 @@ def test_eval_repeats_needs_a_single_mode(tmp_path, capsys, argv, from_config):
     code = run_cli("eval", "--out", tmp_path / "r", "--sweep", "alpha", "--values", "0,1", *argv)
     assert code == EXIT_VALIDATION
     assert "--repeats" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("mode", ["supervised", "both"])
+def test_eval_sweep_runs_only_the_weak_mode(tmp_path, capsys, mode):
+    """A sweep runs weak mode: any other --mode fails naming both flags,
+    before the data is read; --mode weak goes on to read the (missing)
+    manifest."""
+    cfg_path = tmp_path / "exp.json"
+    cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["eval", "--out", tmp_path / "r", "--config", cfg_path, "--sweep", "alpha"]
+    assert run_cli(*argv, "--values", "0.5", "--mode", mode) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: --mode {mode} does not combine with --sweep, which runs weak\n"
+    assert run_cli(*argv, "--values", "0.5", "--mode", "weak") == EXIT_IO
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_sweep_rejects_a_fractional_grid_points_value(tmp_path, capsys):
+    """64.7 grid points would run 64 and write report_sweep_grid_points_64p7.json:
+    it fails, named, before the data is read."""
+    cfg_path = tmp_path / "exp.json"
+    cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = run_cli(
+        "eval", "--out", tmp_path / "r", "--config", cfg_path,
+        "--sweep", "grid_points", "--values", "64.7,32",
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: sweep grid_points value 64.7 is not an integer\n"
     assert not (tmp_path / "r").exists()
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from thermofault.harness import (
     extract_features,
     fit_model,
 )
+from thermofault.cli import _load_records
 from thermofault.images import extract_region
 from thermofault.prototypes import build_model, model_from_dict, model_to_dict, posterior
 from thermofault.synthetic import case_study_config, default_synth_config, synthesize
@@ -685,45 +687,36 @@ def test_pdf_feature_serialization_round_trip():
     grid = FeatureGrid(-20.0, 120.0, 16)
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
     doc = feat.to_dict()
-    assert set(doc) == {"t_lo", "t_hi", "n_points", "values", "bandwidth"}
+    assert set(doc) == {"values", "bandwidth"}
     assert doc["bandwidth"] == feat.bandwidth
-    grid, values = read_features([doc])
-    assert grid == feat.grid
+    values = read_features([doc], grid)
     assert (values[0] == feat.values).all()
 
 
 def test_read_features_rows_are_the_bytes_of_each_feature():
-    """The bulk reader against the features it reads: the same grid and
-    the same value bytes, row by row."""
+    """The bulk reader against the features it reads: the same value bytes,
+    row by row; no features give no rows, which allocate nothing even on a
+    huge grid."""
     grid = FeatureGrid(-20.0, 120.0, 16)
     rng = np.random.Generator(np.random.PCG64(4))
     feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
     docs = json.loads(json.dumps([f.to_dict() for f in feats]))
-    docs[2]["t_lo"] = -20  # an integer is a JSON number: another spelling of the grid
-    got_grid, values = read_features(docs)
-    assert got_grid == grid
+    values = read_features(docs, grid)
     assert values.shape == (6, 16)
     for row, f in zip(values, feats):
         assert row.tobytes() == f.values.tobytes()
-    assert read_features([])[0] is None
+    assert read_features([], grid).shape == (0, 16)
+    assert read_features([], FeatureGrid(0.0, 1.0, 10**15)).nbytes == 0
+
+
+SIX_GRID = FeatureGrid(-20.0, 120.0, 16)
 
 
 def _six_feature_docs() -> list:
-    grid = FeatureGrid(-20.0, 120.0, 16)
+    """Six feature dicts on SIX_GRID."""
     rng = np.random.Generator(np.random.PCG64(4))
-    feats = [feature_vector(rng.normal(30.0, 3.0, 50), grid) for _ in range(6)]
+    feats = [feature_vector(rng.normal(30.0, 3.0, 50), SIX_GRID) for _ in range(6)]
     return json.loads(json.dumps([f.to_dict() for f in feats]))
-
-
-@pytest.mark.parametrize("i", [0, 3])
-def test_read_features_reads_each_grid_by_its_json_type(i):
-    """16.0 equals the first dict's 16 but is no JSON integer: it fails in
-    a later dict as in the first one."""
-    docs = _six_feature_docs()
-    docs[i]["n_points"] = 16.0
-    message = f"^feature {i}: feature 'n_points' must be an integer, got 16.0$"
-    with pytest.raises(ValueError, match=message):
-        read_features(docs)
 
 
 @pytest.mark.parametrize(
@@ -731,39 +724,40 @@ def test_read_features_reads_each_grid_by_its_json_type(i):
 )
 def test_read_features_names_a_value_fault_before_a_later_grid_fault(bad):
     """Each dict is checked and its values decoded in file order, so a
-    non-numeric value of dict 2 is named before the grid of dict 5."""
+    non-numeric value of dict 2 is named before dict 5's grid key, which a
+    feature may not hold."""
     docs = _six_feature_docs()
     docs[2]["values"][7] = bad
     docs[5]["t_lo"] = 10.0
     message = "^feature 2: feature 'values' must be an array of numbers$"
     with pytest.raises(ValueError, match=message):
-        read_features(docs)
+        read_features(docs, SIX_GRID)
 
 
 def test_read_features_checks_finite_and_non_negative_after_structure():
     """A null (NaN) or negative value is named only once every dict has
-    its keys, grid and shape: the grid fault of dict 5 comes first."""
+    its keys and shape: the key fault of dict 5 comes first."""
     docs = _six_feature_docs()
     docs[2]["values"][7], docs[3]["values"][7] = None, -1.0
     docs[5]["t_lo"] = 10.0
-    with pytest.raises(ValueError, match="^feature 5 has grid"):
-        read_features(docs)
-    docs[5]["t_lo"] = -20.0
+    with pytest.raises(ValueError, match="^feature 5: unknown feature key\\(s\\): 't_lo';"):
+        read_features(docs, SIX_GRID)
+    del docs[5]["t_lo"]
     with pytest.raises(ValueError, match="^feature 2: feature 'values' must be finite numbers$"):
-        read_features(docs)
+        read_features(docs, SIX_GRID)
     docs[2]["values"][7] = 0.0
     with pytest.raises(ValueError, match="^feature 3: density values must be non-negative$"):
-        read_features(docs)
+        read_features(docs, SIX_GRID)
 
 
 def test_feature_grid_dict_round_trip():
     grid = FeatureGrid(-20.0, 120.0, 16)
     assert grid.to_dict() == {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
     assert FeatureGrid.from_dict(grid.to_dict()) == grid
-    # the grid reads exactly its own keys, so a flat feature dict is not a grid
+    # the grid reads exactly its own keys, so an older flat feature dict is not a grid
     feat = feature_vector([10.0, 30.0, 31.0], grid, bandwidth=2.0)
     with pytest.raises(ValueError, match="unknown grid key\\(s\\): 'bandwidth', 'values';"):
-        FeatureGrid.from_dict(feat.to_dict())
+        FeatureGrid.from_dict({**grid.to_dict(), **feat.to_dict()})
 
 
 GOOD_GRID = {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
@@ -771,14 +765,17 @@ GOOD_GRID = {"t_lo": -20.0, "t_hi": 120.0, "n_points": 16}
 
 def grid_through(reader: str, grid: dict) -> FeatureGrid:
     """grid as the experiment config's "grid", model.json's "grid" or a
-    feature record's flat grid keys, read back by that reader."""
+    feature file's "grid", read back by that reader; the feature file is
+    features.json in the working directory."""
     if reader == "experiment grid":
         return ExperimentConfig.from_dict({"data": {"manifest": "m.json"}, "grid": grid}).grid
     if reader == "model grid":
         model = build_model([(c, [0.0, 1.0]) for c in SUBCATEGORIES[:2]])
         doc = model_to_dict(model, FeatureGrid(**GOOD_GRID), None)
         return model_from_dict({**doc, "grid": grid})[1]
-    return read_features([{**grid, "values": [0.5] * 16, "bandwidth": 1.0}])[0]
+    path = Path("features.json")
+    path.write_text(json.dumps({"grid": grid, "records": []}), encoding="utf-8")
+    return _load_records(path)[2]
 
 
 @pytest.mark.parametrize(
@@ -793,16 +790,17 @@ def grid_through(reader: str, grid: dict) -> FeatureGrid:
             "unknown model grid key(s): 'step'; expected: t_lo, t_hi, n_points",
         ),
         (
-            "feature", "feature 0: feature",
-            "feature 0: unknown feature key(s): 'step';"
-            " expected: t_lo, t_hi, n_points, values, bandwidth",
+            "feature file", "feature file features.json: grid",
+            "feature file features.json: unknown grid key(s): 'step';"
+            " expected: t_lo, t_hi, n_points",
         ),
     ],
 )
-def test_every_grid_reader_gives_the_same_messages(reader, prefix, unknown):
+def test_every_grid_reader_gives_the_same_messages(reader, prefix, unknown, tmp_path, monkeypatch):
     """FeatureGrid.from_dict is the one reader of the grid keys: each of its
     callers reads a good grid and names a missing key, an unknown key and a
     value of the wrong JSON type as it did when each checked the keys itself."""
+    monkeypatch.chdir(tmp_path)
     assert grid_through(reader, GOOD_GRID) == FeatureGrid(**GOOD_GRID)
     missing = {k: v for k, v in GOOD_GRID.items() if k != "n_points"}
     for grid, message in [
@@ -826,7 +824,7 @@ def test_feature_grid_scalar_of_the_wrong_json_type_names_its_key():
             FeatureGrid.from_dict({**good, key: bad})
     doc = feature_vector([10.0, 30.0, 31.0], FeatureGrid(**good), bandwidth=2.0).to_dict()
     with pytest.raises(ValueError, match="feature 0: feature 'bandwidth' must be a number"):
-        read_features([{**doc, "bandwidth": [2.0]}])
+        read_features([{**doc, "bandwidth": [2.0]}], FeatureGrid(**good))
 
 
 def test_default_grid():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -300,6 +301,10 @@ def test_sweep_rejects_bad_input():
         sweep(cfg, "alpha", [])
     with pytest.raises(ValueError):
         sweep(cfg, "alpha", [1.5])
+    # int(64.7) would run 64 points: the value fails, named, before the first run
+    for bad in (64.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^sweep grid_points value {bad} is not an integer$"):
+            sweep(cfg, "grid_points", [32, bad])
 
 
 # ----------------------------------------------------------------- compare

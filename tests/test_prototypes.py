@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from thermofault.cli import EXIT_OK, main
 from thermofault.density import DEFAULT_GRID, FeatureGrid
 from thermofault.prototypes import (
+    DistanceOverflow,
     PrototypeModel,
     build_model,
     classify_many,
@@ -220,7 +221,7 @@ def test_near_tie_is_decided_by_squared_distances(tmp_path):
     model_path, feats, out = tmp_path / "model.json", tmp_path / "f.json", tmp_path / "p.jsonl"
     model_doc = model_to_dict(model, FeatureGrid(0.0, 1.0, 2), None)
     model_path.write_text(json.dumps(model_doc), encoding="utf-8")
-    feature = {"t_lo": 0.0, "t_hi": 1.0, "n_points": 2, "values": [0.0, 0.0], "bandwidth": 1.0}
+    feature = {"values": [0.0, 0.0], "bandwidth": 1.0}
     record = {
         "image_ref": "img",
         "bbox": [0, 0, 1, 1],
@@ -229,7 +230,7 @@ def test_near_tie_is_decided_by_squared_distances(tmp_path):
         "status": None,
         "feature": feature,
     }
-    feats.write_text(json.dumps({"records": [record]}), encoding="utf-8")
+    feats.write_text(json.dumps({"grid": model_doc["grid"], "records": [record]}), encoding="utf-8")
     argv = ["classify", "--model", model_path, "--features", feats, "--out", out]
     assert main([str(a) for a in argv]) == EXIT_OK
     assert json.loads(out.read_text())["predicted"]["status"] == "fault"
@@ -288,6 +289,13 @@ def test_refine_convex_combination_example():
     refined = refine_centers(model, unlabeled)
     assert refined.centers_refined[0].tolist() == [1.0, 1.0]
     assert refined.centers_refined[1].tolist() == [100.0, 100.0]  # empty -> labeled
+
+
+def test_refine_names_a_non_finite_unlabeled_row():
+    """sq_dists checks the unlabeled vectors: a NaN in row 1 names row 1."""
+    model = two_class_model([0.0, 1.0], [5.0, 5.0], alpha=0.3)
+    with pytest.raises(DistanceOverflow, match="^vector row 1: a squared distance"):
+        refine_centers(model, np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]]))
 
 
 def test_refine_empty_unlabeled_is_identity():

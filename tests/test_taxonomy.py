@@ -117,9 +117,14 @@ def test_write_records_streams_the_bytes_of_write_json(tmp_path, n):
     records = [
         {"b": [1.5, -0.0, 1e-300], "a": {"z": None, "y": "s\u00e9"}, "i": i} for i in range(n)
     ]
-    assert write_records(tmp_path / "s" / "f.json", iter(records)) == n
-    write_json(tmp_path / "w" / "f.json", {"records": records})
+    # a head key sorts before "records" or after it
+    head = {"z": [2], "grid": {"n_points": 2, "t_lo": 0.0}}
+    assert write_records(tmp_path / "s" / "f.json", head, iter(records)) == n
+    write_json(tmp_path / "w" / "f.json", {**head, "records": records})
     text = (tmp_path / "s" / "f.json").read_text(encoding="utf-8")
     assert text == (tmp_path / "w" / "f.json").read_text(encoding="utf-8")
-    assert text == json.dumps({"records": records}, sort_keys=True) + "\n"
+    assert text == json.dumps({**head, "records": records}, sort_keys=True) + "\n"
     assert text.count("\n") == 1
+    assert write_records(tmp_path / "e.json", {}, iter(records)) == n
+    expected = json.dumps({"records": records}, sort_keys=True) + "\n"
+    assert (tmp_path / "e.json").read_text(encoding="utf-8") == expected

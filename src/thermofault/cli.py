@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -46,15 +45,14 @@ from .images import DatasetManifest, ManifestError, RegionAnnotation
 from .prototypes import DistanceOverflow, Posterior, model_from_dict, model_to_dict, posterior
 from .synthetic import SynthConfig, default_synth_config, synthesize, write_dataset
 from .taxonomy import (
-    EQUIPMENT_TYPES,
-    STATUSES,
+    INT64,
     InputFormatError,
     check_keys,
-    create_text,
     quote,
     read_json,
     read_scalar,
     write_json,
+    write_lines,
     write_records,
     write_text,
 )
@@ -71,6 +69,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
+
+
+def int64(text: str) -> int:
+    """An integer flag's value, one that every artifact can hold."""
+    if (value := int(text)) not in INT64:
+        raise ValueError(f"{text} is not a 64-bit integer")
+    return value
 
 
 def _given(args, *names) -> dict:
@@ -135,7 +140,7 @@ def _load_records(path: Path) -> tuple[list[RegionAnnotation], list[str], Featur
     records = read_scalar(payload, "records", list, f"feature file {path}:")
     regions = []
     for i, rec in enumerate(records):
-        check_keys(rec, None, f"feature file {path}: record", ("split", "feature"))
+        check_keys(rec, None, f"feature file {path}: record {i}", ("split", "feature"))
         if rec["split"] not in SPLITS:
             raise ValueError(
                 f"feature file {path}: record {i} has split {quote(rec['split'])};"
@@ -169,7 +174,7 @@ def cmd_train(args) -> int:
     digest = None
     if emb is not None:
         embedder_path = Path(str(args.out) + ".embedder.json")
-        digest = _sha256(write_json(embedder_path, embedder_to_dict(emb)).encode("utf-8"))
+        digest = hashlib.sha256(write_json(embedder_path, embedder_to_dict(emb))).hexdigest()
         print(f"wrote embedder to {embedder_path}")
     try:
         model = fit_model(data.labeled, data.unlabeled, args.mode, args.alpha, args.refine_iters)
@@ -186,50 +191,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _prediction_lines(
-    regions: list[RegionAnnotation], splits: list[str], post: Posterior
-) -> Iterator[str]:
-    """Each record's prediction line, the bytes of json.dumps(line,
-    sort_keys=True) for the record's region plus "split", "predicted" and
-    "posterior" (the model's class objects with "distance" and "prob").
-
-    Every line's literal text, each class's fragment included, is one
-    %-template made once per call. A record fills in its region and its
-    numbers, which come from one json.dumps of the row's distances and
-    probabilities, so NaN and the infinities read as the encoder writes
-    them."""
-    text = {
-        None: "null",
-        **{split: json.dumps(split) for split in SPLITS},
-        **{v: json.dumps(v.value) for v in (*EQUIPMENT_TYPES, *STATUSES)},
-    }
-    entries = ", ".join(
-        f'{{"distance": %s, "equipment_type": {text[c.equipment_type]},'
-        f' "prob": %s, "status": {text[c.status]}}}'
-        for c in post.classes
-    )
-    template = (
-        '{"bbox": [%d, %d, %d, %d], "equipment_type": %s, "image_ref": %s,'
-        f' "posterior": [{entries}], "predicted": %s, "split": %s, "status": %s}}'
-    )
-    predicted = {c: json.dumps(c.to_dict(), sort_keys=True) for c in post.classes}
-    # per row, the distance and the probability of each class in turn
-    shape = (len(post.predicted), 2 * len(post.classes))
-    numbers = np.stack([post.distances, post.probs], axis=-1).reshape(shape)
-    for region, split, pred, row in zip(regions, splits, post.predicted, numbers):
-        yield template % (
-            *region.bbox,
-            text[region.equipment_type],
-            json.dumps(region.image_ref),
-            *json.dumps(row.tolist())[1:-1].split(", "),
-            predicted[pred],
-            text[split],
-            text[region.status],
-        )
+def _predictions(regions: list, splits: list[str], post: Posterior) -> Iterator[dict]:
+    """Each record's prediction: its region plus "split", "predicted" and
+    "posterior" (the model's class objects with "distance" and "prob")."""
+    classes = [c.to_dict() for c in post.classes]
+    rows = zip(post.predicted, post.distances.tolist(), post.probs.tolist())
+    for region, split, (pred, ds, ps) in zip(regions, splits, rows):
+        scores = [{**c, "distance": d, "prob": p} for c, d, p in zip(classes, ds, ps)]
+        yield {**region.to_dict(), "split": split, "predicted": pred.to_dict(), "posterior": scores}
 
 
 def cmd_classify(args) -> int:
@@ -242,7 +211,7 @@ def cmd_classify(args) -> int:
         )
     # the embedder file's stamp is checked before the file is parsed or run
     data = None if args.embedder_file is None else Path(args.embedder_file).read_bytes()
-    digest = None if data is None else _sha256(data)
+    digest = None if data is None else hashlib.sha256(data).hexdigest()
     if digest != model_embedder:
         trained, given = "without an embedder", "no --embedder-file"
         if model_embedder is not None:
@@ -258,11 +227,8 @@ def cmd_classify(args) -> int:
             f"model {args.model} takes {model.feature_dim}-wide vectors, but the features"
             f" with {source} are {vectors.shape[1]} wide"
         )
-    post = posterior(vectors, model)
-    with create_text(args.out) as fh:
-        for line in _prediction_lines(regions, splits, post):
-            fh.write(line + "\n")
-    print(f"wrote {len(regions)} predictions to {args.out}")
+    n = write_lines(args.out, _predictions(regions, splits, posterior(vectors, model)))
+    print(f"wrote {n} predictions to {args.out}")
     return EXIT_OK
 
 
@@ -338,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic thermal dataset")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--config", help="SynthConfig JSON path (default: built-in config)")
-    p_synth.add_argument("--seed", type=int, help="override the config seed")
+    p_synth.add_argument("--seed", type=int64, help="override the config seed")
     p_synth.set_defaults(run=cmd_synth)
 
     p_extract = sub.add_parser("extract", help="extract density features per region")
@@ -346,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--out", required=True, help="output feature file")
     p_extract.add_argument("--t-lo", type=float, default=DEFAULT_GRID.t_lo)
     p_extract.add_argument("--t-hi", type=float, default=DEFAULT_GRID.t_hi)
-    p_extract.add_argument("--grid-points", type=int, default=DEFAULT_GRID.n_points)
+    p_extract.add_argument("--grid-points", type=int64, default=DEFAULT_GRID.n_points)
     p_extract.add_argument("--bandwidth", default="auto", help='"auto" or a positive float')
     p_extract.set_defaults(run=cmd_extract)
 
@@ -355,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="output model JSON")
     p_train.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p_train.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK], default=MODE_WEAK)
-    p_train.add_argument("--refine-iters", type=int, default=ExperimentConfig.refine_iters)
+    p_train.add_argument("--refine-iters", type=int64, default=ExperimentConfig.refine_iters)
     p_train.add_argument("--embedder", choices=EMBEDDER_KINDS, default=EMBEDDER_KINDS[0])
-    p_train.add_argument("--hidden", type=int)
-    p_train.add_argument("--out-dim", type=int)
-    p_train.add_argument("--episodes", type=int)
+    p_train.add_argument("--hidden", type=int64)
+    p_train.add_argument("--out-dim", type=int64)
+    p_train.add_argument("--episodes", type=int64)
     p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p_train.add_argument("--seed", type=int64, default=ExperimentConfig.seed)
     p_train.set_defaults(run=cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify feature records with a model")
@@ -375,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="output report directory")
     p_eval.add_argument("--config", help="ExperimentConfig JSON (default: built-in synthetic)")
     p_eval.add_argument("--mode", choices=[MODE_SUPERVISED, MODE_WEAK, "both"])
-    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--seed", type=int64)
     p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--repeats", type=int)
+    p_eval.add_argument("--repeats", type=int64)
     p_eval.add_argument("--sweep", choices=list(SWEEP_PARAMS))
     p_eval.add_argument("--values", help="comma-separated sweep values")
     p_eval.set_defaults(run=cmd_eval)
@@ -397,6 +363,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:  # named by the request: numpy's own text may be empty
+        request = sys.argv[1:] if argv is None else argv
+        print("error: not enough memory for: thermofault", *request, file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -4,13 +4,15 @@ writer of every text and JSON artifact."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -126,6 +128,10 @@ def check_keys(d, allowed, what: str, required=()) -> dict:
 
 
 _SCALAR_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+# What an artifact can hold: orjson writes no integer past 64 bits and no lone surrogate
+INT64 = range(-(2**63), 2**63)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_WRITABLE = {int: "a 64-bit integer", str: "a string with no lone surrogate"}
 
 
 def read_scalar(d: dict, key: str, kind: type, what: str):
@@ -133,11 +139,14 @@ def read_scalar(d: dict, key: str, kind: type, what: str):
     a finite number for float (an integer reads as its float), a string for
     str, an array for list; true and false are none of these. Any other
     value (16.0 or "12" for an integer, "0.5", NaN or an infinity for a
-    number, null, an object) is a ValueError naming the key: the CLI exits 1."""
+    number, null, an object) is a ValueError naming the key: the CLI exits 1.
+    So is what no artifact can hold: an int outside INT64, a lone surrogate."""
     value = d[key]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # NaN fails the comparison, and so does an int past the range
     if kind is not float and type(value) is kind:  # type(True) is bool, not int
+        if kind is int and value not in INT64 or kind is str and _SURROGATE.search(value):
+            raise ValueError(f"{what} {key!r} must be {_WRITABLE[kind]}, got {quote(value)}")
         return value
     raise ValueError(f"{what} {key!r} must be {_SCALAR_NOUNS[kind]}, got {quote(value)}")
 
@@ -170,40 +179,52 @@ def read_array(d: dict, key: str, what: str) -> np.ndarray:
 def read_json(path, data: bytes | None = None):
     """The JSON document in the file at path, decoded from data if the
     caller has already read the file's bytes. A file that is not UTF-8
-    JSON (truncated, say) is an InputFormatError naming the path."""
+    JSON (truncated, say) is an InputFormatError naming the path.
+
+    orjson decodes it; only a document it refuses goes to json.loads, which
+    words every error and reads NaN, lone surrogates and numbers past
+    float64. Only an integer past 64 bits that a float64 holds reads
+    otherwise: orjson reads it as that float, json.loads as the int."""
+    import orjson  # here, so a process that reads no JSON file never loads it
+
+    data = Path(path).read_bytes() if data is None else data
+    with contextlib.suppress(orjson.JSONDecodeError):
+        return orjson.loads(data)
     try:
-        return json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
 
 
-def create_text(path) -> TextIO:
-    """path opened for writing text: UTF-8, "\\n" newlines, parent
-    directories made. Every artifact file is created here."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _create_file(path) -> BinaryIO:
+    """path opened for writing bytes, parent directories made: every
+    artifact file is created here."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "wb")
 
 
-def write_text(path, text: str) -> str:
-    """text, ending in a newline (one is added if it lacks one), written to
-    path as UTF-8 with parent directories made. Returns the text written,
-    whose UTF-8 encoding is the file's bytes."""
-    if not text.endswith("\n"):
-        text += "\n"
-    with create_text(path) as fh:
-        fh.write(text)
-    return text
+def write_text(path, text: str) -> None:
+    """text, with a final newline added if it lacks one, written to path as UTF-8."""
+    with _create_file(path) as fh:
+        fh.write((text if text.endswith("\n") else text + "\n").encode("utf-8"))
 
 
-def write_json(path, payload) -> str:
-    """payload as one line of JSON with sorted keys, plus a newline: the
-    form of every JSON artifact. Read it with `python -m json.tool FILE`.
-    Returns the text written, as write_text does.
+def encode_json(payload) -> bytes:
+    """payload in the JSON form of every artifact: orjson's compact UTF-8,
+    keys sorted, floats in their shortest round-trip digits (1e-7), NaN and
+    the infinities as null. It refuses what read_scalar rejects on input."""
+    import orjson  # here, so a process that writes no JSON never loads it
 
-    Only json.dumps without an indent runs the C encoder; json.dump and
-    any indent go through the pure-Python one, several times slower."""
-    return write_text(path, json.dumps(payload, sort_keys=True))
+    return orjson.dumps(payload, option=orjson.OPT_SORT_KEYS)
+
+
+def write_json(path, payload) -> bytes:
+    """encode_json(payload) and a newline, written to path: every JSON
+    artifact is one such line (`python -m json.tool FILE` indents it).
+    Returns the bytes written."""
+    with _create_file(path) as fh:
+        fh.write(data := encode_json(payload) + b"\n")
+    return data
 
 
 def write_records(path, head: dict, records: Iterable[dict]) -> int:
@@ -211,11 +232,20 @@ def write_records(path, head: dict, records: Iterable[dict]) -> int:
     written one record at a time, so the whole text is never held; no value
     of head holds a "records" key. Returns the number of records."""
     n = 0
-    before, _, after = json.dumps({**head, "records": []}, sort_keys=True).partition('"records": [')
-    with create_text(path) as fh:
-        fh.write(before + '"records": [')
-        for rec in records:
-            fh.write((", " if n else "") + json.dumps(rec, sort_keys=True))
-            n += 1
-        fh.write(after + "\n")
+    before, _, after = encode_json({**head, "records": []}).partition(b'"records":[')
+    with _create_file(path) as fh:
+        fh.write(before + b'"records":[')
+        for n, rec in enumerate(records, 1):
+            fh.write(encode_json(rec) if n == 1 else b"," + encode_json(rec))
+        fh.write(after + b"\n")
+    return n
+
+
+def write_lines(path, records: Iterable[dict]) -> int:
+    """Each record as write_json's line, written to path in turn (JSON
+    lines). Returns the number of records."""
+    n = 0
+    with _create_file(path) as fh:
+        for n, rec in enumerate(records, 1):
+            fh.write(encode_json(rec) + b"\n")
     return n

@@ -3,16 +3,19 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _prediction_lines, main
+from thermofault import cli
+from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _predictions, main
 from thermofault.density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
 from thermofault.embedding import TrainConfig, embedder_from_dict
 from thermofault.harness import (
@@ -38,13 +41,22 @@ from thermofault.taxonomy import (
     EQUIPMENT_TYPES,
     STATUSES,
     SUBCATEGORIES,
+    InputFormatError,
     SubcategoryId,
+    encode_json,
+    read_json,
     write_records,
 )
 
 
 # A feature file with no records, on the default grid
 EMPTY_FEATURES = {"grid": DEFAULT_GRID.to_dict(), "records": []}
+
+
+def compact(doc) -> bytes:
+    """doc in the one form of every JSON artifact and prediction line:
+    orjson's compact JSON with sorted keys (no newline)."""
+    return orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
 
 
 def run_cli(*argv):
@@ -162,7 +174,7 @@ def test_extract_record_region_fields_come_from_the_region(dataset):
 
 
 def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
-    """The streamed feature file is json.dumps of the whole payload, built
+    """The streamed feature file is the compact JSON of the whole payload, built
     here from the library's features, each serialized as a PdfFeature,
     under the file's one grid."""
     cfg = ExperimentConfig(manifest_path=str(dataset / "data" / "manifest.json"))
@@ -173,14 +185,15 @@ def test_extract_writes_one_line_of_compact_json(dataset, tmp_path):
         for region, row, w in zip(getattr(manifest, split), *features[split])
     ]
     assert len(records) == 10 * (2 + 2 + 1)
-    expected = json.dumps({"grid": cfg.grid.to_dict(), "records": records}, sort_keys=True) + "\n"
-    assert (dataset / "features.json").read_text(encoding="utf-8") == expected
+    expected = compact({"grid": cfg.grid.to_dict(), "records": records}) + b"\n"
+    assert (dataset / "features.json").read_bytes() == expected
 
     empty = tmp_path / "manifest.json"
     empty.write_text(json.dumps({"images": [], "labeled": [], "unlabeled": [], "test": []}))
     out = tmp_path / "features.json"
     assert run_cli("extract", "--manifest", empty, "--out", out) == EXIT_OK
-    assert out.read_text(encoding="utf-8") == json.dumps(EMPTY_FEATURES, sort_keys=True) + "\n"
+    assert out.read_bytes() == compact(EMPTY_FEATURES) + b"\n"
+    assert out.read_bytes() == b'{"grid":{"n_points":128,"t_hi":120.0,"t_lo":-20.0},"records":[]}\n'
 
 
 def test_extract_corrupt_rtm_reports_file_and_line(dataset, tmp_path, capsys):
@@ -797,7 +810,7 @@ def test_classify_empty_features_through_an_embedder(separable_run, tmp_path):
         ("model", ("feature_dim",), None, "model 'feature_dim' must be an integer, got None"),
         ("model", ("centers_refined", 0, 0), {}, "model 'centers_refined' must be an array"),
         ("features", ("records", 0, "bbox", 1), None, "region bbox 1 must be an integer, got None"),
-        ("features", ("records", 0), 5, "record must be a JSON object, got 5"),
+        ("features", ("records", 0), 5, "record 0 must be a JSON object, got 5"),
         ("features", ("records", 0, "feature"), 5, "feature must be a JSON object, got 5"),
         ("features", ("records",), 5, "'records' must be a list, got 5"),
         (
@@ -1033,6 +1046,22 @@ BOTH = ("train", "classify")
             "record 65: region 'image_ref' must be a string, got None", BOTH,
         ),
         ((65, "image_ref"), 5, "record 65: region 'image_ref' must be a string, got 5", BOTH),
+        (  # no artifact can hold an integer past 64 bits
+            (65, "bbox", 0), 2**63,
+            "record 65: region bbox 0 must be a 64-bit integer, got 9223372036854775808", BOTH,
+        ),
+        (  # orjson reads an integer past 64 bits that a float64 holds as that float
+            (65, "bbox", 0), 2**64,
+            "record 65: region bbox 0 must be an integer, got 1.8446744073709552e+19", BOTH,
+        ),
+        (  # a wider one reaches json.loads, which reads it as the int
+            (65, "bbox", 0), 10**400,
+            "record 65: region bbox 0 must be a 64-bit integer, got 10000000000", BOTH,
+        ),
+        (  # nor a string with a lone surrogate, which json.loads reads
+            (65, "image_ref"), "\ud800x",
+            "record 65: region 'image_ref' must be a string with no lone surrogate", BOTH,
+        ),
         # the split rules are train's: classify scores every record as it is
         ((35, "status"), "normal", "unlabeled region {key} carries a status", ("train",)),
         (
@@ -1044,6 +1073,7 @@ BOTH = ("train", "classify")
         "null", "negative", "short", "string-bandwidth", "negative-bandwidth", "zero-bandwidth",
         "mixed-grids", "n-points-float", "values-string", "values-true", "values-huge-int", "bbox-cell-null",
         "test-equipment-type", "test-bbox-int", "image-ref-null", "image-ref-int",
+        "bbox-past-64-bits", "bbox-read-as-float", "bbox-huge-int", "image-ref-lone-surrogate",
         "unlabeled-status", "labeled-as-unlabeled",
     ],
 )
@@ -1078,6 +1108,30 @@ def test_bulk_feature_reader_names_the_record(
     assert code == EXIT_VALIDATION
     assert f"feature file {feats}: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("delete split", "record 7 needs key(s): 'split'"),
+        ("5", "record 9 must be a JSON object, got 5"),
+    ],
+)
+@pytest.mark.parametrize("command", BOTH)
+def test_a_record_of_the_wrong_shape_is_named(
+    separable_run, tmp_path, capsys, command, edit, message
+):
+    doc = json.loads((separable_run / "features.json").read_text())
+    if edit == "delete split":
+        del doc["records"][7]["split"]
+    else:
+        doc["records"][9] = 5
+    feats = tmp_path / "bad.json"
+    feats.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["--model", separable_run / "model.json"] if command == "classify" else []
+    code = run_cli(command, "--features", feats, "--out", tmp_path / "out", *args)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: feature file {feats}: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -1122,7 +1176,8 @@ def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data
     raising, print one error line on failure, and train exits 0 only if
     classify does: both read the records the same way, and train adds the
     manifest's split rules. Where train exits 0, classify scores the file
-    with the model train wrote, so an edited grid meets its own model."""
+    with the model train wrote, so an edited grid meets its own model.
+    Where classify exits 0, every distance and probability is finite."""
     doc = json.loads((small_features / "features.json").read_text())
     paths = list(json_paths(doc))
     if data.draw(st.integers(0, 4), label="grid") == 0:  # its 4 paths, one draw in 5
@@ -1150,6 +1205,8 @@ def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data
         assert codes[command] in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
         assert err.getvalue().count("error:") == (codes[command] != EXIT_OK), err.getvalue()
     assert codes["train"] != EXIT_OK or codes["classify"] == EXIT_OK
+    if codes["classify"] == EXIT_OK:
+        assert_finite_posteriors(small_features / "classify.out")
 
 
 @pytest.fixture(scope="module")
@@ -1175,7 +1232,7 @@ def test_classify_survives_one_edit_of_the_model_or_embedder_file(dataset, mlp_c
     """After one edit of model.json or its embedder file (a member at any
     depth set to a value, or deleted), classify exits 0, 1 or 2 without
     raising or warning, prints one error line on failure, and on success
-    writes no NaN or Infinity."""
+    writes a finite number for every distance and probability."""
     paths = {"model": mlp_chain / "model.json"}
     paths["embedder"] = Path(f"{paths['model']}.embedder.json")
     edited = data.draw(st.sampled_from(sorted(paths)), label="file")
@@ -1207,24 +1264,162 @@ def test_classify_survives_one_edit_of_the_model_or_embedder_file(dataset, mlp_c
     assert [w.category for w in caught] == []
     assert err.getvalue().count("error:") == (code != EXIT_OK), err.getvalue()
     if code == EXIT_OK:
-        text = out.read_text()
-        assert "NaN" not in text and "Infinity" not in text
+        assert_finite_posteriors(out)
 
 
-def reference_line(region, split, predicted, classes, distances, probs) -> str:
-    """A prediction line as a dict and json.dumps make it."""
-    return json.dumps(
-        {
-            **region.to_dict(),
-            "split": split,
-            "predicted": predicted.to_dict(),
-            "posterior": [
-                {**c.to_dict(), "distance": d, "prob": p}
-                for c, d, p in zip(classes, distances, probs)
-            ],
-        },
-        sort_keys=True,
-    )
+def assert_finite_posteriors(path: Path) -> None:
+    """Every distance and prob of the prediction file at path is a finite
+    number: the encoder writes NaN and the infinities as null, so a search
+    of the text for "NaN" would find none."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        for entry in json.loads(line)["posterior"]:
+            for key in ("distance", "prob"):
+                assert type(entry[key]) is float and math.isfinite(entry[key]), (key, line)
+
+
+# ------------------------------------------------ the reader against json.loads
+
+def json_loads_outcome(path, data: bytes) -> tuple[str, str]:
+    """What read_json gave when it was json.loads alone: the repr of the
+    value (types, -0.0, NaN and key order show in it), or its error text."""
+    try:
+        return "value", repr(json.loads(data.decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return "error", f"{path}: not valid UTF-8 JSON ({exc})"
+
+
+def read_json_outcome(path, data: bytes) -> tuple[str, str]:
+    try:
+        return "value", repr(read_json(path, data))
+    except InputFormatError as exc:  # the CLI exits 2 with its text
+        return "error", str(exc)
+
+
+def past_64_bits_as_float(value):
+    """value with every integer past 64 bits that a float64 holds read as
+    that float: the one listed case where read_json, through orjson, reads
+    a document otherwise than json.loads. A wider integer makes orjson
+    refuse the document, so json.loads reads it, as the int."""
+    if isinstance(value, dict):
+        return {k: past_64_bits_as_float(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [past_64_bits_as_float(v) for v in value]
+    if type(value) is int and not -(2**63) <= value < 2**64:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    return value
+
+
+def test_past_64_bits_as_float_widens_only_what_a_float64_holds():
+    assert past_64_bits_as_float([2**64 - 1, -(2**63), {"v": 2**64}, -(2**63) - 1, 10**400]) == [
+        2**64 - 1, -(2**63), {"v": 18446744073709551616.0}, -9223372036854775808.0, 10**400
+    ]
+
+
+EDGE_DOCUMENTS = {
+    "nan": b'{"v":NaN,"w":[Infinity,-Infinity]}',
+    "1e400": b'{"v":1e400,"w":-1e400,"x":1e-400}',
+    "400-digit int": b'{"v":' + b"7" * 400 + b"}",
+    "2**64 - 1": b'{"v":18446744073709551615}',
+    "2**64": b'{"v":18446744073709551616}',
+    "-2**63": b'{"v":-9223372036854775808}',
+    "-2**63 - 1": b'{"v":-9223372036854775809}',
+    "lone surrogate": b'{"v":"\\ud800","w":"\\ud83d\\ude00"}',
+    "bom": b'\xef\xbb\xbf{"v":1}',
+    "not utf-8": b'{"v":"\xff"}',
+    "duplicate keys": b'{"a":1,"b":2,"a":3}',
+    "-0": b'{"v":[-0,-0.0,0.0,-0e0]}',
+    "truncated": b'{"v":[1,2',
+}
+# the listed outcomes: an integer past 64 bits that a float64 holds reads as that float
+LISTED = {"2**64": {"v": 18446744073709551616.0}, "-2**63 - 1": {"v": -9223372036854775808.0}}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+def test_read_json_reads_the_edge_documents_as_json_loads(tmp_path, name):
+    """Each edge document reads as json.loads reads it, to the same value
+    or the same error text, but for the LISTED outcomes."""
+    path, data = tmp_path / "doc.json", EDGE_DOCUMENTS[name]
+    path.write_bytes(data)
+    want = json_loads_outcome(path, data)
+    if name in LISTED:
+        assert want[0] == "value" and type(json.loads(data)["v"]) is int
+        want = "value", repr(LISTED[name])
+    assert read_json_outcome(path, data) == want
+    assert read_json_outcome(path, None) == want
+
+
+RAW = "<raw token>"
+# JSON tokens that json.dumps does not write, put raw in place of one member
+RAW_TOKENS = [
+    b"NaN", b"-Infinity", b"1e400", b"1e-400", b"9" * 400, b"18446744073709551615",
+    b"18446744073709551616", b"-9223372036854775809", b"-0", b"-0.0", b"1E2",
+    b'"\\ud800"', b'"\\udfff\\ud800"', b'"\xff"', b'"\xc3\xa9"', b'"\xed\xa0\x80"',
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_read_json_reads_the_fuzzed_documents_as_json_loads(
+    dataset, small_features, mlp_chain, data
+):
+    """The documents of the edit fuzzers above (the manifest, a feature
+    file, a model and its embedder with one member set or deleted), some
+    with a raw token, a byte order mark, a key given twice or a cut end:
+    read_json reads each as json.loads does, but for the listed case."""
+    files = {
+        "manifest": dataset / "data" / "manifest.json",
+        "features": small_features / "features.json",
+        "model": mlp_chain / "model.json",
+        "embedder": mlp_chain / "model.json.embedder.json",
+    }
+    doc = json.loads(files[data.draw(st.sampled_from(sorted(files)), label="file")].read_bytes())
+    *path, last = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    value = data.draw(st.sampled_from([*LEAF_VALUES, *MODEL_VALUES, RAW]), label="value")
+    target = doc
+    for key in path:
+        target = target[key]
+    if value == DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    text = json.dumps(doc).encode("utf-8")
+    if value == RAW:
+        text = text.replace(json.dumps(RAW).encode(), data.draw(st.sampled_from(RAW_TOKENS)))
+    form = data.draw(st.sampled_from(["as is", "bom", "duplicate", "cut"]), label="form")
+    if form == "bom":
+        text = b"\xef\xbb\xbf" + text
+    elif form == "duplicate":  # the first key given twice: the later value counts
+        text = b'{"%s":null,%s' % (next(iter(doc)).encode(), text[1:])
+    elif form == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    want = json_loads_outcome("doc.json", text)
+    if want[0] == "value":
+        want = "value", repr(past_64_bits_as_float(json.loads(text)))
+    assert read_json_outcome("doc.json", text) == want
+
+
+def reference_record(region, split, predicted, classes, distances, probs) -> dict:
+    """A prediction line's record, built from its parts."""
+    return {
+        **region.to_dict(),
+        "split": split,
+        "predicted": predicted.to_dict(),
+        "posterior": [
+            {**c.to_dict(), "distance": d, "prob": p}
+            for c, d, p in zip(classes, distances, probs)
+        ],
+    }
+
+
+def finite_or_null(value):
+    """value with its keys sorted and every NaN and infinity replaced by
+    None, as the encoder writes them."""
+    if isinstance(value, dict):
+        return {k: finite_or_null(value[k]) for k in sorted(value)}
+    if isinstance(value, list):
+        return [finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 SPECIAL_FLOATS = [
@@ -1262,10 +1457,13 @@ def test_prediction_lines_equal_json_dumps_of_the_record(data):
     )
     post = Posterior(classes, distances, probs, predicted)
     want = [
-        reference_line(r, s, c, classes, d, p)
+        reference_record(r, s, c, classes, d, p)
         for r, s, c, d, p in zip(regions, splits, predicted, distances.tolist(), probs.tolist())
     ]
-    assert list(_prediction_lines(regions, splits, post)) == want
+    lines = [encode_json(rec) for rec in _predictions(regions, splits, post)]
+    assert lines == [compact(rec) for rec in want]
+    # each number reads back as itself: its shortest round-trip digits
+    assert [repr(json.loads(line)) for line in lines] == [repr(finite_or_null(w)) for w in want]
 
 
 def test_classify_centers_too_far_for_finite_distances_exit_1(separable_run, tmp_path, capsys):
@@ -1623,6 +1821,14 @@ def test_eval_config_grid_that_is_not_an_object_fails(tmp_path, capsys):
         ),
         # the config file's synth seed (0) is not its seed
         ("eval", {"seed": 3}, "experiment config 'data.synth.seed' 0 differs from its 'seed' 3"),
+        (  # no artifact can hold an integer past 64 bits
+            "eval", {"seed": 2**63},
+            "experiment config 'seed' must be a 64-bit integer, got 9223372036854775808",
+        ),
+        (  # orjson reads one that a float64 holds as that float
+            "synth", {"seed": -(2**63) - 1},
+            "synth config 'seed' must be an integer, got -9.223372036854776e+18",
+        ),
     ],
 )
 def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, override, message):
@@ -1637,6 +1843,53 @@ def test_config_scalar_of_the_wrong_json_type_fails(tmp_path, capsys, command, o
     assert run_cli(command, "--config", cfg_path, "--out", tmp_path / "o", *argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--mode", "weak", "--seed", "1180591620717411303424"],
+        ["synth", "--seed", "-9223372036854775809"],
+        ["train", "--features", "f.json", "--episodes", "9223372036854775808"],
+        ["extract", "--manifest", "m.json", "--grid-points", "18446744073709551616"],
+    ],
+    ids=["eval-seed", "synth-seed", "train-episodes", "extract-grid-points"],
+)
+def test_an_integer_flag_past_64_bits_fails(tmp_path, capsys, argv):
+    """No artifact can hold an integer past 64 bits (orjson writes none), so
+    every integer flag takes only a 64-bit one: eval --seed 2**70 used to
+    write reports with that seed. The error names the flag."""
+    assert run_cli(*argv, "--out", tmp_path / "o") == EXIT_VALIDATION
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [
+        f"thermofault {argv[0]}: error: argument {argv[-2]}: invalid int64 value: '{argv[-1]}'"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_takes_the_largest_64_bit_seed(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli("eval", "--mode", "weak", "--seed", 2**63 - 1, "--out", out) == EXIT_OK
+    assert json.loads((out / "report_weak.json").read_text())["seed"] == 2**63 - 1
+
+
+def test_running_out_of_memory_is_one_error_line(dataset, tmp_path, capsys, monkeypatch):
+    """extract --grid-points 100000000 asks numpy for 320 GB of features: a
+    MemoryError (raised here in place of the allocation) exits 1 with one
+    error line that repeats the request."""
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "extract_features", out_of_memory)
+    argv = [
+        "extract", "--manifest", str(dataset / "data" / "manifest.json"),
+        "--out", str(tmp_path / "f.json"), "--grid-points", "100000000",
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: not enough memory for: thermofault {' '.join(argv)}\n"
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_eval_sweep_requires_values(tmp_path, capsys):
@@ -1752,9 +2005,9 @@ def test_eval_repeats_both_modes_is_the_seed_study(dataset, tmp_path, capsys):
 
 def test_chain_artifacts_are_the_encoders_canonical_form(dataset, tmp_path):
     """synth -> extract -> train (weak, supervised, mlp) -> classify of each:
-    every JSON file is json.dumps(doc, sort_keys=True) plus a newline and every
-    prediction line is json.dumps(json.loads(line), sort_keys=True), so a
-    line built by hand cannot drift from the encoder's form."""
+    every JSON file is the compact form of its document plus a newline and
+    every prediction line is the compact form of its record, so no artifact
+    can drift from the one encoder's form."""
     feats = dataset / "features.json"
     for name, extra in (
         ("weak", []),
@@ -1768,15 +2021,16 @@ def test_chain_artifacts_are_the_encoders_canonical_form(dataset, tmp_path):
         assert run_cli(
             "classify", "--model", model, "--features", feats, "--out", out, *embedder
         ) == EXIT_OK
-        lines = out.read_text().splitlines()
+        lines = out.read_bytes().split(b"\n")
+        assert lines.pop() == b""
         assert len(lines) == len(json.loads(feats.read_text())["records"])
         for line in lines:
-            assert line == json.dumps(json.loads(line), sort_keys=True)
+            assert line == compact(json.loads(line))
     files = [dataset / "data" / "manifest.json", feats, *tmp_path.glob("*.json")]
     assert len(files) == 6
     for path in files:
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
+        data = path.read_bytes()
+        assert data == compact(json.loads(data)) + b"\n", path
 
 
 def test_full_chain_determinism_and_speed(tmp_path):

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,3 +442,24 @@ def test_extract_features_holds_one_image_at_a_time(tmp_path):
 
     small = peak(2)
     assert peak(8) - small < width * height * 8
+
+
+def test_run_both_never_loads_orjson():
+    """The 20-seed study (harness.run_both after the CLI module is imported)
+    reads and writes no file, so it never pays the several milliseconds of
+    importing orjson; writing one artifact does load it."""
+    code = (
+        "import sys, thermofault.cli\n"
+        "from thermofault import harness, taxonomy\n"
+        "from thermofault.synthetic import default_synth_config\n"
+        "harness.run_both(harness.ExperimentConfig(synth=default_synth_config()))\n"
+        "print('orjson' in sys.modules)\n"
+        "taxonomy.encode_json({})\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.split() == ["False", "True"], done.stderr

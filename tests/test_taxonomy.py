@@ -11,10 +11,13 @@ from thermofault.taxonomy import (
     Status,
     SubcategoryId,
     check_keys,
+    encode_json,
     parse_equipment_type,
     parse_status,
     quote,
+    read_scalar,
     write_json,
+    write_lines,
     write_records,
 )
 
@@ -121,10 +124,64 @@ def test_write_records_streams_the_bytes_of_write_json(tmp_path, n):
     head = {"z": [2], "grid": {"n_points": 2, "t_lo": 0.0}}
     assert write_records(tmp_path / "s" / "f.json", head, iter(records)) == n
     write_json(tmp_path / "w" / "f.json", {**head, "records": records})
-    text = (tmp_path / "s" / "f.json").read_text(encoding="utf-8")
-    assert text == (tmp_path / "w" / "f.json").read_text(encoding="utf-8")
-    assert text == json.dumps({**head, "records": records}, sort_keys=True) + "\n"
-    assert text.count("\n") == 1
+    data = (tmp_path / "s" / "f.json").read_bytes()
+    assert data == (tmp_path / "w" / "f.json").read_bytes()
+    record = '{"a":{"y":"s\u00e9","z":null},"b":[1.5,-0.0,1e-300],"i":%d}'
+    text = '{"grid":{"n_points":2,"t_lo":0.0},"records":[%s],"z":[2]}\n'
+    assert data == (text % ",".join(record % i for i in range(n))).encode("utf-8")
+    assert data.count(b"\n") == 1
     assert write_records(tmp_path / "e.json", {}, iter(records)) == n
-    expected = json.dumps({"records": records}, sort_keys=True) + "\n"
-    assert (tmp_path / "e.json").read_text(encoding="utf-8") == expected
+    expected = '{"records":[%s]}\n' % ",".join(record % i for i in range(n))
+    assert (tmp_path / "e.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_write_json_writes_one_compact_sorted_line(tmp_path):
+    """The artifact form: no spaces, sorted keys, raw UTF-8, shortest
+    round-trip floats with bare exponents, NaN and the infinities as null,
+    one final newline."""
+    doc = {
+        "\u00e9": "s\u00e9", "b": [2.4450711788890764e-7, 6.758318023151695e-05, 1e16, 100.0],
+        "a": [float("nan"), float("inf"), -0.0], "n": [None, True, "a\\"],
+        "i": [2**64 - 1, -(2**63)],
+    }
+    want = (
+        '{"a":[null,null,-0.0],"b":[2.4450711788890764e-7,0.00006758318023151695,1e16,100.0],'
+        '"i":[18446744073709551615,-9223372036854775808],"n":[null,true,"a\\\\"],"\u00e9":"s\u00e9"}\n'
+    ).encode("utf-8")
+    assert write_json(tmp_path / "d" / "f.json", doc) == want
+    assert (tmp_path / "d" / "f.json").read_bytes() == want
+    assert encode_json(doc) + b"\n" == want
+
+
+def test_write_lines_writes_one_compact_line_per_record(tmp_path):
+    assert write_lines(tmp_path / "p.jsonl", iter([{"b": 1, "a": [0.1]}, {}])) == 2
+    assert (tmp_path / "p.jsonl").read_bytes() == b'{"a":[0.1],"b":1}\n{}\n'
+    assert write_lines(tmp_path / "e.jsonl", iter([])) == 0
+    assert (tmp_path / "e.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "value", [2**64, -(2**63) - 1, "\ud800"], ids=["2**64", "-2**63-1", "surrogate"]
+)
+def test_the_encoder_refuses_what_read_scalar_rejects(value):
+    """orjson refuses an integer past 64 bits and a lone surrogate, so every
+    reader of such a scalar rejects it first, naming the key."""
+    with pytest.raises(TypeError):
+        encode_json({"k": value})
+    kind = str if isinstance(value, str) else int
+    with pytest.raises(ValueError, match="^region 'k' must be a "):
+        read_scalar({"k": value}, "k", kind, "region")
+
+
+def test_read_scalar_takes_every_64_bit_integer_and_paired_surrogates():
+    for value in (2**63 - 1, -(2**63), 0):
+        assert read_scalar({"k": value}, "k", int, "region") == value
+    with pytest.raises(ValueError) as info:
+        read_scalar({"k": 2**63}, "k", int, "region")
+    assert str(info.value) == "region 'k' must be a 64-bit integer, got 9223372036854775808"
+    # json.loads reads the escaped pair "\ud83d\ude00" as one character
+    for text in (json.loads('"\\ud83d\\ude00"'), "\u00e9x", "plain"):
+        assert read_scalar({"k": text}, "k", str, "region") == text
+    with pytest.raises(ValueError) as info:
+        read_scalar({"k": "a\udfff"}, "k", str, "region")
+    assert str(info.value) == "region 'k' must be a string with no lone surrogate, got 'a\\udfff'"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -50,6 +51,7 @@ from .taxonomy import (
     check_keys,
     quote,
     read_json,
+    read_plain_json,
     read_scalar,
     write_json,
     write_lines,
@@ -131,13 +133,25 @@ def _load_records(path: Path) -> tuple[list[RegionAnnotation], list[str], Featur
     """The regions and splits of a feature file's records, the file's grid
     and the records' feature values on it, one row per record. An error
     names the file and, for one record's fault, the record."""
-    payload = read_json(path)
+    payload, plain = read_plain_json(path)
     check_keys(payload, None, f"feature file {path}", ("grid", "records"))
     try:
         grid = FeatureGrid.from_dict(payload["grid"])
     except ValueError as exc:
         raise ValueError(f"feature file {path}: {exc}") from None
     records = read_scalar(payload, "records", list, f"feature file {path}:")
+    # checks over all records at once; where one declines, the loop words the error
+    regions = RegionAnnotation.from_plain_dicts(records) if plain else None
+    if regions is None or not all(r.get("split") in SPLITS and "feature" in r for r in records):
+        regions = _read_regions(path, records)
+    what = f"feature file {path}: record"
+    values = read_features([r["feature"] for r in records], grid, what, plain)
+    return regions, [rec["split"] for rec in records], grid, values
+
+
+def _read_regions(path: Path, records: list) -> list[RegionAnnotation]:
+    """The region of each record, each record checked in turn: an error
+    names the file and the first record at fault."""
     regions = []
     for i, rec in enumerate(records):
         check_keys(rec, None, f"feature file {path}: record {i}", ("split", "feature"))
@@ -150,8 +164,7 @@ def _load_records(path: Path) -> tuple[list[RegionAnnotation], list[str], Featur
             regions.append(RegionAnnotation.from_dict(rec))
         except ValueError as exc:
             raise ValueError(f"feature file {path}: record {i}: {exc}") from None
-    values = read_features([r["feature"] for r in records], grid, f"feature file {path}: record")
-    return regions, [rec["split"] for rec in records], grid, values
+    return regions
 
 
 def cmd_train(args) -> int:
@@ -232,6 +245,32 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+# What --values takes for each swept parameter
+_SWEEP_RULES = {
+    "alpha": "a number in [0, 1]",
+    "bandwidth": '"auto" or a positive number',
+    "grid_points": "an integer from 2 to 2**63 - 1",
+}
+
+
+def _sweep_value(param: str, text: str) -> float | str:
+    """One comma-separated item of --values, by the swept parameter's rule;
+    a grid_points value that is not an integer goes on to sweep, which names it."""
+    if param == "bandwidth" and text == "auto":
+        return text
+    try:
+        v = float(text)
+    except ValueError:
+        v = None
+    if v is not None and (
+        param == "alpha" and 0 <= v <= 1
+        or param == "bandwidth" and 0 < v < math.inf
+        or param == "grid_points" and (2 <= v < 2**63 or not v.is_integer())
+    ):
+        return v
+    raise ValueError(f"--values {quote(text)}: {param} must be {_SWEEP_RULES[param]}")
+
+
 def _eval_config(args) -> ExperimentConfig:
     if args.config is not None:
         cfg = ExperimentConfig.from_dict(read_json(args.config))
@@ -255,10 +294,10 @@ def cmd_eval(args) -> int:
         write_text(out_dir / f"{name}.txt", report_table(report))
 
     if args.sweep is not None:
-        values = [float(v) for v in args.values.split(",")]
+        values = [_sweep_value(args.sweep, v) for v in args.values.split(",")]
         reports = sweep(cfg, args.sweep, values)
         for v, rep in zip(values, reports):
-            tag = f"{v:g}".replace(".", "p").replace("-", "m")
+            tag = v if isinstance(v, str) else f"{v:g}".replace(".", "p").replace("-", "m")
             emit(f"report_sweep_{args.sweep}_{tag}", rep)
         table = sweep_table(args.sweep, values, reports)
         write_text(out_dir / f"sweep_{args.sweep}.txt", table)

@@ -298,16 +298,24 @@ class PdfFeature:
 
 
 FEATURE_KEYS = ("values", "bandwidth")
+_FEATURE_KEY_SET = frozenset(FEATURE_KEYS)
 
 
-def read_features(docs: list, grid: FeatureGrid, what: str = "feature") -> np.ndarray:
+def read_features(
+    docs: list, grid: FeatureGrid, what: str = "feature", plain: bool = False
+) -> np.ndarray:
     """The (n, grid.n_points) values of n feature dicts on grid.
 
     Each dict holds exactly FEATURE_KEYS, a positive bandwidth and n_points
     values. One pass checks each dict in turn and copies its values into
     their row; then all values are checked finite and non-negative. An
     error names the index of the first dict at fault as "{what} {i}".
+
+    For docs of a plain document (taxonomy.read_plain_json), checks over
+    all docs at once come first; only if one declines does the pass run.
     """
+    if plain and (values := _plain_features(docs, grid)) is not None:
+        return values
     values = np.empty((0, grid.n_points))  # no dicts: no rows, which allocates nothing
     for i, d in enumerate(docs):
         try:
@@ -333,6 +341,31 @@ def read_features(docs: list, grid: FeatureGrid, what: str = "feature") -> np.nd
     negative = (values < 0).any(axis=1)
     if negative.any():
         raise ValueError(f"{what} {int(np.argmax(negative))}: density values must be non-negative")
+    return values
+
+
+def _plain_features(docs: list, grid: FeatureGrid) -> np.ndarray | None:
+    """read_features(docs, grid) for docs of a plain document if every doc
+    passes its checks, else None: each doc a dict of exactly FEATURE_KEYS,
+    and one np.array of all bandwidths and one of all values rows. With no
+    bool in a plain document, a float64 dtype means every entry is a JSON
+    number (a string, null or a list gives another dtype, or a ValueError)."""
+    try:
+        if not all(type(d) is dict and d.keys() == _FEATURE_KEY_SET for d in docs):
+            return None
+        bandwidths = np.array([d["bandwidth"] for d in docs])
+        values = np.array([d["values"] for d in docs])
+    except ValueError:  # ragged
+        return None
+    if not (
+        bandwidths.dtype == values.dtype == np.float64
+        and bandwidths.shape == (len(docs),)
+        and values.shape == (len(docs), grid.n_points)
+        and (bandwidths > 0).all()
+        and np.isfinite(values).all()
+        and (values >= 0).all()
+    ):
+        return None
     return values
 
 

@@ -10,7 +10,7 @@ they can be checked against finite differences.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -114,22 +114,6 @@ def _episode_arrays(ep: Episode):
     return xs, ys, xq, yq
 
 
-class _Labels(NamedTuple):
-    """Class indices of an episode's support and query rows, and the arrays
-    the loss derives from them alone; training builds them once."""
-
-    ys: np.ndarray
-    yq: np.ndarray
-    counts: np.ndarray  # support rows per class, float64
-    query_rows: np.ndarray  # arange(len(yq))
-    ys_counts: np.ndarray  # counts[ys] as a column
-
-
-def _labels(ys: np.ndarray, yq: np.ndarray) -> _Labels:
-    counts = np.bincount(ys, minlength=int(ys.max()) + 1).astype(np.float64)
-    return _Labels(ys, yq, counts, np.arange(yq.shape[0]), counts[ys][:, None])
-
-
 def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
     """Mean query NLL and per-parameter gradients.
 
@@ -139,24 +123,18 @@ def proto_loss(e: Embedder, ep: Episode) -> tuple[float, dict[str, np.ndarray]]:
     if not ep.query:
         raise ValueError("episode has no query points")
     xs, ys, xq, yq = _episode_arrays(ep)
-    return _proto_loss(e, xs, xq, _labels(ys, yq))
-
-
-def _proto_loss(
-    e: Embedder, xs: np.ndarray, xq: np.ndarray, lab: _Labels
-) -> tuple[float, dict[str, np.ndarray]]:
-    """proto_loss of support rows xs and query rows xq, labelled by lab."""
-    n_classes = lab.counts.shape[0]
+    counts = np.bincount(ys).astype(np.float64)  # support rows per class
     n_query = xq.shape[0]
+    query_rows = np.arange(n_query)
 
     hs = np.tanh(xs @ e.W1.T + e.b1)
     es = hs @ e.W2.T + e.b2
     hq = np.tanh(xq @ e.W1.T + e.b1)
     eq = hq @ e.W2.T + e.b2
 
-    protos = np.zeros((n_classes, es.shape[1]))
-    np.add.at(protos, lab.ys, es)
-    protos /= lab.counts[:, None]
+    protos = np.zeros((counts.shape[0], es.shape[1]))
+    np.add.at(protos, ys, es)
+    protos /= counts[:, None]
 
     diff = eq[:, None, :] - protos[None, :, :]
     dist = np.sqrt(np.square(diff).sum(axis=2))
@@ -164,16 +142,16 @@ def _proto_loss(
     z_shift = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
     log_probs = z_shift - log_norm
-    loss = float(-log_probs[lab.query_rows, lab.yq].mean())
+    loss = float(-log_probs[query_rows, yq].mean())
 
     g_z = np.exp(log_probs)
-    g_z[lab.query_rows, lab.yq] -= 1.0
+    g_z[query_rows, yq] -= 1.0
     g_z /= n_query
     g_dist = -g_z
     g_diff = (g_dist / np.maximum(dist, _GRAD_EPS))[:, :, None] * diff
     g_eq = g_diff.sum(axis=1)
     g_protos = -g_diff.sum(axis=0)
-    g_es = g_protos[lab.ys] / lab.ys_counts
+    g_es = g_protos[ys] / counts[ys][:, None]
 
     g_out = np.concatenate([g_es, g_eq], axis=0)
     h_all = np.concatenate([hs, hq], axis=0)
@@ -185,6 +163,53 @@ def _proto_loss(
     g_w1 = g_a.T @ x_all
     g_b1 = g_a.sum(axis=0)
     return loss, dict(zip(_PARAMS, (g_w1, g_b1, g_w2, g_b2)))
+
+
+def _episode_step(
+    e: Embedder, vectors: np.ndarray, rows: np.ndarray, own: np.ndarray, lr: float
+) -> np.ndarray:
+    """One gradient step of proto_loss, e updated in place, on the episode
+    vectors[rows]: support row k of class k, then the queries, whose classes
+    own one-hot encodes. Returns the queries' log-probabilities. One support
+    row per class gives proto_loss's bits: its prototypes are the support
+    embeddings (np.add.at into zeros, then / 1, is es + 0.0, -0.0 included)."""
+    x = vectors[rows]
+    n_query = own.shape[0]
+    n_support = x.shape[0] - n_query
+
+    h = x @ e.W1.T
+    h += e.b1
+    np.tanh(h, out=h)
+    out = h @ e.W2.T
+    out += e.b2
+
+    diff = out[n_support:, None, :] - (out[:n_support] + 0.0)
+    dist = np.square(diff).sum(axis=2)
+    np.sqrt(dist, out=dist)
+    z = -dist
+    z -= z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+    g_z = np.exp(log_probs)
+    g_z -= own  # x - 0.0 is x
+    g_z /= n_query
+    np.negative(g_z, out=g_z)
+    g_z /= np.maximum(dist, _GRAD_EPS)
+    g_diff = g_z[:, :, None] * diff
+    g_out = np.empty_like(out)
+    np.negative(g_diff.sum(axis=0), out=g_out[:n_support])
+    g_diff.sum(axis=1, out=g_out[n_support:])
+
+    g_w2 = g_out.T @ h
+    g_b2 = g_out.sum(axis=0)
+    g_a = g_out @ e.W2
+    g_a *= 1.0 - np.square(h)
+    g_w1 = g_a.T @ x
+    g_b1 = g_a.sum(axis=0)
+    for param, g in ((e.W1, g_w1), (e.b1, g_b1), (e.W2, g_w2), (e.b2, g_b2)):
+        g *= lr
+        param -= g
+    return log_probs
 
 
 @dataclass(frozen=True)
@@ -265,7 +290,6 @@ def train_embedder(
     # rows are one vector of each class in rich: only the rows drawn change.
     vectors = np.stack([v for c in classes for v in buckets[c]])
     starts = np.cumsum([0, *sizes[:-1]])
-    lab = _labels(np.arange(len(classes)), np.array(rich))
     # per episode and class in rich, one of its n(n-1) ordered pairs of distinct rows
     n = np.array([sizes[k] for k in rich])
     s, q = np.divmod(rng.integers(0, n * (n - 1), size=(cfg.episodes, n.size)), n - 1)
@@ -273,14 +297,13 @@ def train_embedder(
     # a class with one vector always supports with it
     supports = np.tile(starts, (cfg.episodes, 1))
     supports[:, rich] += s
-    queries = starts[rich] + q
-    losses = []
-    for support, query in zip(supports, queries):
-        loss, grads = _proto_loss(e, vectors[support], vectors[query], lab)
-        for name, g in grads.items():
-            setattr(e, name, getattr(e, name) - cfg.lr * g)
-        losses.append(loss)
-    return TrainResult(embedder=e, losses=np.asarray(losses, dtype=np.float64))
+    rows = np.concatenate([supports, starts[rich] + q], axis=1)
+    own = np.eye(len(classes))[rich]
+    log_probs = [_episode_step(e, vectors, r, own, cfg.lr) for r in rows]
+    # each episode's own-class log-probabilities, a C-order row, so that its
+    # mean is summed as proto_loss sums its 1-D array
+    picked = np.array(log_probs).reshape(-1, *own.shape)[:, own == 1.0]
+    return TrainResult(embedder=e, losses=-np.ascontiguousarray(picked).mean(axis=1))
 
 
 def embedder_to_dict(e: Embedder) -> dict:

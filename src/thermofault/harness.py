@@ -362,8 +362,9 @@ def run_both(cfg: ExperimentConfig) -> tuple[EvalReport, EvalReport]:
 
 
 def sweep(cfg: ExperimentConfig, param: str, values: Sequence) -> list[EvalReport]:
-    """One weak-mode run per value of alpha, bandwidth, or grid_points. Alpha
-    enters no feature, so an alpha sweep extracts the features once."""
+    """One weak-mode run per value of alpha, bandwidth ("auto" among them),
+    or grid_points. Alpha enters no feature, so an alpha sweep extracts the
+    features once."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     if len(values) == 0:
@@ -371,7 +372,7 @@ def sweep(cfg: ExperimentConfig, param: str, values: Sequence) -> list[EvalRepor
     if param == "alpha":
         cfgs = [dataclasses.replace(cfg, alpha=float(v)) for v in values]
     elif param == "bandwidth":
-        cfgs = [dataclasses.replace(cfg, bandwidth=float(v)) for v in values]
+        cfgs = [dataclasses.replace(cfg, bandwidth=v if v == "auto" else float(v)) for v in values]
     else:
         for v in (v for v in values if not float(v).is_integer()):
             raise ValueError(f"sweep grid_points value {v!r} is not an integer")

@@ -234,6 +234,30 @@ class RegionAnnotation:
             read_scalar(d, "image_ref", str, "region"),
         )
 
+    @classmethod
+    def from_plain_dicts(cls, docs: list) -> list | None:
+        """[from_dict(d) for d in docs] for the dicts of a plain document
+        (taxonomy.read_plain_json) if every d passes from_dict's checks, else
+        None. The bboxes are read as one array, whose int64 dtype holds only
+        JSON integers of the signed 64-bit range, and each type and status
+        string is looked up in a table."""
+        try:
+            boxes = np.array([d["bbox"] for d in docs])
+            if boxes.dtype != np.int64 or boxes.shape != (len(docs), 4):
+                return None
+            regions = [
+                cls(tuple(b), _EQUIPMENT_TYPES[d["equipment_type"]], _STATUSES[d.get("status")],
+                    d["image_ref"])
+                for b, d in zip(boxes.tolist(), docs)
+            ]
+        except (KeyError, TypeError, ValueError):  # a ValueError: __post_init__'s bbox check
+            return None
+        return regions if all(type(r.image_ref) is str for r in regions) else None
+
+
+_EQUIPMENT_TYPES = {t.value: t for t in EquipmentType}
+_STATUSES = {None: None, **{s.value: s for s in Status}}
+
 
 SPLITS = ("labeled", "unlabeled", "test")
 

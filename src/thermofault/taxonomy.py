@@ -196,6 +196,21 @@ def read_json(path, data: bytes | None = None):
         raise InputFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from None
 
 
+def read_plain_json(path) -> tuple[object, bool]:
+    """read_json(path), and whether the document is plain: decoded by orjson
+    from bytes with no true or false token. A plain document holds no bool,
+    NaN, infinity, lone surrogate or integer outside [-2**63, 2**64), so a
+    bulk reader can check its values by their numpy dtype."""
+    import orjson
+
+    data = Path(path).read_bytes()
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return read_json(path, data), False
+    return doc, b"true" not in data and b"false" not in data
+
+
 def _create_file(path) -> BinaryIO:
     """path opened for writing bytes, parent directories made: every
     artifact file is created here."""

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermofault import cli
+from thermofault import cli, density
 from thermofault.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _predictions, main
 from thermofault.density import DEFAULT_GRID, FeatureGrid, PdfFeature, feature_vector
 from thermofault.embedding import TrainConfig, embedder_from_dict
@@ -1209,6 +1209,96 @@ def test_train_accepts_a_feature_file_only_if_classify_does(small_features, data
         assert_finite_posteriors(small_features / "classify.out")
 
 
+def load_or_error(path: Path):
+    """cli._load_records(path) as comparable bytes, or its error's text."""
+    try:
+        regions, splits, grid, values = cli._load_records(path)
+    except (ValueError, InputFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    return regions, splits, grid, values.shape, values.dtype, values.tobytes()
+
+
+def load_per_record(path: Path):
+    """load_or_error(path) with every bulk check declined: the document is
+    never plain, so only the per-record loops read it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "read_plain_json", lambda path: (read_json(path), False))
+        return load_or_error(path)
+
+
+# JSON texts for one edit of a feature file: at a "values" entry, and at
+# each region and record field (a bbox entry, or the whole field)
+EDIT_TOKENS = {
+    "values": [
+        "true", "false", '"0.5"', "null", "[]", "{}", "-1", "1e308", "1" + "0" * 400,
+        "0", "-0", "-0.0", "5e-324", "18446744073709551615",
+    ],
+    "bbox": [
+        "true", "false", str(2**63), str(2**63 - 1), str(2**64), "-1", "0", "1.0", '"1"',
+        "null", "[1, 2, 3]",
+    ],
+    "image_ref": ["true", '"true"', '"x false"', '"\\ud800x"', '"\\u00e9"', "5", "null", "[]"],
+    "bandwidth": ["true", "0", "-1", "1", '"1"', "1e308", "1e400", "null", "[1.0]"],
+    "split": ['"labeled"', '"test"', '"train"', "null", "true", "[]"],
+    "status": ['"normal"', '"fault"', "null", '"x"', "true", "{}"],
+    "equipment_type": ['"bushing"', '"x"', "null", "true", "[]"],
+    "feature": ["null", "{}", "[]", '{"values": [], "bandwidth": 1.0}'],
+    "record": ["5", "null", "{}", "[]"],
+}
+MARK = "@@edit@@"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_bulk_reader_reads_every_edit_as_the_per_record_reader(small_features, data):
+    """One edit of a feature file (a JSON text put at one value, or a key
+    deleted) gives the same regions, splits, grid and value bytes, or the
+    same error, whether the bulk checks read it or only the per-record
+    loops do. The edits reach inside "values", which the train/classify
+    fuzz above leaves alone."""
+    doc = json.loads((small_features / "features.json").read_text())
+    i = data.draw(st.integers(0, len(doc["records"]) - 1), label="record")
+    field = data.draw(st.sampled_from(sorted(EDIT_TOKENS)), label="field")
+    target, key = doc["records"][i], field
+    if field == "record":
+        target, key = doc["records"], i
+    elif field == "values":
+        target, key = target["feature"]["values"], data.draw(st.integers(0, 15), label="at")
+    elif field == "bandwidth":
+        target = target["feature"]
+    elif field == "bbox" and data.draw(st.booleans(), label="entry"):
+        target, key = target["bbox"], data.draw(st.integers(0, 3), label="at")
+    token = data.draw(st.sampled_from([None, *EDIT_TOKENS[field]]), label="token")
+    if token is None and isinstance(target, dict):
+        del target[key]
+        token = ""
+    else:
+        target[key] = MARK
+    feats = small_features / "bulk.json"
+    feats.write_text(json.dumps(doc).replace(json.dumps(MARK), token or "null"), "utf-8")
+    assert load_or_error(feats) == load_per_record(feats)
+
+
+def test_the_default_feature_file_reads_by_the_bulk_checks(tmp_path, monkeypatch):
+    """With the per-record loops patched to raise, the feature file of the
+    default data still reads, to the per-record result: a bulk check that
+    always declined would fail here."""
+    assert run_cli("synth", "--out", tmp_path / "data", "--seed", 11) == EXIT_OK
+    feats = tmp_path / "features.json"
+    manifest = tmp_path / "data" / "manifest.json"
+    assert run_cli("extract", "--manifest", manifest, "--out", feats) == EXIT_OK
+    want = load_per_record(feats)
+    assert len(want[0]) == 400
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-record loop ran")
+
+    monkeypatch.setattr(cli, "_read_regions", refuse)
+    monkeypatch.setattr(RegionAnnotation, "from_dict", refuse)
+    monkeypatch.setattr(density, "read_array", refuse)
+    assert load_or_error(feats) == want
+
+
 @pytest.fixture(scope="module")
 def mlp_chain(dataset, tmp_path_factory):
     """A model and its embedder file from train --embedder mlp on the dataset's features."""
@@ -1946,6 +2036,52 @@ def test_eval_sweep_rejects_a_fractional_grid_points_value(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: sweep grid_points value 64.7 is not an integer\n"
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "param, value, rule",
+    [
+        ("grid_points", "1e23", "an integer from 2 to 2**63 - 1"),  # numpy's own error before
+        ("grid_points", "1", "an integer from 2 to 2**63 - 1"),
+        ("grid_points", "x", "an integer from 2 to 2**63 - 1"),
+        ("bandwidth", "x", '"auto" or a positive number'),  # float()'s own error before
+        ("bandwidth", "-1", '"auto" or a positive number'),
+        ("bandwidth", "inf", '"auto" or a positive number'),
+        ("alpha", "1.5", "a number in [0, 1]"),
+        ("alpha", "auto", "a number in [0, 1]"),
+    ],
+)
+def test_eval_sweep_names_a_value_outside_its_parameters_rule(
+    tmp_path, capsys, param, value, rule
+):
+    """Each item of --values is read by the swept parameter's rule, and one
+    outside it fails naming --values, before the data is read."""
+    cfg_path = tmp_path / "exp.json"
+    cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = run_cli(
+        "eval", "--out", tmp_path / "r", "--config", cfg_path,
+        "--sweep", param, "--values", f"0.5,{value}" if param == "alpha" else f"2,{value}",
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --values {value!r}: {param} must be {rule}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_sweeps_the_auto_bandwidth(dataset, tmp_path):
+    """A bandwidth sweep takes "auto", as extract --bandwidth does: its
+    report is the weak run's on the default bandwidth."""
+    cfg = {"data": {"manifest": str(dataset / "data" / "manifest.json")}}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "reports"
+    argv = ["eval", "--out", out, "--config", cfg_path]
+    assert run_cli(*argv, "--sweep", "bandwidth", "--values", "auto,0.8") == EXIT_OK
+    assert run_cli(*argv, "--mode", "weak") == EXIT_OK
+    auto = (out / "report_sweep_bandwidth_auto.json").read_bytes()
+    assert auto == (out / "report_weak.json").read_bytes()
+    assert (out / "report_sweep_bandwidth_0p8.json").exists()
+    assert "bandwidth=auto: overall=" in (out / "sweep_bandwidth.txt").read_text()
 
 
 def test_eval_values_requires_sweep(tmp_path, capsys):

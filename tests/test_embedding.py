@@ -330,17 +330,18 @@ def test_drawn_pairs_are_distinct_and_cover_every_ordered_pair(monkeypatch):
     query always differ and every ordered pair of distinct rows is drawn."""
     drawn = {A: set(), B: set()}
 
-    def record(e, xs, xq, lab):
+    def record(e, vectors, rows, own, lr):
+        x = vectors[rows]  # the support row of each class, then its query row
         for k, c in enumerate((A, B)):
-            i, j = int(xs[k, 0]), int(xq[k, 0])
+            i, j = int(x[k, 0]), int(x[2 + k, 0])
             assert i != j
             drawn[c].add((i, j))
-        return 0.0, {name: np.zeros_like(getattr(e, name)) for name in ("W1", "b1", "W2", "b2")}
+        return np.zeros(own.shape)
 
     labeled = [(A, np.array([float(i)])) for i in range(2)]
     labeled += [(B, np.array([float(i)])) for i in range(3)]
     cfg = TrainConfig(hidden=2, out_dim=1, episodes=400, lr=0.1)
-    monkeypatch.setattr(embedding, "_proto_loss", record)
+    monkeypatch.setattr(embedding, "_episode_step", record)
     train_embedder(labeled, cfg, seed=0)
     assert drawn[A] == {(0, 1), (1, 0)}
     assert drawn[B] == {(i, j) for i in range(3) for j in range(3) if i != j}

@@ -52,7 +52,6 @@ from .taxonomy import (
     quote,
     read_json,
     read_plain_json,
-    read_scalar,
     write_json,
     write_lines,
     write_records,
@@ -136,35 +135,31 @@ def _load_records(path: Path) -> tuple[list[RegionAnnotation], list[str], Featur
     payload, plain = read_plain_json(path)
     check_keys(payload, None, f"feature file {path}", ("grid", "records"))
     try:
-        grid = FeatureGrid.from_dict(payload["grid"])
+        return _records(payload, plain)
     except ValueError as exc:
         raise ValueError(f"feature file {path}: {exc}") from None
-    records = read_scalar(payload, "records", list, f"feature file {path}:")
-    # checks over all records at once; where one declines, the loop words the error
+
+
+def _records(payload: dict, plain: bool) -> tuple:
+    """_load_records' reading of payload; a ValueError names the fault's place."""
+    grid = FeatureGrid.from_dict(payload["grid"])
+    if type(records := payload["records"]) is not list:  # read_scalar's words, without a noun
+        raise ValueError(f"'records' must be a list, got {quote(records)}")
+    # checks over all records at once; where one declines, each record is checked in turn
     regions = RegionAnnotation.from_plain_dicts(records) if plain else None
     if regions is None or not all(r.get("split") in SPLITS and "feature" in r for r in records):
-        regions = _read_regions(path, records)
-    what = f"feature file {path}: record"
-    values = read_features([r["feature"] for r in records], grid, what, plain)
+        regions = []
+        for i, rec in enumerate(records):
+            check_keys(rec, None, f"record {i}", ("split", "feature"))
+            if rec["split"] not in SPLITS:
+                split, expected = quote(rec["split"]), ", ".join(SPLITS)
+                raise ValueError(f"record {i} has split {split}; expected one of: {expected}")
+            try:
+                regions.append(RegionAnnotation.from_dict(rec))
+            except ValueError as exc:
+                raise ValueError(f"record {i}: {exc}") from None
+    values = read_features([r["feature"] for r in records], grid, "record", plain)
     return regions, [rec["split"] for rec in records], grid, values
-
-
-def _read_regions(path: Path, records: list) -> list[RegionAnnotation]:
-    """The region of each record, each record checked in turn: an error
-    names the file and the first record at fault."""
-    regions = []
-    for i, rec in enumerate(records):
-        check_keys(rec, None, f"feature file {path}: record {i}", ("split", "feature"))
-        if rec["split"] not in SPLITS:
-            raise ValueError(
-                f"feature file {path}: record {i} has split {quote(rec['split'])};"
-                f" expected one of: {', '.join(SPLITS)}"
-            )
-        try:
-            regions.append(RegionAnnotation.from_dict(rec))
-        except ValueError as exc:
-            raise ValueError(f"feature file {path}: record {i}: {exc}") from None
-    return regions
 
 
 def cmd_train(args) -> int:
@@ -294,11 +289,17 @@ def cmd_eval(args) -> int:
         write_text(out_dir / f"{name}.txt", report_table(report))
 
     if args.sweep is not None:
-        values = [_sweep_value(args.sweep, v) for v in args.values.split(",")]
+        items = args.values.split(",")
+        values = [_sweep_value(args.sweep, v) for v in items]
+        seen: dict[str, str] = {}  # each report's name -> the item of --values it is for
+        for text, v in zip(items, values):  # + 0.0: -0 and 0 name one report
+            tag = v if isinstance(v, str) else f"{v + 0.0:g}".replace(".", "p").replace("-", "m")
+            if (name := f"report_sweep_{args.sweep}_{tag}") in seen:
+                raise ValueError(f"--values {quote(seen[name])} and {quote(text)} both name {name}")
+            seen[name] = text
         reports = sweep(cfg, args.sweep, values)
-        for v, rep in zip(values, reports):
-            tag = v if isinstance(v, str) else f"{v:g}".replace(".", "p").replace("-", "m")
-            emit(f"report_sweep_{args.sweep}_{tag}", rep)
+        for name, rep in zip(seen, reports):
+            emit(name, rep)
         table = sweep_table(args.sweep, values, reports)
         write_text(out_dir / f"sweep_{args.sweep}.txt", table)
         print(table)

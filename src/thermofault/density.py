@@ -312,28 +312,28 @@ def read_features(
     error names the index of the first dict at fault as "{what} {i}".
 
     For docs of a plain document (taxonomy.read_plain_json), checks over
-    all docs at once come first; only if one declines does the pass run.
+    all docs at once replace the pass; only if one declines does it run.
     """
-    if plain and (values := _plain_features(docs, grid)) is not None:
-        return values
-    values = np.empty((0, grid.n_points))  # no dicts: no rows, which allocates nothing
-    for i, d in enumerate(docs):
-        try:
-            check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
-            if not read_scalar(d, "bandwidth", float, "feature") > 0:
-                bandwidth = quote(d["bandwidth"])
-                raise ValueError(f"feature 'bandwidth' must be positive, got {bandwidth}")
-        except ValueError as exc:
-            raise ValueError(f"{what} {i}: {exc}") from None
-        row = read_array(d, "values", f"{what} {i}: feature")
-        if row.shape != (grid.n_points,):
-            raise ValueError(
-                f"{what} {i}: feature 'values' has shape {row.shape},"
-                f" but its grid has {grid.n_points} points"
-            )
-        if i == 0:  # sized by a row as read: a huge n_points allocates nothing
-            values = np.empty((len(docs), row.size))
-        values[i] = row
+    values = _plain_features(docs, grid) if plain else None
+    if values is None:
+        values = np.empty((0, grid.n_points))  # no dicts: no rows, which allocates nothing
+        for i, d in enumerate(docs):
+            try:
+                check_keys(d, FEATURE_KEYS, "feature", FEATURE_KEYS)
+                if not read_scalar(d, "bandwidth", float, "feature") > 0:
+                    bandwidth = quote(d["bandwidth"])
+                    raise ValueError(f"feature 'bandwidth' must be positive, got {bandwidth}")
+            except ValueError as exc:
+                raise ValueError(f"{what} {i}: {exc}") from None
+            row = read_array(d, "values", f"{what} {i}: feature")
+            if row.shape != (grid.n_points,):
+                raise ValueError(
+                    f"{what} {i}: feature 'values' has shape {row.shape},"
+                    f" but its grid has {grid.n_points} points"
+                )
+            if i == 0:  # sized by a row as read: a huge n_points allocates nothing
+                values = np.empty((len(docs), row.size))
+            values[i] = row
     finite = np.isfinite(values).all(axis=1)  # a JSON null reads as NaN
     if not finite.all():
         i = int(np.argmin(finite))
@@ -345,11 +345,12 @@ def read_features(
 
 
 def _plain_features(docs: list, grid: FeatureGrid) -> np.ndarray | None:
-    """read_features(docs, grid) for docs of a plain document if every doc
-    passes its checks, else None: each doc a dict of exactly FEATURE_KEYS,
-    and one np.array of all bandwidths and one of all values rows. With no
-    bool in a plain document, a float64 dtype means every entry is a JSON
-    number (a string, null or a list gives another dtype, or a ValueError)."""
+    """read_features' values for docs of a plain document, before its
+    finite and non-negative checks, if every doc passes the other checks,
+    else None: each doc a dict of exactly FEATURE_KEYS, and one np.array of
+    all bandwidths and one of all values rows. With no bool in a plain
+    document, a float64 dtype means every entry is a JSON number (a string,
+    null or a list gives another dtype, or a ValueError)."""
     try:
         if not all(type(d) is dict and d.keys() == _FEATURE_KEY_SET for d in docs):
             return None
@@ -362,8 +363,6 @@ def _plain_features(docs: list, grid: FeatureGrid) -> np.ndarray | None:
         and bandwidths.shape == (len(docs),)
         and values.shape == (len(docs), grid.n_points)
         and (bandwidths > 0).all()
-        and np.isfinite(values).all()
-        and (values >= 0).all()
     ):
         return None
     return values

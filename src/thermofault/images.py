@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .taxonomy import (
+    STATUS_BY_NAME,
+    TYPE_BY_NAME,
     EquipmentType,
     InputFormatError,
     Status,
@@ -246,17 +248,13 @@ class RegionAnnotation:
             if boxes.dtype != np.int64 or boxes.shape != (len(docs), 4):
                 return None
             regions = [
-                cls(tuple(b), _EQUIPMENT_TYPES[d["equipment_type"]], _STATUSES[d.get("status")],
+                cls(tuple(b), TYPE_BY_NAME[d["equipment_type"]], STATUS_BY_NAME[d.get("status")],
                     d["image_ref"])
                 for b, d in zip(boxes.tolist(), docs)
             ]
         except (KeyError, TypeError, ValueError):  # a ValueError: __post_init__'s bbox check
             return None
         return regions if all(type(r.image_ref) is str for r in regions) else None
-
-
-_EQUIPMENT_TYPES = {t.value: t for t in EquipmentType}
-_STATUSES = {None: None, **{s.value: s for s in Status}}
 
 
 SPLITS = ("labeled", "unlabeled", "test")

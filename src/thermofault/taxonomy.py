@@ -37,6 +37,9 @@ class Status(Enum):
 
 EQUIPMENT_TYPES = tuple(EquipmentType)
 STATUSES = tuple(Status)
+# Each enum's members by their JSON names; a null status reads as None
+TYPE_BY_NAME = {t.value: t for t in EquipmentType}
+STATUS_BY_NAME = {None: None, **{s.value: s for s in Status}}
 
 
 @total_ordering
@@ -92,19 +95,17 @@ def quote(value) -> str:
 
 def parse_equipment_type(name: str) -> EquipmentType:
     try:
-        return EquipmentType(name)
-    except ValueError:
-        valid = ", ".join(t.value for t in EQUIPMENT_TYPES)
+        return TYPE_BY_NAME[name]
+    except (KeyError, TypeError):  # a TypeError: a list or dict, which no table holds
+        valid = ", ".join(TYPE_BY_NAME)
         message = f"unknown equipment type {quote(name)}; expected one of: {valid}"
         raise ValueError(message) from None
 
 
 def parse_status(name: str | None) -> Status | None:
-    if name is None:
-        return None
     try:
-        return Status(name)
-    except ValueError:
+        return STATUS_BY_NAME[name]
+    except (KeyError, TypeError):
         message = f"unknown status {quote(name)}; expected 'normal', 'fault', or null"
         raise ValueError(message) from None
 

@@ -129,6 +129,22 @@ def test_synth_zero_count_split(tmp_path):
     assert len(manifest.labeled) == 10
 
 
+def test_synth_rejects_a_background_that_overflows_to_infinity(tmp_path, capsys):
+    """A background of mean 1e308 and std 1e308 draws temperatures past
+    float64: ThermalImage's finite check, the only one on this path, fails
+    the run with one error line before anything is written."""
+    cfg = default_synth_config().to_dict()
+    cfg["background"] = {"mean": 1e308, "std": 1e308}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("synth", "--out", tmp_path / "d", "--config", cfg_path)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: temperatures must all be finite\n"
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize(
     "where, key", [((), "models"), (("models",), "arrester")], ids=["models", "status-map"]
 )
@@ -1280,9 +1296,11 @@ def test_the_bulk_reader_reads_every_edit_as_the_per_record_reader(small_feature
 
 
 def test_the_default_feature_file_reads_by_the_bulk_checks(tmp_path, monkeypatch):
-    """With the per-record loops patched to raise, the feature file of the
-    default data still reads, to the per-record result: a bulk check that
-    always declined would fail here."""
+    """With the per-record loops' readers patched to raise, the feature file
+    of the default data still reads, to the per-record result: a bulk check
+    that always declined would fail here. Each record's region is read by
+    RegionAnnotation.from_dict and its feature values by read_array only
+    where a bulk check declines."""
     assert run_cli("synth", "--out", tmp_path / "data", "--seed", 11) == EXIT_OK
     feats = tmp_path / "features.json"
     manifest = tmp_path / "data" / "manifest.json"
@@ -1293,10 +1311,107 @@ def test_the_default_feature_file_reads_by_the_bulk_checks(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a per-record loop ran")
 
-    monkeypatch.setattr(cli, "_read_regions", refuse)
     monkeypatch.setattr(RegionAnnotation, "from_dict", refuse)
     monkeypatch.setattr(density, "read_array", refuse)
     assert load_or_error(feats) == want
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    """A small synth dataset (50 images of 24x24) whose edited copies the
+    manifest fuzz writes beside it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path = write_small_synth_config(root / "synth.json")
+    assert run_cli("synth", "--out", root / "data", "--config", cfg_path) == EXIT_OK
+    return root / "data"
+
+
+OTHER_ID = "<the id of another image>"
+MANIFEST_VALUES = [
+    None, True, "x", "", [], {}, -1, 0, 1, 0.5, 1e308, 2**63, 10**400, float("nan"), DELETE,
+    "normal", "bushing", "missing.rtm", "manifest.json", OTHER_ID,
+    [0, 0, 1, 1], [0, 0, 10**6, 1], [23, 23, 1, 1], [0, 0, 24, 24],
+]
+# One edit of an RTM file of 24 rows of 24 cells: a cell, the header or a line end
+RTM_EDITS = {
+    "cell": [
+        b"nan", b"inf", b"-inf", b"-0", b"1e400", b"1e-400", b"x", b"", b" 1", b"1_0", b"0x1",
+        b"-1e308", b"1,2", b"\xd9\xa3", b"\xff", b"1e5",
+    ],
+    "header": [
+        b"24,24,1", b"0,24", b"24", b"a,b", b"25,24", b"24,25", b"", b"-1,24", b" 24,24",
+        b"24, 24", b"24,24\r", b"1e1,24", b"24,2" + b"4" * 30,
+    ],
+    "line end": [b"\r\n", b"\r", b"", b"\n\n", b" \n", b",\n", b"\n\x00"],
+}
+
+
+def edit_manifest(data_dir: Path, data) -> dict:
+    """The manifest of data_dir after one edit drawn from data: a value set
+    or a key deleted at any depth, a region or image entry repeated, or one
+    RTM file the manifest names replaced by an edited copy."""
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    kind = data.draw(st.sampled_from(["value", "repeat", "rtm"]), label="kind")
+    if kind == "repeat":
+        key = data.draw(st.sampled_from(sorted(doc)), label="list")
+        entry = data.draw(st.sampled_from(doc[key]), label="entry")
+        doc[data.draw(st.sampled_from(sorted(doc)), label="into")].append(entry)
+    elif kind == "value":
+        *path, last = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+        value = data.draw(st.sampled_from(MANIFEST_VALUES), label="value")
+        target = doc
+        for key in path:
+            target = target[key]
+        if value == DELETE:
+            del target[last]
+        else:
+            target[last] = doc["images"][-1]["id"] if value == OTHER_ID else value
+    else:
+        image = data.draw(st.sampled_from(doc["images"]), label="image")
+        lines = (data_dir / image["path"]).read_bytes().split(b"\n")  # header, 24 rows, b""
+        where = data.draw(st.sampled_from(sorted(RTM_EDITS)), label="where")
+        token = data.draw(st.sampled_from(RTM_EDITS[where]), label="token")
+        if where == "header":
+            lines[0] = token
+        elif where == "cell":
+            row, col = data.draw(st.integers(1, 24), label="row"), data.draw(st.integers(0, 23))
+            cells = lines[row].split(b",")
+            cells[col] = token
+            lines[row] = b",".join(cells)
+        at = data.draw(st.integers(0, 24), label="line end") if where == "line end" else None
+        text = b"".join(line + (token if i == at else b"\n") for i, line in enumerate(lines))
+        (data_dir / "edited.rtm").write_bytes(text.removesuffix(b"\n"))
+        image["path"] = "edited.rtm"
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_extract_meets_every_one_edit_manifest_cleanly(fuzz_data, data):
+    """After one edit of a synth manifest or of one RTM file it names,
+    extract returns 0, 1 or 2 and raises nothing; a failure prints one
+    error line; no warning is issued; and a feature file written with exit
+    0 holds only finite numbers (no NaN, Infinity or null)."""
+    manifest, out = fuzz_data / "edited.json", fuzz_data.parent / "features.json"
+    manifest.write_text(json.dumps(edit_manifest(fuzz_data, data)), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("extract", "--manifest", manifest, "--out", out)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    if code != EXIT_OK:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []
+        text = out.read_bytes()
+        assert b"NaN" not in text and b"Infinity" not in text
+        records = json.loads(text)["records"]
+        values = [x for r in records for x in (*r["feature"]["values"], r["feature"]["bandwidth"])]
+        assert all(type(x) is float and math.isfinite(x) for x in values)
 
 
 @pytest.fixture(scope="module")
@@ -2082,6 +2197,37 @@ def test_eval_sweeps_the_auto_bandwidth(dataset, tmp_path):
     assert auto == (out / "report_weak.json").read_bytes()
     assert (out / "report_sweep_bandwidth_0p8.json").exists()
     assert "bandwidth=auto: overall=" in (out / "sweep_bandwidth.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "param, values, first, second, name",
+    [
+        ("alpha", "0.5,0.50,1", "0.5", "0.50", "alpha_0p5"),
+        ("alpha", "0,1,-0", "0", "-0", "alpha_0"),
+        ("alpha", "0.1234567,0.1234568", "0.1234567", "0.1234568", "alpha_0p123457"),
+        ("grid_points", "64,32,64.0", "64", "64.0", "grid_points_64"),
+        ("bandwidth", "auto,0.8,auto", "auto", "auto", "bandwidth_auto"),
+    ],
+    ids=["alpha", "negative-zero", "alpha-six-digits", "grid-points", "auto"],
+)
+def test_eval_sweep_rejects_two_values_of_one_report(
+    tmp_path, capsys, param, values, first, second, name
+):
+    """Each swept value writes the report named by its value to 6 digits,
+    so two items that name one report (one value written twice, or values
+    alike to 6 digits) would write it twice, the second over the first:
+    they fail naming --values, before the data is read."""
+    cfg_path = tmp_path / "exp.json"
+    cfg = {"data": {"manifest": str(tmp_path / "manifest.json")}}
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = run_cli(
+        "eval", "--out", tmp_path / "r", "--config", cfg_path, "--sweep", param, "--values", values
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: --values {first!r} and {second!r} both name report_sweep_{name}\n"
+    )
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_values_requires_sweep(tmp_path, capsys):

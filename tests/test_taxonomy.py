@@ -69,6 +69,16 @@ def test_parse_status():
         parse_status("broken")
 
 
+@pytest.mark.parametrize("value", [[], {}, True, 5, 1.0, "Bushing", "NORMAL"])
+def test_parsers_word_every_value_outside_their_table(value):
+    """A JSON value that names no member, one no table can hold (a list, an
+    object) among them, is the worded ValueError, not a KeyError or TypeError."""
+    with pytest.raises(ValueError, match="^unknown equipment type .*; expected one of: transformer,"):
+        parse_equipment_type(value)
+    with pytest.raises(ValueError, match="^unknown status .*; expected 'normal', 'fault', or null$"):
+        parse_status(value)
+
+
 def test_subcategory_dict_round_trip():
     for sub in SUBCATEGORIES:
         assert SubcategoryId.from_dict(sub.to_dict()) == sub
